@@ -5,8 +5,8 @@
     qwhydro list-experiments         print the experiment names
 
 Exit codes: 0 success, 2 validation failure (bad config or a diagnostic
-beyond its configured tolerance), 1 unexpected error.  QWHYDRO_THREADS
-caps the worker count of internal grid sweeps.
+beyond its configured tolerance, such as a Pearcey map whose quadrature
+error estimate exceeds pearcey_tol), 1 unexpected error.
 """
 
 from __future__ import annotations

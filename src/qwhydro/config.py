@@ -8,6 +8,7 @@ Unknown keys are errors (no silent typo acceptance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +148,21 @@ def validate_config(cfg: SimConfig) -> None:
             f"experiment must be one of {', '.join(EXPERIMENT_NAMES)}; "
             f"got {cfg.experiment!r}")
 
+    # nan slips through every ordered comparison below, so reject it first
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value}")
+    if not all(math.isfinite(t) for t in cfg.snapshot_times):
+        raise ConfigError("'snapshot_times' must be finite")
+    if not all(math.isfinite(m.amplitude) and math.isfinite(m.phase_offset)
+               for m in cfg.modes):
+        raise ConfigError("'mode' amplitude and phase must be finite")
+    if cfg.x_min >= cfg.x_max:
+        raise ConfigError("'x_min' must be less than 'x_max'")
+    if cfg.t_min >= cfg.t_max:
+        raise ConfigError("'t_min' must be less than 't_max'")
+
     if cfg.experiment in _NEEDS_LATTICE or cfg.experiment == "validation":
         if cfg.mass is None:
             raise ConfigError("missing required key 'mass'")
@@ -192,5 +208,5 @@ def validate_config(cfg: SimConfig) -> None:
                 f"snapshot time {t} outside [0, t_final={cfg.t_final}]")
 
     for name, value in cfg.tolerances.items():
-        if value <= 0:
-            raise ConfigError(f"tolerance {name!r} must be positive")
+        if not 0 < value < math.inf:
+            raise ConfigError(f"tolerance {name!r} must be positive and finite")

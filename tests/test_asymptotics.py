@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,87 @@ def test_pearcey_rotation_vs_direct_window():
 
 def test_pearcey_direct_at_origin():
     assert abs(asy.pearcey_direct(0.0, 0.0) - PEARCEY_00) < 1e-7
+
+
+def test_pearcey_array_matches_scalar_routes():
+    rng = np.random.default_rng(23)
+    T = rng.uniform(-10, 10, 12)
+    X = rng.uniform(-10, 10, 12)
+    values, errors = asy.pearcey_array(T, X)
+    for t, x, v, e in zip(T, X, values, errors):
+        assert abs(v - asy.pearcey(t, x, 1e-6)) < 1e-6 + e
+        assert abs(v - asy.pearcey_direct(t, x)) < 1e-6
+
+
+def test_pearcey_array_origin_and_symmetry():
+    values, errors = asy.pearcey_array([0.0], [0.0])
+    assert abs(values[0] - PEARCEY_00) < 1e-14
+    assert errors[0] < 1e-13
+    rng = np.random.default_rng(29)
+    T = rng.uniform(-8, 8, 10)
+    X = rng.uniform(-8, 8, 10)
+    plus, err_plus = asy.pearcey_array(T, X)
+    minus, err_minus = asy.pearcey_array(T, -X)
+    assert np.all(np.abs(plus - minus) <= err_plus + err_minus)
+
+
+def test_pearcey_array_flags_conditioning_corner():
+    # where scalar pearcey raises at tol 1e-8, the estimate says so too
+    _, errors = asy.pearcey_array([-9.18], [-9.67])
+    assert errors[0] > 1e-8
+
+
+def test_pearcey_array_values_do_not_depend_on_the_block():
+    # near the origin many points share a panel count and are split over
+    # several numpy calls; farther out the counts spread
+    rng = np.random.default_rng(31)
+    T = np.concatenate([rng.uniform(-2, 2, 60), rng.uniform(-12, 12, 60)])
+    X = np.concatenate([rng.uniform(-2, 2, 60), rng.uniform(-25, 25, 60)])
+    together, err_together = asy.pearcey_array(T, X)
+    order = rng.permutation(len(T))
+    shuffled, err_shuffled = asy.pearcey_array(T[order], X[order])
+    assert np.array_equal(shuffled, together[order])
+    assert np.array_equal(err_shuffled, err_together[order])
+    for i in range(0, len(T), 9):
+        alone, err_alone = asy.pearcey_array(T[i], X[i])
+        assert alone == together[i]
+        assert err_alone == err_together[i]
+
+
+def test_pearcey_array_rejects_nonfinite():
+    with pytest.raises(ValueError):
+        asy.pearcey_array([0.0, float("nan")], [0.0, 0.0])
+
+
+def _pearcey_mp(T, X, length):
+    """I_P on the rotated contour to 40 digits by mpmath tanh-sinh."""
+    with mpmath.workdps(40):
+        rot = mpmath.expjpi(mpmath.mpf(1) / 8)
+        lin = 1j * mpmath.mpf(X) * rot
+        quad = 1j * mpmath.mpf(T) * rot ** 2
+        nodes = mpmath.linspace(-length, length, int(8 * length) + 1)
+        value = mpmath.quad(lambda s: mpmath.exp(lin * s + quad * s * s - s ** 4), nodes)
+        return complex(rot * value)
+
+
+def test_pearcey_array_estimate_bounds_the_actual_error():
+    # the shipped map window at mass 50, where the rotated integrand grows
+    # to e^{23} and rounding limits the result: sample at random and at the
+    # largest estimates still under the map's tol
+    chart = asy.ShockChart.from_mass(50.0)
+    xs = np.linspace(-1.0, 1.0, 41)
+    ts = np.linspace(0.6, 1.8, 25)
+    T, X = asy.shock_coords(xs[None, :], ts[:, None], chart)
+    T = np.broadcast_to(-T, X.shape).ravel()
+    X = X.ravel()
+    values, errors = asy.pearcey_array(T, X)
+    under = np.flatnonzero(errors <= 1e-6)
+    ranked = under[np.argsort(errors[under])]
+    rng = np.random.default_rng(37)
+    picks = list(ranked[-3:]) + list(rng.choice(ranked, 5, replace=False))
+    for i in picks:
+        exact = _pearcey_mp(T[i], X[i], asy._pearcey_truncation(T[i], X[i]))
+        assert abs(values[i] - exact) <= errors[i]
 
 
 # ---------------------------------------------------------------------------

@@ -96,3 +96,28 @@ def test_comments_and_blank_lines_ignored():
 def test_garbled_line_reports_position():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("experiment = validation\nnonsense without equals\n")
+
+
+@pytest.mark.parametrize("text, field", [
+    ("experiment = pearcey_map\nmass = 20\nx_min = nan\n", "x_min"),
+    ("experiment = pearcey_map\nmass = 20\nt_max = inf\n", "t_max"),
+    ("experiment = dtqw_planewave\nn_sites = 64\nmass = nan\n", "mass"),
+    ("experiment = dtqw_shock\nn_sites = 64\nmass = 4\nq_max = inf\n"
+     "mode = 1,1,0\n", "q_max"),
+    ("experiment = validation\nmass = 16\ntol.norm_drift = nan\n", "norm_drift"),
+], ids=["x_min", "t_max", "mass", "q_max", "tolerance"])
+def test_nonfinite_values_rejected_by_name(text, field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("window, field", [
+    ("x_min = 1\nx_max = -1\n", "x_min"),
+    ("x_min = 0.5\nx_max = 0.5\n", "x_min"),
+    ("t_min = 1.5\nt_max = 1.0\n", "t_min"),
+], ids=["reversed_x", "empty_x", "reversed_t"])
+def test_empty_or_reversed_window_rejected(window, field):
+    for experiment in ("pearcey_map", "asymptotic_zones"):
+        with pytest.raises(ConfigError, match=field):
+            parse_config(f"experiment = {experiment}\nmass = 20\n{window}")
+

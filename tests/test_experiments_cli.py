@@ -1,9 +1,12 @@
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qwhydro import asymptotics as asy
 from qwhydro.cli import main
 from qwhydro.config import parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
@@ -36,6 +39,17 @@ def test_emit_csv_17_digits(tmp_path):
     path = emit_spacetime_csv(grid, tmp_path / "d.csv")
     printed = path.read_text().splitlines()[1].split(",")[2]
     assert float(printed) == value
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shipped(name, out, **overrides):
+    """Text of a shipped config, writing to `out`, with keys overridden."""
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    for key, value in {"output_dir": out, **overrides}.items():
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+    return text
 
 
 def _run_cfg(tmp_path, text):
@@ -135,6 +149,23 @@ output_dir = {out}
 """
 
 
+# sha256 of the zones CSV of configs/zones_map.cfg before the labels were
+# computed with array arithmetic
+ZONES_MAP_SHA256 = "27fdd849b7da55fac1528d426dc7927657ac38030fb720da40ff3006f40064cb"
+
+
+def test_zones_map_labels_match_scalar_classification(tmp_path):
+    _run_cfg(tmp_path, _shipped("zones_map", tmp_path))
+    path = tmp_path / "asymptotic_zones.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ZONES_MAP_SHA256
+    chart = asy.ShockChart.from_mass(20.0)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert len(rows) == 81 * 61
+    for t, x, label in rows:
+        T, X, _ = asy.shock_map(x, t, chart)
+        assert label == int(asy.classify_zone(T, X).zone)
+
+
 def test_pearcey_map_runs_and_is_deterministic(tmp_path):
     r1 = _run_cfg(tmp_path / "p1", PEARCEY)
     r2 = _run_cfg(tmp_path / "p2", PEARCEY)
@@ -142,6 +173,32 @@ def test_pearcey_map_runs_and_is_deterministic(tmp_path):
     b = (tmp_path / "p2" / "pearcey_map.csv").read_bytes()
     assert a == b
     assert r1.diagnostics["max_intensity"] == r2.diagnostics["max_intensity"]
+
+
+def test_pearcey_map_agrees_with_quadpack_on_shipped_window(tmp_path):
+    result = _run_cfg(tmp_path, _shipped("pearcey_map", tmp_path))
+    assert result.ok
+    chart = asy.ShockChart.from_mass(20.0)
+    rows = np.loadtxt(tmp_path / "pearcey_map.csv", delimiter=",", skiprows=1)
+    assert len(rows) == 41 * 25
+    for t, x, intensity in rows:
+        T, X, A = asy.shock_map(x, t, chart)
+        assert abs(np.sqrt(intensity) / abs(A) - abs(asy.pearcey(-T, X, 1e-6))) < 1e-6
+
+
+def test_manifest_echoes_the_resolved_config(tmp_path):
+    result = _run_cfg(tmp_path / "p", PEARCEY)
+    manifest = json.loads((tmp_path / "p" / "pearcey_map_manifest.json").read_text())
+    config = manifest["config"]
+    assert (config["x_min"], config["x_max"], config["nx"]) == (-0.4, 0.4, 7)
+    assert (config["t_min"], config["t_max"], config["nt"]) == (0.8, 1.4, 5)
+    assert config["pearcey_tol"] == 1e-6
+    assert config["output_dir"] == str(tmp_path / "p")
+    gate = manifest["diagnostics"]["pearcey_error"]
+    assert gate["value"] <= gate["limit"] == 1e-6
+    assert gate["margin"] == gate["limit"] - gate["value"]
+    assert manifest["diagnostics"]["points_over_tol"] == 0
+    assert result.ok and manifest["ok"] is True
 
 
 NONREL = """
@@ -234,9 +291,25 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing)]) == 2
 
 
-def test_environment_thread_cap(monkeypatch):
-    from qwhydro import experiments
-    monkeypatch.setenv("QWHYDRO_THREADS", "1")
-    assert experiments._worker_count() == 1
-    monkeypatch.setenv("QWHYDRO_THREADS", "3")
-    assert experiments._worker_count() == 3
+def test_cli_pearcey_map_over_tol_exits_2(tmp_path):
+    # at mass 50 the corners of the shipped window are rounding-limited
+    # beyond pearcey_tol: the map is still written, and the run fails its gate
+    cfg = tmp_path / "m50.cfg"
+    cfg.write_text(_shipped("pearcey_map", tmp_path / "out", mass=50))
+    assert main(["run", str(cfg)]) == 2
+    manifest = json.loads((tmp_path / "out" / "pearcey_map_manifest.json").read_text())
+    gate = manifest["diagnostics"]["pearcey_error"]
+    assert gate["value"] > gate["limit"] and gate["margin"] < 0
+    assert manifest["diagnostics"]["points_over_tol"] > 0
+    assert manifest["ok"] is False
+    rows = (tmp_path / "out" / "pearcey_map.csv").read_text().splitlines()
+    assert len(rows) == 1 + 41 * 25
+
+
+def test_cli_run_rejects_nonfinite_window(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(_shipped("pearcey_map", tmp_path / "out", x_min="nan"))
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert "x_min" in capsys.readouterr().err
