@@ -10,6 +10,8 @@ from .walk import (  # noqa: F401
     build_walk,
     dirac_residual,
     evolve,
+    march,
+    propagate,
     step_walk,
     total_norm,
 )

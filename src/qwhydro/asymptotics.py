@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,6 +258,9 @@ def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
         raise ValueError("pearcey requires finite arguments")
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
+    # scipy loads here, not with the package: importing it costs most of
+    # the start-up time of a run that never calls QUADPACK.
+    from scipy import integrate
 
     a_lin = 1j * X * _ROT
     a_quad = 1j * T * _ROT2

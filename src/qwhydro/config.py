@@ -155,6 +155,8 @@ def validate_config(cfg: SimConfig) -> None:
             raise ConfigError(f"{key!r} must be finite, got {value}")
     if not all(math.isfinite(t) for t in cfg.snapshot_times):
         raise ConfigError("'snapshot_times' must be finite")
+    if any(b <= a for a, b in zip(cfg.snapshot_times, cfg.snapshot_times[1:])):
+        raise ConfigError("'snapshot_times' must be strictly increasing")
     if not all(math.isfinite(m.amplitude) and math.isfinite(m.phase_offset)
                for m in cfg.modes):
         raise ConfigError("'mode' amplitude and phase must be finite")

@@ -23,8 +23,8 @@ from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import spectral_propagate
-from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, \
-    step_walk, total_norm
+from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, march, \
+    propagate, step_walk, total_norm
 
 
 @dataclass
@@ -45,21 +45,31 @@ def _fmt(v: float) -> str:
 
 
 def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
-    """Write the grid in long format, deterministically ordered."""
+    """Write the grid in long format, deterministically ordered.
+
+    The t and x strings are formatted once each; every t row is then one
+    `%`-format of a `{t},{x},%.17g` template, which prints the same digits
+    as `format(v, ".17g")` did per value.
+    """
     path = Path(path)
     complex_data = np.iscomplexobj(grid.values)
-    header = "t,x,re,im" if complex_data else "t,x,value"
-    lines = [header]
-    for i, t in enumerate(grid.t):
-        for j, x in enumerate(grid.x):
-            v = grid.values[i, j]
-            if complex_data:
-                lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}")
-            else:
-                lines.append(f"{_fmt(t)},{_fmt(x)},{_fmt(v)}")
+    if complex_data:
+        header, cell = "t,x,re,im", "%.17g,%.17g\n"
+        values = np.asarray(grid.values, dtype=np.complex128)
+        rows = np.stack((values.real, values.imag), axis=-1).reshape(
+            len(grid.t), 2 * len(grid.x))
+    else:
+        header, cell = "t,x,value", "%.17g\n"
+        rows = np.asarray(grid.values, dtype=np.float64)
+    # a row is t_str + t_str.join(sites): "{t},{x},%.17g\n" for every x
+    sites = [f",{_fmt(x)},{cell}" for x in grid.x]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for t, row in zip(grid.t, rows):
+            if sites:
+                t_str = _fmt(t)
+                fh.write((t_str + t_str.join(sites)) % tuple(row.tolist()))
     return path
 
 
@@ -77,19 +87,26 @@ def _steps_for_times(times, params) -> list[int]:
     return [int(np.floor(t / params.dt + 1e-9)) for t in times]
 
 
-def _collect_walk(state: SpinorField, params, step_indices: list[int]):
-    """March the walk once, keeping the states at the requested steps."""
+# Largest gap allowed between a spectral jump and one stepped step from the
+# jump before it (the norm_drift default).
+STEP_CONSISTENCY_LIMIT = 1e-10
+
+
+def _jump_walk(state: SpinorField, params, step_indices: list[int]):
+    """The walk states at the requested steps, jumped to exactly.
+
+    Also returns the in-run cross-check against the stepped kernel:
+    max |propagate(j) − step_walk(propagate(j − 1))| at the last step j.
+    """
     wanted = sorted(set(step_indices))
-    out = {}
-    cur = state
-    if wanted and wanted[0] == 0:
-        out[0] = cur.copy()
-    last = wanted[-1] if wanted else 0
-    for j in range(1, last + 1):
-        cur = step_walk(cur, params)
-        if j in wanted:
-            out[j] = cur.copy()
-    return [out[j] for j in wanted], cur
+    last = max(wanted[-1], 1)  # a run that stops at step 0 checks step 1
+    *snaps, before, after = propagate(state, params, [*wanted, last - 1, last])
+    stepped = step_walk(before, params)
+    gap = float(max(np.max(np.abs(after.left - stepped.left)),
+                    np.max(np.abs(after.right - stepped.right))))
+    consistency = {"value": gap, "limit": STEP_CONSISTENCY_LIMIT,
+                   "margin": STEP_CONSISTENCY_LIMIT - gap}
+    return snaps, consistency
 
 
 def _walk_shock_setup(cfg: SimConfig):
@@ -152,7 +169,7 @@ def run_dtqw_shock(cfg: SimConfig) -> RunResult:
     n0 = total_norm(state, params)
 
     steps = _steps_for_times(cfg.snapshot_times, params)
-    snaps, final = _collect_walk(state, params, steps)
+    snaps, consistency = _jump_walk(state, params, steps)
     realized = [j * params.dt for j in sorted(set(steps))]
 
     density = np.array([currents(s).j0 for s in snaps])
@@ -160,9 +177,11 @@ def run_dtqw_shock(cfg: SimConfig) -> RunResult:
     out = Path(cfg.output_dir)
     csv_path = emit_spacetime_csv(grid, out / "dtqw_shock_density.csv")
 
-    drift = abs(total_norm(final, params) - n0) / n0
-    diagnostics = {"norm_drift": float(drift), "initial_norm": float(n0)}
+    drift = abs(total_norm(snaps[-1], params) - n0) / n0
+    diagnostics = {"norm_drift": float(drift), "initial_norm": float(n0),
+                   "step_consistency": consistency}
     ok, verdicts = _check_tolerances(cfg, diagnostics, {"norm_drift": "norm_drift"})
+    ok = ok and consistency["margin"] >= 0
     doc = _manifest(cfg, "dtqw_shock", diagnostics,
                     {"requested_times": list(cfg.snapshot_times),
                      "realized_times": realized,
@@ -181,10 +200,9 @@ def run_dtqw_planewave(cfg: SimConfig) -> RunResult:
     cur = state
     max_drift = 0.0
     check_every = max(1, n_steps // 16)
-    for j in range(1, n_steps + 1):
-        cur = step_walk(cur, params)
-        if j % check_every == 0 or j == n_steps:
-            max_drift = max(max_drift, abs(total_norm(cur, params) - n0) / n0)
+    while cur.step_index < n_steps:
+        cur = march(cur, params, min(check_every, n_steps - cur.step_index))
+        max_drift = max(max_drift, abs(total_norm(cur, params) - n0) / n0)
 
     density = np.array([currents(state).j0, currents(cur).j0])
     grid = SpacetimeGrid(x=params.x,
@@ -284,7 +302,7 @@ def run_nonrel_compare(cfg: SimConfig) -> RunResult:
     psi0 = schrodinger_initial(params, spec)
 
     steps = _steps_for_times(cfg.snapshot_times, params)
-    snaps, _ = _collect_walk(state, params, steps)
+    snaps, consistency = _jump_walk(state, params, steps)
     traj = Trajectory(params=params, snapshots=snaps, cadence=max(1, steps[-1] or 1))
 
     def oracle(t: float):
@@ -300,9 +318,10 @@ def run_nonrel_compare(cfg: SimConfig) -> RunResult:
 
     final_err = records[-1]["density_l2"] if records else 0.0
     diagnostics = {"final_density_l2": float(final_err),
-                   "records": len(records)}
+                   "records": len(records), "step_consistency": consistency}
     ok, verdicts = _check_tolerances(cfg, diagnostics,
                                      {"density_l2": "final_density_l2"})
+    ok = ok and consistency["margin"] >= 0
     doc = _manifest(cfg, "nonrel_compare", diagnostics,
                     {"requested_times": list(cfg.snapshot_times),
                      "realized_times": [r["time"] for r in records],
@@ -329,10 +348,7 @@ def run_validation(cfg: SimConfig) -> RunResult:
     params = build_walk(n_sites, mass)
     state = plane_wave(params, 0.0)
     n0 = total_norm(state, params)
-    cur = state
-    for _ in range(n_steps):
-        cur = step_walk(cur, params)
-    drift = abs(total_norm(cur, params) - n0) / n0
+    drift = abs(total_norm(march(state, params, n_steps), params) - n0) / n0
 
     # Madelung roundtrip + current identity on randomized smooth states
     small = build_walk(256, 16.0)

@@ -8,6 +8,9 @@ are provided and cross-checked in the tests:
     √(m/2iπt)·e^{im(x−y)²/2t} by adaptive oscillatory quadrature;
   * single_shock_psi:   for ψ₀ = e^{im cos x}, the exact Bessel series
     ψ(x,t) = Σ_k i^k J_k(m) e^{ikx − ik²t/2m}  (Jacobi–Anger).
+
+The last two import scipy when called, not with the module: importing it
+costs most of the start-up time of a run that never needs it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import jv
 
 from ._spectral import TWO_PI, spectral_derivative, wavenumbers
 
@@ -82,6 +83,8 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    from scipy import integrate
+
     psi0_samples = np.asarray(psi0_samples, dtype=np.complex128)
     n = psi0_samples.shape[0]
     if x_eval is None:
@@ -122,6 +125,8 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
 
 def bessel_cutoff(mass: float, tol: float = 1e-16) -> int:
     """Smallest k beyond which |J_k(m)| stays below tol (safe uniform band)."""
+    from scipy.special import jv
+
     k_max = int(np.ceil(mass + 40.0 * mass ** (1.0 / 3.0)))
     k = np.arange(k_max + 1)
     mags = np.abs(jv(k, mass))
@@ -137,6 +142,8 @@ def single_shock_psi(x: np.ndarray | float, t: float, mass: float) -> np.ndarray
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    from scipy.special import jv
+
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     k_cut = bessel_cutoff(mass)

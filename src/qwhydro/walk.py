@@ -10,6 +10,11 @@ right (periodic wraparound):
 With θ = εm, ε = 2π/N and t = jε, x = nε the walk converges to the free
 Dirac equation iγ^μ∂_μψ = mψ in 1+1 dimensions (γ⁰ = σ₁, γ¹ = iσ₂,
 ħ = c = 1), which dirac_residual measures directly.
+
+Three routes advance a state: `step_walk` applies one step (the reference
+kernel), `march` applies many steps of the same arithmetic in place, and
+`propagate` jumps to any step exactly in Fourier space through the walk's
+dispersion relation cos ω = cos θ·cos κ (Strauch, PRA 73, 054302 (2006)).
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._spectral import TWO_PI, centered_time_diff, grid, l2_norm, spectral_derivative
+from ._spectral import TWO_PI, centered_time_diff, grid, l2_norm, spectral_derivative, \
+    wavenumbers
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,83 @@ def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
                        step_index=state.step_index + 1)
 
 
+def march(state: SpinorField, params: WalkParams, n_steps: int) -> SpinorField:
+    """Advance n_steps with `coin_shift`'s arithmetic, bit for bit.
+
+    The same operations in the same order run into preallocated buffers,
+    and the shifts are slice offsets of the last add instead of `np.roll`,
+    so no array is allocated per step.  The input state is not modified.
+    """
+    _check_state(state, params)
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    c = np.cos(params.coin_angle)
+    s = np.sin(params.coin_angle)
+    i_s, minus_i_s = 1j * s, -1j * s  # the scalars coin_shift multiplies by
+    left, right = state.left.copy(), state.right.copy()
+    c_left, is_right, mis_left, c_right = (np.empty_like(left) for _ in range(4))
+    for _ in range(n_steps):
+        np.multiply(c, left, out=c_left)
+        np.multiply(i_s, right, out=is_right)
+        np.multiply(minus_i_s, left, out=mis_left)
+        np.multiply(c, right, out=c_right)
+        # new left[n] = coined left[n+1]; new right[n] = coined right[n−1]
+        np.subtract(c_left[1:], is_right[1:], out=left[:-1])
+        np.subtract(c_left[:1], is_right[:1], out=left[-1:])
+        np.add(mis_left[:-1], c_right[:-1], out=right[1:])
+        np.add(mis_left[-1:], c_right[-1:], out=right[:1])
+    return SpinorField(left=left, right=right, step_index=state.step_index + n_steps)
+
+
+def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
+    """The exact states `steps` steps after `state`, one per entry of `steps`.
+
+    For the wavenumber κ = kε one step is the 2×2 matrix
+    U(κ) = diag(e^{iκ}, e^{−iκ})·C with det U = 1, eigenvalues e^{±iω},
+    cos ω = cos θ·cos κ and sin ω = hypot(sin θ, cos θ·sin κ) ≥ 0.  With
+    the projector P = (U − e^{−iω}I)/(2i sin ω) onto the e^{iω} eigenvector,
+    U^j = e^{ijω}P + e^{−ijω}(I − P).  P is built from its closed-form
+    entries, which carry no cancellation, so small θ and θ = π stay
+    accurate; where sin ω = 0, U = ±I and P = I/2 gives the same U^j.
+    The input takes one FFT and each snapshot one inverse FFT; step 0
+    returns a copy of the input.
+    """
+    _check_state(state, params)
+    steps = [int(j) for j in steps]
+    if any(j < 0 for j in steps):
+        raise ValueError("steps must be nonnegative")
+    c = np.cos(params.coin_angle)
+    s = np.sin(params.coin_angle)
+    kappa = wavenumbers(params.n_sites) * params.spacing
+    c_sin = c * np.sin(kappa)
+    sin_w = np.hypot(s, c_sin)
+    omega = np.arctan2(sin_w, c * np.cos(kappa))
+    # where sin ω = 0, s = c sin κ = 0 too, and P comes out as I/2
+    inv2 = 0.5 / np.where(sin_w == 0.0, 1.0, sin_w)
+    # P = [[½ + c sin κ/(2 sin ω), −s e^{iκ}/(2 sin ω)],
+    #      [−s e^{−iκ}/(2 sin ω), ½ − c sin κ/(2 sin ω)]]
+    p_diag = c_sin * inv2
+    p_off = -s * inv2
+    shift = np.exp(1j * kappa)
+    left_k = np.fft.fft(state.left)
+    right_k = np.fft.fft(state.right)
+    up_left = (0.5 + p_diag) * left_k + p_off * shift * right_k
+    up_right = p_off * np.conj(shift) * left_k + (0.5 - p_diag) * right_k
+    down_left, down_right = left_k - up_left, right_k - up_right
+
+    out = []
+    for j in steps:
+        if j == 0:
+            out.append(state.copy())
+            continue
+        rise = np.exp(1j * (j * omega))
+        fall = np.conj(rise)
+        out.append(SpinorField(left=np.fft.ifft(rise * up_left + fall * down_left),
+                               right=np.fft.ifft(rise * up_right + fall * down_right),
+                               step_index=state.step_index + j))
+    return out
+
+
 def evolve(state: SpinorField, params: WalkParams, n_steps: int,
            cadence: int = 1) -> Trajectory:
     """Run n_steps of the walk, recording snapshots every `cadence` steps."""
@@ -129,11 +212,11 @@ def evolve(state: SpinorField, params: WalkParams, n_steps: int,
     if cadence < 1:
         raise ValueError("cadence must be ≥ 1")
     snaps = [state.copy()]
-    current = state
-    for j in range(1, n_steps + 1):
-        current = step_walk(current, params)
-        if j % cadence == 0 or j == n_steps:
-            snaps.append(current.copy())
+    done = 0
+    while done < n_steps:
+        chunk = min(cadence, n_steps - done)
+        snaps.append(march(snaps[-1], params, chunk))
+        done += chunk
     return Trajectory(params=params, snapshots=snaps, cadence=cadence)
 
 

@@ -1,15 +1,23 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qwhydro
 from qwhydro import asymptotics as asy
+from qwhydro import experiments
+from qwhydro import walk as wk
 from qwhydro.cli import main
 from qwhydro.config import parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
+from qwhydro.hydro import currents
+from qwhydro.initial import ShockInitSpec, phase_modulated_state
 
 
 def test_emit_csv_small_grid(tmp_path):
@@ -39,6 +47,52 @@ def test_emit_csv_17_digits(tmp_path):
     path = emit_spacetime_csv(grid, tmp_path / "d.csv")
     printed = path.read_text().splitlines()[1].split(",")[2]
     assert float(printed) == value
+
+
+def _emit_reference(grid) -> bytes:
+    """The per-value formatting loop that emit_spacetime_csv replaced."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    complex_data = np.iscomplexobj(grid.values)
+    lines = ["t,x,re,im" if complex_data else "t,x,value"]
+    for i, t in enumerate(grid.t):
+        for j, x in enumerate(grid.x):
+            v = grid.values[i, j]
+            if complex_data:
+                lines.append(f"{fmt(t)},{fmt(x)},{fmt(v.real)},{fmt(v.imag)}")
+            else:
+                lines.append(f"{fmt(t)},{fmt(x)},{fmt(v)}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, np.inf,
+                    -np.inf, 1e300, -1e300, 3.0, -7.0, 1e16, 2.0 ** 53 + 2.0, 1.0 / 3.0,
+                    0.1, 123456.789, 1e-5])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "integer"])
+def test_emit_csv_matches_reference_loop_on_special_values(tmp_path, kind):
+    values = np.array([np.roll(SPECIAL, i) for i in range(7)])
+    if kind == "complex":
+        real = values
+        values = np.empty(real.shape, dtype=complex)
+        values.real, values.imag = real, real[::-1, ::-1]
+    elif kind == "integer":
+        values = np.arange(7 * SPECIAL.size).reshape(7, -1) - 50
+    grid = SpacetimeGrid(x=SPECIAL, t=SPECIAL[:7], values=values)
+    path = emit_spacetime_csv(grid, tmp_path / "special.csv")
+    assert path.read_bytes() == _emit_reference(grid)
+
+
+def test_emit_csv_matches_reference_loop_on_empty_grids(tmp_path):
+    for shape in ((0, 3), (2, 0), (0, 0)):
+        for dtype in (float, complex):
+            grid = SpacetimeGrid(x=np.arange(shape[1], dtype=float),
+                                 t=np.arange(shape[0], dtype=float),
+                                 values=np.zeros(shape, dtype=dtype))
+            path = emit_spacetime_csv(grid, tmp_path / "empty.csv")
+            assert path.read_bytes() == _emit_reference(grid)
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -313,3 +367,79 @@ def test_cli_run_rejects_nonfinite_window(tmp_path, capsys):
         main(["run", str(cfg)])
     assert err.value.code == 2
     assert "x_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["planewave", "schrodinger_shock", "pearcey_map",
+                                  "zones_map"])
+def test_emit_csv_matches_reference_loop_on_shipped_grids(tmp_path, monkeypatch, name):
+    emitted = []
+
+    def recording(grid, path):
+        emitted.append((grid, emit_spacetime_csv(grid, path)))
+        return emitted[-1][1]
+
+    monkeypatch.setattr(experiments, "emit_spacetime_csv", recording)
+    run_experiment(parse_config(_shipped(name, tmp_path / name)))
+    assert emitted
+    for grid, path in emitted:
+        assert path.read_bytes() == _emit_reference(grid)
+
+
+def test_dtqw_shock_manifest_records_step_consistency(tmp_path):
+    result = _run_cfg(tmp_path / "w", SHOCK)
+    manifest = json.loads((tmp_path / "w" / "dtqw_shock_manifest.json").read_text())
+    gate = manifest["diagnostics"]["step_consistency"]
+    assert set(gate) == {"value", "limit", "margin"}
+    assert gate["limit"] == 1e-10
+    assert 0.0 <= gate["value"] <= gate["limit"]
+    assert gate["margin"] == pytest.approx(gate["limit"] - gate["value"])
+    assert result.ok and manifest["ok"] is True
+
+
+def test_nonrel_compare_manifest_records_step_consistency(tmp_path):
+    _run_cfg(tmp_path / "n", NONREL)
+    manifest = json.loads((tmp_path / "n" / "nonrel_compare_manifest.json").read_text())
+    gate = manifest["diagnostics"]["step_consistency"]
+    assert 0.0 <= gate["value"] <= gate["limit"] == 1e-10
+
+
+def test_step_consistency_over_its_limit_fails_the_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "STEP_CONSISTENCY_LIMIT", 1e-30)
+    assert not _run_cfg(tmp_path / "w", SHOCK).ok
+
+
+@pytest.mark.parametrize("name", ["shock_multimode", "shock_single_mode"])
+def test_shipped_shock_csv_agrees_with_stepped_walk(tmp_path, name):
+    cfg = parse_config(_shipped(name, tmp_path))
+    assert run_experiment(cfg).ok
+    data = np.loadtxt(tmp_path / "dtqw_shock_density.csv", delimiter=",", skiprows=1)
+    params = wk.build_walk(cfg.n_sites, cfg.mass)
+    spec = ShockInitSpec(modes=cfg.modes, q_max=cfg.q_max, mass=cfg.mass)
+    steps = [int(np.floor(t / params.dt + 1e-9)) for t in cfg.snapshot_times]
+    density = data[:, 2].reshape(len(steps), cfg.n_sites)
+    state = phase_modulated_state(params, spec)
+    for j, row in zip(steps, density):
+        state = wk.march(state, params, j - state.step_index)
+        assert np.max(np.abs(row - currents(state).j0)) <= 1e-11
+
+
+@pytest.mark.parametrize("times", ["1.0, 0.5", "0.5, 0.5"])
+def test_cli_rejects_snapshot_times_not_increasing(tmp_path, capsys, times):
+    cfg = tmp_path / "unsorted.cfg"
+    cfg.write_text(_shipped("nonrel_compare", tmp_path / "out", snapshot_times=times))
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert "snapshot_times" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(qwhydro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, qwhydro.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

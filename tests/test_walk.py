@@ -163,3 +163,76 @@ def test_dirac_residual_decreases_on_walk_data():
         traj = wk.evolve(ini.plane_wave(p, 1.0), p, 4, cadence=1)
         values[n] = wk.dirac_residual(traj, p)
     assert values[2048] < values[1024]
+
+
+def _stepped(state, p, steps):
+    """Reference: repeated step_walk, keeping the states at `steps`."""
+    kept, cur = {}, state
+    for j in range(1, max(steps) + 1):
+        cur = wk.step_walk(cur, p)
+        if j in steps:
+            kept[j] = cur
+    return [kept[j] for j in steps]
+
+
+def test_march_is_bit_identical_to_repeated_step_walk(rng):
+    for n, m, steps in ((256, 16.0, 300), (4096, 512.0, 40), (16, 4.0, 25)):
+        p = wk.build_walk(n, m)
+        state = make_smooth_spinor(rng, n, k_max=min(4, n // 2 - 1))
+        state.step_index = 3
+        before = state.copy()
+        (ref,) = _stepped(state, p, [steps])
+        out = wk.march(state, p, steps)
+        assert np.array_equal(out.left, ref.left)
+        assert np.array_equal(out.right, ref.right)
+        assert out.step_index == 3 + steps
+        # the input is not modified, and zero steps is a copy
+        assert np.array_equal(state.left, before.left)
+        assert np.array_equal(state.right, before.right)
+    still = wk.march(state, p, 0)
+    assert still.left is not state.left and np.array_equal(still.left, state.left)
+    with pytest.raises(ValueError):
+        wk.march(state, p, -1)
+
+
+def _smooth_unit(rng, n):
+    return make_smooth_spinor(rng, n, offset=1.0, amp=0.2, k_max=min(4, n // 2 - 1))
+
+
+@pytest.mark.parametrize("case", ["multimode", "half_pi", "pi", "two_pi", "small_theta"])
+def test_propagate_matches_repeated_step_walk(case, rng):
+    if case == "multimode":  # the shipped multimode shock, to its t_final
+        p = wk.build_walk(4096, 512.0)
+        state = ini.phase_modulated_state(p, ini.multimode_benchmark(51.2, 512.0))
+        steps = [1, 1000, 4889, 9778]
+    elif case == "small_theta":  # θ ≈ 0.039 over 2·10⁴ steps
+        p = wk.build_walk(2048, 12.8)
+        state = ini.phase_modulated_state(p, ini.multimode_benchmark(1.28, 12.8))
+        steps = [7, 12345, 20000]
+    else:
+        n, m = {"half_pi": (16, 4.0), "pi": (64, 32.0), "two_pi": (64, 64.0)}[case]
+        p = wk.build_walk(n, m)
+        state = _smooth_unit(rng, n)
+        steps = [1, 2, 3, 101, 500]
+    n0 = wk.total_norm(state, p)
+    for jumped, stepped in zip(wk.propagate(state, p, steps), _stepped(state, p, steps)):
+        assert jumped.step_index == stepped.step_index
+        gap = max(np.max(np.abs(jumped.left - stepped.left)),
+                  np.max(np.abs(jumped.right - stepped.right)))
+        assert gap <= 1e-11
+        assert abs(wk.total_norm(jumped, p) - n0) / n0 <= 1e-13
+
+
+def test_propagate_step_indices_and_step_zero(rng):
+    p = wk.build_walk(64, 4.0)
+    state = _smooth_unit(rng, 64)
+    state.step_index = 5
+    zero, later, again = wk.propagate(state, p, [0, 9, 0])
+    assert (zero.step_index, later.step_index, again.step_index) == (5, 14, 5)
+    assert np.array_equal(zero.left, state.left) and np.array_equal(zero.right, state.right)
+    assert zero.left is not state.left
+    assert wk.propagate(state, p, []) == []
+    with pytest.raises(ValueError):
+        wk.propagate(state, p, [3, -1])
+    with pytest.raises(ValueError):
+        wk.propagate(wk.SpinorField(np.zeros(32, complex), np.zeros(32, complex)), p, [1])
