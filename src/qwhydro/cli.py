@@ -15,7 +15,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENT_NAMES, ConfigError, parse_config
+from .config import EXPERIMENTS, ConfigError, parse_config
 from .experiments import run_experiment
 
 
@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list-experiments":
-        for name in EXPERIMENT_NAMES:
+        for name in EXPERIMENTS:
             print(name)
         return 0
 

@@ -3,26 +3,55 @@
 Format: one `key = value` per line; blank lines and lines starting with
 `#` are ignored.  `mode = amplitude,wavenumber,phase` may repeat, one line
 per cosine mode.  Tolerances are namespaced: `tol.<name> = <float>`.
-Unknown keys are errors (no silent typo acceptance).
+Unknown keys, and tolerances the experiment does not gate, are errors (no
+silent typo acceptance).
+
+`EXPERIMENTS` is the one table of what each experiment reads; parsing
+checks a config against its entry and returns a resolved, frozen
+`SimConfig`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .initial import ModeSpec
 
-EXPERIMENT_NAMES = (
-    "dtqw_shock",
-    "dtqw_planewave",
-    "schrodinger_shock",
-    "pearcey_map",
-    "asymptotic_zones",
-    "nonrel_compare",
-    "validation",
-)
+
+@dataclass(frozen=True)
+class Experiment:
+    """What one experiment reads from its config.
+
+    Every experiment requires `mass`.  `needs` names the further key
+    groups it requires: "lattice" (`n_sites`), "wave" (the plane-wave
+    momentum `q`), "modes" (`mode` lines and `q_max`; `t_final` defaults to
+    1.5/u_max) and "window" (the (x, t) map grid).  `gates` maps each
+    `tol.<name>` the run enforces to its default limit, None for a gate
+    enforced only when the config sets it.  `schedule` lists the default
+    snapshot times as fractions of `t_final`.
+    """
+
+    needs: tuple[str, ...]
+    gates: dict[str, float | None]
+    schedule: tuple[float, ...] = ()
+
+
+_NORM_DRIFT = {"norm_drift": 1e-10}
+_EIGHTHS = tuple(i / 8.0 for i in range(9))
+
+EXPERIMENTS = {
+    "dtqw_shock": Experiment(("lattice", "modes"), _NORM_DRIFT, _EIGHTHS),
+    "dtqw_planewave": Experiment(("lattice", "wave"), _NORM_DRIFT),
+    "schrodinger_shock": Experiment(("lattice", "modes"), _NORM_DRIFT,
+                                    (1.0 / 3.0, 2.0 / 3.0, 1.0)),
+    "pearcey_map": Experiment(("window",), {}),
+    "asymptotic_zones": Experiment(("window",), {}),
+    "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS),
+    "validation": Experiment((), {"norm_drift": 1e-12, "roundtrip": 1e-12,
+                                  "current_identity": 1e-12}),
+}
 
 
 class ConfigError(ValueError):
@@ -37,7 +66,7 @@ _STR_KEYS = {"experiment", "output_dir"}
 _KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | {"mode"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Validated experiment description (fully deterministic, seed-free)."""
 
@@ -103,6 +132,8 @@ def parse_config(text: str) -> SimConfig:
             name = key[4:]
             if not name:
                 raise ConfigError(f"line {lineno}: empty tolerance name")
+            if name in tolerances:
+                raise ConfigError(f"line {lineno}: duplicate tolerance {name!r}")
             try:
                 tolerances[name] = float(raw)
             except ValueError:
@@ -133,19 +164,19 @@ def parse_config(text: str) -> SimConfig:
     if "output_dir" in values:
         values["output_dir"] = Path(str(values["output_dir"]))
 
-    cfg = SimConfig(modes=tuple(modes), tolerances=tolerances, **values)
-    validate_config(cfg)
-    return cfg
+    return validate_config(SimConfig(modes=tuple(modes), tolerances=tolerances, **values))
 
 
-_NEEDS_LATTICE = {"dtqw_shock", "dtqw_planewave", "schrodinger_shock", "nonrel_compare"}
-_NEEDS_MODES = {"dtqw_shock", "schrodinger_shock", "nonrel_compare"}
+def validate_config(cfg: SimConfig) -> SimConfig:
+    """Check `cfg` against its experiment's table entry and return it resolved.
 
-
-def validate_config(cfg: SimConfig) -> None:
-    if cfg.experiment not in EXPERIMENT_NAMES:
+    The result carries the default `t_final` and snapshot schedule; `cfg`
+    itself is left unchanged.  Raises ConfigError naming the field.
+    """
+    spec = EXPERIMENTS.get(cfg.experiment)
+    if spec is None:
         raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENT_NAMES)}; "
+            f"experiment must be one of {', '.join(EXPERIMENTS)}; "
             f"got {cfg.experiment!r}")
 
     # nan slips through every ordered comparison below, so reject it first
@@ -165,24 +196,36 @@ def validate_config(cfg: SimConfig) -> None:
     if cfg.t_min >= cfg.t_max:
         raise ConfigError("'t_min' must be less than 't_max'")
 
-    if cfg.experiment in _NEEDS_LATTICE or cfg.experiment == "validation":
-        if cfg.mass is None:
-            raise ConfigError("missing required key 'mass'")
-        if cfg.mass <= 0:
-            raise ConfigError("'mass' must be positive")
-    if cfg.experiment in _NEEDS_LATTICE:
-        if cfg.n_sites is None:
-            raise ConfigError("missing required key 'n_sites'")
-        if cfg.n_sites < 4 or cfg.n_sites % 2 != 0:
-            raise ConfigError("'n_sites' must be even and at least 4")
-    if cfg.experiment in _NEEDS_MODES:
+    if cfg.mass is None:
+        raise ConfigError("missing required key 'mass'")
+    if cfg.mass <= 0:
+        raise ConfigError("'mass' must be positive")
+    if cfg.n_sites is None and "lattice" in spec.needs:
+        raise ConfigError("missing required key 'n_sites'")
+    if cfg.n_sites is not None and (cfg.n_sites < 4 or cfg.n_sites % 2 != 0):
+        raise ConfigError("'n_sites' must be even and at least 4")
+    # the plane wave's own rule: an integer wavenumber the lattice resolves
+    if "wave" in spec.needs and (abs(cfg.q - round(cfg.q)) > 1e-9
+                                 or abs(round(cfg.q)) > cfg.n_sites // 2):
+        raise ConfigError(f"'q' must be an integer with |q| <= n_sites/2 = "
+                          f"{cfg.n_sites // 2}, got {cfg.q}")
+    t_final = cfg.t_final
+    if "modes" in spec.needs:
         if not cfg.modes:
             raise ConfigError("at least one 'mode' line is required")
         if cfg.q_max <= 0:
             raise ConfigError("'q_max' must be positive")
-    if cfg.experiment in ("pearcey_map", "asymptotic_zones"):
-        if cfg.mass is None or cfg.mass <= 0:
-            raise ConfigError("missing required key 'mass'")
+        k_max = max(m.wavenumber for m in cfg.modes)
+        if k_max > cfg.n_sites // 2:
+            raise ConfigError(f"'mode' wavenumber {k_max} is not resolvable on "
+                              f"n_sites = {cfg.n_sites}")
+        if t_final is None:
+            # 1.5 × the characteristic caustic time 1/u_max
+            t_final = 1.5 / cfg.u_max if cfg.u_max > 0 else math.inf
+            if not 0 < t_final < math.inf:
+                raise ConfigError("'q_max' / 'mass' is out of range: the default "
+                                  "t_final = 1.5·mass/q_max must be positive and finite")
+    if "window" in spec.needs:
         if cfg.nx < 2 or cfg.nt < 2:
             raise ConfigError("'nx' and 'nt' must be at least 2")
         if cfg.t_min <= 0:
@@ -190,25 +233,20 @@ def validate_config(cfg: SimConfig) -> None:
         if not (0.0 < cfg.pearcey_tol <= 1e-3):
             raise ConfigError("'pearcey_tol' must lie in (0, 1e-3]")
 
-    # fill the default time horizon before range-checking snapshot times
-    if cfg.t_final is None and cfg.experiment in _NEEDS_MODES:
-        # 1.5 × the characteristic caustic time 1/u_max
-        cfg.t_final = 1.5 / cfg.u_max
-    if cfg.t_final is not None and cfg.t_final <= 0:
+    if t_final is not None and t_final <= 0:
         raise ConfigError("'t_final' must be positive")
     if cfg.n_steps is not None and cfg.n_steps < 0:
         raise ConfigError("'n_steps' must be nonnegative")
 
-    if not cfg.snapshot_times and cfg.experiment == "schrodinger_shock":
-        cfg.snapshot_times = tuple(f * cfg.t_final for f in (1.0 / 3.0, 2.0 / 3.0, 1.0))
-    if not cfg.snapshot_times and cfg.experiment in ("dtqw_shock", "nonrel_compare"):
-        cfg.snapshot_times = tuple(
-            cfg.t_final * i / 8.0 for i in range(9))
-    for t in cfg.snapshot_times:
-        if cfg.t_final is not None and not (0.0 <= t <= cfg.t_final * (1 + 1e-12)):
-            raise ConfigError(
-                f"snapshot time {t} outside [0, t_final={cfg.t_final}]")
+    snapshot_times = cfg.snapshot_times or tuple(f * t_final for f in spec.schedule)
+    for t in snapshot_times:
+        if t_final is not None and not (0.0 <= t <= t_final * (1 + 1e-12)):
+            raise ConfigError(f"snapshot time {t} outside [0, t_final={t_final}]")
 
     for name, value in cfg.tolerances.items():
+        if name not in spec.gates:
+            raise ConfigError(f"tolerance {name!r} is not gated by {cfg.experiment} "
+                              f"(gated: {', '.join(spec.gates) or 'none'})")
         if not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
+    return replace(cfg, t_final=t_final, snapshot_times=snapshot_times)

@@ -4,25 +4,28 @@ Every experiment writes long-format CSV (`t,x,value` or `t,x,re,im`,
 17 significant digits, LF endings, t-major order) plus a JSON manifest
 carrying the config echo, conservation diagnostics and the only timestamp
 of the run.  Identical configs produce byte-identical data files.
+
+Each experiment is a compute function returning its data and diagnostics;
+`run_experiment` writes them, gates the `tol.<name>` limits that the
+experiment's `config.EXPERIMENTS` entry declares, and writes the manifest.
 """
 
 from __future__ import annotations
 
 import datetime
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._spectral import TWO_PI
 from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
-from .config import SimConfig
+from .config import EXPERIMENTS, SimConfig
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
-from .schrodinger import spectral_propagate
+from .schrodinger import schrodinger_hydro, spectral_propagate
 from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, march, \
     propagate, step_walk, total_norm
 
@@ -82,9 +85,26 @@ class RunResult:
     ok: bool
 
 
-def _steps_for_times(times, params) -> list[int]:
-    # snapshot times round down to whole steps (t = j·ε)
-    return [int(np.floor(t / params.dt + 1e-9)) for t in times]
+@dataclass
+class Computed:
+    """What an experiment's compute function hands `run_experiment`.
+
+    `files` maps output file names to a grid (written as CSV) or to records
+    (written as JSON); `measured` holds the value each `tol.<name>` gate of
+    the experiment checks; `held` says whether the experiment's own gates
+    held; `times` pairs the requested and realized snapshot times.
+    """
+
+    files: dict[str, SpacetimeGrid | list]
+    diagnostics: dict
+    measured: dict[str, float] = field(default_factory=dict)
+    held: bool = True
+    times: tuple[list, list] | None = None
+
+
+def _gate(value: float, limit: float) -> dict:
+    """A diagnostic against its limit, in the shape the manifests record."""
+    return {"value": value, "limit": limit, "margin": limit - value}
 
 
 # Largest gap allowed between a spectral jump and one stepped step from the
@@ -92,21 +112,21 @@ def _steps_for_times(times, params) -> list[int]:
 STEP_CONSISTENCY_LIMIT = 1e-10
 
 
-def _jump_walk(state: SpinorField, params, step_indices: list[int]):
-    """The walk states at the requested steps, jumped to exactly.
+def _jump_walk(state: SpinorField, params, times):
+    """The walk states at the snapshot times, jumped to exactly.
 
-    Also returns the in-run cross-check against the stepped kernel:
-    max |propagate(j) − step_walk(propagate(j − 1))| at the last step j.
+    Times round down to whole steps (t = j·ε); the realized times are
+    returned with the states.  Also returns the in-run cross-check against
+    the stepped kernel: max |propagate(j) − step_walk(propagate(j − 1))| at
+    the last step j.
     """
-    wanted = sorted(set(step_indices))
+    wanted = sorted({int(np.floor(t / params.dt + 1e-9)) for t in times})
     last = max(wanted[-1], 1)  # a run that stops at step 0 checks step 1
     *snaps, before, after = propagate(state, params, [*wanted, last - 1, last])
     stepped = step_walk(before, params)
     gap = float(max(np.max(np.abs(after.left - stepped.left)),
                     np.max(np.abs(after.right - stepped.right))))
-    consistency = {"value": gap, "limit": STEP_CONSISTENCY_LIMIT,
-                   "margin": STEP_CONSISTENCY_LIMIT - gap}
-    return snaps, consistency
+    return snaps, [j * params.dt for j in wanted], _gate(gap, STEP_CONSISTENCY_LIMIT)
 
 
 def _walk_shock_setup(cfg: SimConfig):
@@ -115,82 +135,28 @@ def _walk_shock_setup(cfg: SimConfig):
     return params, spec
 
 
-def _manifest(cfg: SimConfig, name: str, diagnostics: dict, extra: dict | None = None):
-    doc = {
-        "experiment": name,
-        "version": __version__,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": {key: str(value) if isinstance(value, Path) else value
-                   for key, value in asdict(cfg).items()},
-        "diagnostics": diagnostics,
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _write_manifest(doc: dict, cfg: SimConfig, name: str) -> Path:
-    path = Path(cfg.output_dir) / f"{name}_manifest.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def _check_tolerances(cfg: SimConfig, diagnostics: dict,
-                      enforced: dict[str, str]) -> tuple[bool, dict]:
-    """Compare diagnostics against configured tolerances.
-
-    `enforced` maps tolerance names to diagnostic keys; a tolerance is
-    checked when present in the config or in the defaults below.
-    """
-    defaults = {"norm_drift": 1e-10}
-    verdicts = {}
-    ok = True
-    for tol_name, diag_key in enforced.items():
-        limit = cfg.tolerances.get(tol_name, defaults.get(tol_name))
-        if limit is None or diag_key not in diagnostics:
-            continue
-        passed = bool(diagnostics[diag_key] <= limit)
-        verdicts[tol_name] = {"limit": limit, "value": diagnostics[diag_key],
-                              "passed": passed}
-        ok = ok and passed
-    return ok, verdicts
-
-
 # ---------------------------------------------------------------------------
 # Individual experiments.
 # ---------------------------------------------------------------------------
 
-def run_dtqw_shock(cfg: SimConfig) -> RunResult:
+def _dtqw_shock(cfg: SimConfig) -> Computed:
     params, spec = _walk_shock_setup(cfg)
     state = phase_modulated_state(params, spec)
     n0 = total_norm(state, params)
-
-    steps = _steps_for_times(cfg.snapshot_times, params)
-    snaps, consistency = _jump_walk(state, params, steps)
-    realized = [j * params.dt for j in sorted(set(steps))]
-
+    snaps, realized, consistency = _jump_walk(state, params, cfg.snapshot_times)
     density = np.array([currents(s).j0 for s in snaps])
-    grid = SpacetimeGrid(x=params.x, t=np.array(realized), values=density)
-    out = Path(cfg.output_dir)
-    csv_path = emit_spacetime_csv(grid, out / "dtqw_shock_density.csv")
-
-    drift = abs(total_norm(snaps[-1], params) - n0) / n0
-    diagnostics = {"norm_drift": float(drift), "initial_norm": float(n0),
-                   "step_consistency": consistency}
-    ok, verdicts = _check_tolerances(cfg, diagnostics, {"norm_drift": "norm_drift"})
-    ok = ok and consistency["margin"] >= 0
-    doc = _manifest(cfg, "dtqw_shock", diagnostics,
-                    {"requested_times": list(cfg.snapshot_times),
-                     "realized_times": realized,
-                     "tolerance_verdicts": verdicts, "ok": ok})
-    man = _write_manifest(doc, cfg, "dtqw_shock")
-    return RunResult(paths=[csv_path, man], diagnostics=diagnostics, ok=ok)
+    drift = float(abs(total_norm(snaps[-1], params) - n0) / n0)
+    return Computed(
+        files={"dtqw_shock_density.csv":
+               SpacetimeGrid(x=params.x, t=np.array(realized), values=density)},
+        diagnostics={"norm_drift": drift, "initial_norm": float(n0),
+                     "step_consistency": consistency},
+        measured={"norm_drift": drift},
+        held=consistency["margin"] >= 0,
+        times=(list(cfg.snapshot_times), realized))
 
 
-def run_dtqw_planewave(cfg: SimConfig) -> RunResult:
+def _dtqw_planewave(cfg: SimConfig) -> Computed:
     params = build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, cfg.q)
     n_steps = cfg.n_steps
@@ -205,25 +171,17 @@ def run_dtqw_planewave(cfg: SimConfig) -> RunResult:
         max_drift = max(max_drift, abs(total_norm(cur, params) - n0) / n0)
 
     density = np.array([currents(state).j0, currents(cur).j0])
-    grid = SpacetimeGrid(x=params.x,
-                         t=np.array([0.0, n_steps * params.dt]),
+    grid = SpacetimeGrid(x=params.x, t=np.array([0.0, n_steps * params.dt]),
                          values=density)
-    out = Path(cfg.output_dir)
-    csv_path = emit_spacetime_csv(grid, out / "dtqw_planewave_density.csv")
-
-    diagnostics = {"norm_drift": float(max_drift), "n_steps": n_steps}
-    ok, verdicts = _check_tolerances(cfg, diagnostics, {"norm_drift": "norm_drift"})
-    doc = _manifest(cfg, "dtqw_planewave", diagnostics,
-                    {"tolerance_verdicts": verdicts, "ok": ok})
-    man = _write_manifest(doc, cfg, "dtqw_planewave")
-    return RunResult(paths=[csv_path, man], diagnostics=diagnostics, ok=ok)
+    max_drift = float(max_drift)
+    return Computed(files={"dtqw_planewave_density.csv": grid},
+                    diagnostics={"norm_drift": max_drift, "n_steps": n_steps},
+                    measured={"norm_drift": max_drift})
 
 
-def run_schrodinger_shock(cfg: SimConfig) -> RunResult:
+def _schrodinger_shock(cfg: SimConfig) -> Computed:
     params, spec = _walk_shock_setup(cfg)
     psi0 = schrodinger_initial(params, spec)
-    from .schrodinger import schrodinger_hydro
-
     times = list(cfg.snapshot_times)
     densities, velocities = [], []
     for t in times:
@@ -232,22 +190,18 @@ def run_schrodinger_shock(cfg: SimConfig) -> RunResult:
         densities.append(n)
         velocities.append(v)
 
-    out = Path(cfg.output_dir)
     t_arr = np.array(times)
-    p_n = emit_spacetime_csv(SpacetimeGrid(params.x, t_arr, np.array(densities)),
-                             out / "schrodinger_shock_density.csv")
-    p_v = emit_spacetime_csv(SpacetimeGrid(params.x, t_arr, np.array(velocities)),
-                             out / "schrodinger_shock_velocity.csv")
-
     norm0 = float(np.linalg.norm(psi0.values))
-    norm1 = float(np.linalg.norm(spectral_propagate(psi0, cfg.mass, times[-1]).values))
-    diagnostics = {"norm_drift": abs(norm1 - norm0) / norm0}
-    ok, verdicts = _check_tolerances(cfg, diagnostics, {"norm_drift": "norm_drift"})
-    doc = _manifest(cfg, "schrodinger_shock", diagnostics,
-                    {"requested_times": times, "realized_times": times,
-                     "tolerance_verdicts": verdicts, "ok": ok})
-    man = _write_manifest(doc, cfg, "schrodinger_shock")
-    return RunResult(paths=[p_n, p_v, man], diagnostics=diagnostics, ok=ok)
+    # psi_t is the state at the last snapshot time
+    drift = abs(float(np.linalg.norm(psi_t.values)) - norm0) / norm0
+    return Computed(
+        files={"schrodinger_shock_density.csv":
+               SpacetimeGrid(params.x, t_arr, np.array(densities)),
+               "schrodinger_shock_velocity.csv":
+               SpacetimeGrid(params.x, t_arr, np.array(velocities))},
+        diagnostics={"norm_drift": drift},
+        measured={"norm_drift": drift},
+        times=(times, times))
 
 
 def _window(cfg: SimConfig):
@@ -262,72 +216,49 @@ def _window(cfg: SimConfig):
     return xs, ts, chart, T, X
 
 
-def run_pearcey_map(cfg: SimConfig) -> RunResult:
+def _pearcey_map(cfg: SimConfig) -> Computed:
     xs, ts, chart, T, X = _window(cfg)
     values, errors = pearcey_array(-T, X)
     # |A|² of shock_map's prefactor A = e^{iφ}/√(2iπtε√a)
     amplitude2 = 1.0 / (2.0 * np.pi * ts[:, None] * chart.eps * np.sqrt(chart.a))
     intensity = amplitude2 * np.abs(values) ** 2
-    grid = SpacetimeGrid(x=xs, t=ts, values=intensity)
-    out = Path(cfg.output_dir)
-    csv_path = emit_spacetime_csv(grid, out / "pearcey_map.csv")
     worst = float(np.max(errors))
     over = int(np.sum(errors > cfg.pearcey_tol))
     diagnostics = {"grid": [int(cfg.nt), int(cfg.nx)],
                    "max_intensity": float(np.max(intensity)),
-                   "pearcey_error": {"value": worst, "limit": cfg.pearcey_tol,
-                                     "margin": cfg.pearcey_tol - worst},
+                   "pearcey_error": _gate(worst, cfg.pearcey_tol),
                    "points_over_tol": over}
-    ok = over == 0
-    doc = _manifest(cfg, "pearcey_map", diagnostics, {"ok": ok})
-    man = _write_manifest(doc, cfg, "pearcey_map")
-    return RunResult(paths=[csv_path, man], diagnostics=diagnostics, ok=ok)
+    grid = SpacetimeGrid(x=xs, t=ts, values=intensity)
+    return Computed(files={"pearcey_map.csv": grid}, diagnostics=diagnostics,
+                    held=over == 0)
 
 
-def run_asymptotic_zones(cfg: SimConfig) -> RunResult:
+def _asymptotic_zones(cfg: SimConfig) -> Computed:
     xs, ts, _, T, X = _window(cfg)
     values = zone_labels(T, X).astype(float)
-    grid = SpacetimeGrid(x=xs, t=ts, values=values)
-    out = Path(cfg.output_dir)
-    csv_path = emit_spacetime_csv(grid, out / "asymptotic_zones.csv")
     counts = {f"zone_{z}": int(np.sum(values == z)) for z in (1, 2, 3)}
-    doc = _manifest(cfg, "asymptotic_zones", counts, {"ok": True})
-    man = _write_manifest(doc, cfg, "asymptotic_zones")
-    return RunResult(paths=[csv_path, man], diagnostics=counts, ok=True)
+    grid = SpacetimeGrid(x=xs, t=ts, values=values)
+    return Computed(files={"asymptotic_zones.csv": grid}, diagnostics=counts)
 
 
-def run_nonrel_compare(cfg: SimConfig) -> RunResult:
+def _nonrel_compare(cfg: SimConfig) -> Computed:
     params, spec = _walk_shock_setup(cfg)
     state = phase_modulated_state(params, spec)
     psi0 = schrodinger_initial(params, spec)
-
-    steps = _steps_for_times(cfg.snapshot_times, params)
-    snaps, consistency = _jump_walk(state, params, steps)
-    traj = Trajectory(params=params, snapshots=snaps, cadence=max(1, steps[-1] or 1))
+    snaps, realized, consistency = _jump_walk(state, params, cfg.snapshot_times)
 
     def oracle(t: float):
         return spectral_propagate(psi0, cfg.mass, t)
 
-    records = nonrel_compare(traj, oracle, cfg.mass)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rec_path = out / "nonrel_compare.json"
-    with open(rec_path, "w", newline="\n") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    final_err = records[-1]["density_l2"] if records else 0.0
-    diagnostics = {"final_density_l2": float(final_err),
-                   "records": len(records), "step_consistency": consistency}
-    ok, verdicts = _check_tolerances(cfg, diagnostics,
-                                     {"density_l2": "final_density_l2"})
-    ok = ok and consistency["margin"] >= 0
-    doc = _manifest(cfg, "nonrel_compare", diagnostics,
-                    {"requested_times": list(cfg.snapshot_times),
-                     "realized_times": [r["time"] for r in records],
-                     "tolerance_verdicts": verdicts, "ok": ok})
-    man = _write_manifest(doc, cfg, "nonrel_compare")
-    return RunResult(paths=[rec_path, man], diagnostics=diagnostics, ok=ok)
+    records = nonrel_compare(Trajectory(params=params, snapshots=snaps), oracle, cfg.mass)
+    final_err = float(records[-1]["density_l2"] if records else 0.0)
+    return Computed(
+        files={"nonrel_compare.json": records},
+        diagnostics={"final_density_l2": final_err, "records": len(records),
+                     "step_consistency": consistency},
+        measured={"density_l2": final_err},
+        held=consistency["margin"] >= 0,
+        times=(list(cfg.snapshot_times), realized))
 
 
 def _fit_order(spacings, residuals) -> float:
@@ -338,17 +269,16 @@ def _fit_order(spacings, residuals) -> float:
     return float(slope)
 
 
-def run_validation(cfg: SimConfig) -> RunResult:
+def _validation(cfg: SimConfig) -> Computed:
     rng = np.random.default_rng(20260810)
     n_sites = cfg.n_sites or 4096
-    mass = cfg.mass or 512.0
     n_steps = cfg.n_steps if cfg.n_steps is not None else 10000
 
     # unitarity
-    params = build_walk(n_sites, mass)
+    params = build_walk(n_sites, cfg.mass)
     state = plane_wave(params, 0.0)
     n0 = total_norm(state, params)
-    drift = abs(total_norm(march(state, params, n_steps), params) - n0) / n0
+    drift = float(abs(total_norm(march(state, params, n_steps), params) - n0) / n0)
 
     # Madelung roundtrip + current identity on randomized smooth states
     small = build_walk(256, 16.0)
@@ -376,48 +306,76 @@ def run_validation(cfg: SimConfig) -> RunResult:
         refine_res.append(dirac_residual(traj, p))
         refine_eps.append(p.spacing)
     dirac_monotone = all(b < a for a, b in zip(refine_res, refine_res[1:]))
-    dirac_order = _fit_order(refine_eps, refine_res)
 
     diagnostics = {
-        "norm_drift": float(drift),
+        "norm_drift": drift,
         "roundtrip_max_error": worst_rt,
         "current_identity_gap": worst_id,
         "dirac_residuals": [float(r) for r in refine_res],
         "dirac_monotone": bool(dirac_monotone),
-        "dirac_fitted_order": dirac_order,
+        "dirac_fitted_order": _fit_order(refine_eps, refine_res),
     }
-    enforced = {"norm_drift": "norm_drift",
-                "roundtrip": "roundtrip_max_error",
-                "current_identity": "current_identity_gap"}
-    cfg_tols = dict(cfg.tolerances)
-    cfg_tols.setdefault("norm_drift", 1e-12)
-    cfg_tols.setdefault("roundtrip", 1e-12)
-    cfg_tols.setdefault("current_identity", 1e-12)
-    cfg2 = SimConfig(**{**cfg.__dict__, "tolerances": cfg_tols})
-    ok, verdicts = _check_tolerances(cfg2, diagnostics, enforced)
-    ok = ok and dirac_monotone
-
-    doc = _manifest(cfg, "validation", diagnostics,
-                    {"tolerance_verdicts": verdicts, "ok": ok})
-    man = _write_manifest(doc, cfg, "validation")
-    return RunResult(paths=[man], diagnostics=diagnostics, ok=ok)
+    return Computed(files={}, diagnostics=diagnostics,
+                    measured={"norm_drift": drift, "roundtrip": worst_rt,
+                              "current_identity": worst_id},
+                    held=dirac_monotone)
 
 
-EXPERIMENTS = {
-    "dtqw_shock": run_dtqw_shock,
-    "dtqw_planewave": run_dtqw_planewave,
-    "schrodinger_shock": run_schrodinger_shock,
-    "pearcey_map": run_pearcey_map,
-    "asymptotic_zones": run_asymptotic_zones,
-    "nonrel_compare": run_nonrel_compare,
-    "validation": run_validation,
+_COMPUTE = {
+    "dtqw_shock": _dtqw_shock,
+    "dtqw_planewave": _dtqw_planewave,
+    "schrodinger_shock": _schrodinger_shock,
+    "pearcey_map": _pearcey_map,
+    "asymptotic_zones": _asymptotic_zones,
+    "nonrel_compare": _nonrel_compare,
+    "validation": _validation,
 }
 
 
+def _write_json(doc, path: Path) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def run_experiment(cfg: SimConfig) -> RunResult:
-    """Execute the configured experiment; outputs land in cfg.output_dir."""
+    """Execute the configured experiment; outputs land in cfg.output_dir.
+
+    The experiment computes its data files and diagnostics; the runner
+    writes the files, gates every `tol.<name>` its `EXPERIMENTS` entry
+    declares as {value, limit, margin}, and writes the manifest.  The run
+    is ok when every margin is nonnegative and the experiment's own gates
+    held.
+    """
     try:
-        runner = EXPERIMENTS[cfg.experiment]
+        compute = _COMPUTE[cfg.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
-    return runner(cfg)
+    done = compute(cfg)
+    out = Path(cfg.output_dir)
+    paths = [emit_spacetime_csv(data, out / name) if isinstance(data, SpacetimeGrid)
+             else _write_json(data, out / name) for name, data in done.files.items()]
+
+    verdicts = {}
+    for name, default in EXPERIMENTS[cfg.experiment].gates.items():
+        limit = cfg.tolerances.get(name, default)
+        if limit is not None:
+            verdicts[name] = _gate(done.measured[name], limit)
+    ok = bool(done.held) and all(v["margin"] >= 0 for v in verdicts.values())
+
+    doc = {
+        "experiment": cfg.experiment,
+        "version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "config": {key: str(value) if isinstance(value, Path) else value
+                   for key, value in asdict(cfg).items()},
+        "diagnostics": done.diagnostics,
+        "tolerance_verdicts": verdicts,
+        "ok": ok,
+    }
+    if done.times is not None:
+        doc["requested_times"], doc["realized_times"] = done.times
+    paths.append(_write_json(doc, out / f"{cfg.experiment}_manifest.json"))
+    return RunResult(paths=paths, diagnostics=done.diagnostics, ok=ok)

@@ -29,23 +29,27 @@ from ._spectral import TWO_PI, centered_time_diff, grid, l2_norm, spectral_deriv
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Discretization contract: N sites on [0, 2π), coin angle θ = εm."""
+    """Discretization contract: N sites on [0, 2π), spacing ε = dt = 2π/N and
+    coin angle θ = εm, derived from (N, m)."""
 
     n_sites: int
     mass: float
-    spacing: float
-    coin_angle: float
-    dt: float
 
     def __post_init__(self):
         if self.n_sites < 4 or self.n_sites % 2 != 0:
             raise ValueError(f"n_sites must be even and ≥ 4, got {self.n_sites}")
         if not self.mass > 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
-        if not np.isclose(self.spacing, TWO_PI / self.n_sites, rtol=1e-15, atol=0):
-            raise ValueError("spacing must equal 2π/n_sites")
-        if not np.isclose(self.coin_angle, self.spacing * self.mass, rtol=1e-12, atol=0):
-            raise ValueError("coin_angle must equal spacing*mass")
+
+    @property
+    def spacing(self) -> float:
+        return TWO_PI / self.n_sites
+
+    dt = spacing  # one step is one lattice spacing in time, t = jε
+
+    @property
+    def coin_angle(self) -> float:
+        return self.spacing * self.mass
 
     @property
     def x(self) -> np.ndarray:
@@ -54,13 +58,7 @@ class WalkParams:
 
 def build_walk(n_sites: int, mass: float) -> WalkParams:
     """Validated walk parameters with ε = 2π/N, θ = εm and dt = ε."""
-    if n_sites < 4 or n_sites % 2 != 0:
-        raise ValueError(f"n_sites must be even and ≥ 4, got {n_sites}")
-    if not mass > 0:
-        raise ValueError(f"mass must be positive, got {mass}")
-    eps = TWO_PI / n_sites
-    return WalkParams(n_sites=n_sites, mass=float(mass), spacing=eps,
-                      coin_angle=eps * float(mass), dt=eps)
+    return WalkParams(n_sites=n_sites, mass=float(mass))
 
 
 @dataclass

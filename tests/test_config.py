@@ -1,6 +1,11 @@
-import pytest
+import dataclasses
 
-from qwhydro.config import ConfigError, parse_config
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qwhydro.config import (EXPERIMENTS, ConfigError, SimConfig, parse_config,
+                            validate_config)
 
 FIG_STYLE = """
 # multimode shock, heaviest-mass panel
@@ -121,3 +126,148 @@ def test_empty_or_reversed_window_rejected(window, field):
         with pytest.raises(ConfigError, match=field):
             parse_config(f"experiment = {experiment}\nmass = 20\n{window}")
 
+
+
+def test_q_accepted_on_the_plane_wave_rule():
+    planewave = "experiment = dtqw_planewave\nn_sites = 64\nmass = 16\n"
+    for q in ("-32", "32", "3.0000000001", "0"):
+        assert parse_config(f"{planewave}q = {q}\n").q == float(q)
+    # q is read by the plane-wave experiment only
+    assert parse_config(FIG_STYLE + "q = 0.5\n").q == 0.5
+
+
+def test_tolerance_not_gated_by_the_experiment_rejected():
+    with pytest.raises(ConfigError, match="norm_drfit"):
+        parse_config("experiment = dtqw_planewave\nn_sites = 64\nmass = 16\n"
+                     "tol.norm_drfit = 1e-30\n")
+    with pytest.raises(ConfigError, match="roundtrip"):
+        parse_config("experiment = pearcey_map\nmass = 20\ntol.roundtrip = 1e-12\n")
+    with pytest.raises(ConfigError, match="duplicate tolerance 'norm_drift'"):
+        parse_config("experiment = validation\nmass = 16\n"
+                     "tol.norm_drift = 1e-12\ntol.norm_drift = 1e-30\n")
+
+
+def test_every_declared_gate_is_accepted():
+    base = {"dtqw_shock": FIG_STYLE,
+            "dtqw_planewave": "experiment = dtqw_planewave\nn_sites = 64\nmass = 16\n",
+            "schrodinger_shock": FIG_STYLE.replace("dtqw_shock", "schrodinger_shock"),
+            "nonrel_compare": FIG_STYLE.replace("dtqw_shock", "nonrel_compare"),
+            "validation": "experiment = validation\nmass = 16\n"}
+    for name, text in base.items():
+        gates = EXPERIMENTS[name].gates
+        assert gates
+        lines = "".join(f"tol.{gate} = 1e-9\n" for gate in gates)
+        assert parse_config(text + lines).tolerances == dict.fromkeys(gates, 1e-9)
+
+
+def test_parse_result_is_frozen():
+    cfg = parse_config(FIG_STYLE)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.t_final = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.snapshot_times = ()
+
+
+def test_validate_config_returns_resolved_copy_and_leaves_input_unchanged():
+    raw = SimConfig(experiment="schrodinger_shock", n_sites=64, mass=4.0, q_max=2.0,
+                    modes=parse_config(FIG_STYLE).modes, tolerances={"norm_drift": 1e-9})
+    before = dataclasses.replace(raw, tolerances=dict(raw.tolerances))
+    resolved = validate_config(raw)
+    assert raw == before
+    assert raw.t_final is None and raw.snapshot_times == ()
+    assert resolved.t_final == 1.5 / 0.5
+    assert resolved.snapshot_times == (1.0, 2.0, 3.0)
+    assert resolved.tolerances == {"norm_drift": 1e-9}
+    assert validate_config(resolved) == resolved
+
+
+# ---------------------------------------------------------------------------
+# Property tests: parsing never fails with anything but ConfigError.
+# ---------------------------------------------------------------------------
+
+# Configs that used to pass validation and then fail inside the run, or
+# crash the parser; the CLI tests check that each exits 2 naming its field.
+RUN_TIME_FAILURES = {
+    "half_integer_q": "experiment = dtqw_planewave\nn_sites = 64\nmass = 16\nq = 0.5\n",
+    "unresolvable_q": "experiment = dtqw_planewave\nn_sites = 64\nmass = 16\nq = 40\n",
+    "validation_n_sites": "experiment = validation\nn_sites = 3\nmass = 16\n",
+    "unresolvable_mode": ("experiment = dtqw_shock\nn_sites = 64\nmass = 32\n"
+                          "q_max = 6.4\nmode = 1,100,0\n"),
+    "u_max_underflow": ("experiment = dtqw_shock\nn_sites = 64\nmass = 1e308\n"
+                        "q_max = 1e-308\nmode = 1,1,0\n"),
+}
+
+
+def _check_parse(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        return exc
+    assert isinstance(cfg, SimConfig)
+    spec = EXPERIMENTS[cfg.experiment]
+    assert set(cfg.tolerances) <= set(spec.gates)
+    if cfg.t_final is not None:
+        assert 0 < cfg.t_final < float("inf")
+        assert all(0 <= t <= cfg.t_final * (1 + 1e-12) for t in cfg.snapshot_times)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example(RUN_TIME_FAILURES["half_integer_q"])
+@example(RUN_TIME_FAILURES["unresolvable_q"])
+@example(RUN_TIME_FAILURES["validation_n_sites"])
+@example(RUN_TIME_FAILURES["unresolvable_mode"])
+@example(RUN_TIME_FAILURES["u_max_underflow"])
+def test_any_text_parses_or_raises_config_error(text):
+    _check_parse(text)
+
+
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-308, 1e-300, 1e300, 1e308,
+                     1.7976931348623157e308, -1e308]),
+    st.floats(0.01, 100.0))
+_EXTREME_INTS = st.one_of(st.integers(-2**70, 2**70),
+                          st.sampled_from([-1, 0, 1, 2, 3, 4, 4096, 2**62]),
+                          st.integers(2, 64).map(lambda n: 2 * n))
+_SCALARS = {key: _EXTREME_INTS for key in ("n_sites", "n_steps", "nx", "nt")}
+_SCALARS.update({key: _FINITE_FLOATS for key in (
+    "mass", "q_max", "q", "t_final", "x_min", "x_max", "t_min", "t_max", "pearcey_tol")})
+_SCALARS["mass"] = _FINITE_FLOATS.map(abs)  # a negative mass stops at the first check
+_TOL_NAMES = sorted({name for spec in EXPERIMENTS.values() for name in spec.gates}
+                    | {"norm_drfit"})
+
+
+@st.composite
+def _structured_configs(draw):
+    """Configs of a valid experiment over the known keys, with extreme values.
+
+    The keys an experiment requires are always present, so most examples
+    reach the checks behind them.
+    """
+    experiment = draw(st.sampled_from(list(EXPERIMENTS)))
+    needs = EXPERIMENTS[experiment].needs
+    required = {"mass"} | ({"n_sites"} if "lattice" in needs else set()) \
+        | ({"q_max"} if "modes" in needs else set())
+    optional = draw(st.lists(st.sampled_from(sorted(_SCALARS)), unique=True, max_size=4))
+    lines = [f"experiment = {experiment}"]
+    for key in sorted(required | set(optional)):
+        lines.append(f"{key} = {draw(_SCALARS[key])!r}")
+    for _ in range(draw(st.integers(1 if "modes" in needs else 0, 3))):
+        amplitude, phase = draw(_FINITE_FLOATS), draw(_FINITE_FLOATS)
+        lines.append(f"mode = {amplitude!r},{draw(_EXTREME_INTS)},{phase!r}")
+    times = draw(st.lists(_FINITE_FLOATS, unique=True, max_size=5).map(sorted))
+    if times:
+        lines.append("snapshot_times = " + ", ".join(map(repr, times)))
+    for name in draw(st.lists(st.sampled_from(_TOL_NAMES), unique=True, max_size=3)):
+        lines.append(f"tol.{name} = {draw(_FINITE_FLOATS)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structured_configs())
+def test_structured_configs_parse_or_raise_config_error(text):
+    outcome = _check_parse(text)
+    # the experiment line is valid, so parsing always gets past it
+    assert "experiment" not in str(outcome) or isinstance(outcome, SimConfig)

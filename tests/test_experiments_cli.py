@@ -14,7 +14,7 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import parse_config
+from qwhydro.config import EXPERIMENTS, parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state
@@ -312,6 +312,91 @@ def test_cli_list_experiments(capsys):
     out = capsys.readouterr().out
     for name in ("dtqw_shock", "pearcey_map", "validation"):
         assert name in out
+
+
+def test_cli_list_experiments_prints_the_table(capsys):
+    assert main(["list-experiments"]) == 0
+    assert capsys.readouterr().out.splitlines() == list(EXPERIMENTS)
+
+
+def test_every_experiment_has_a_shipped_config_that_validates(capsys):
+    shipped = {parse_config(path.read_text()).experiment: path
+               for path in sorted(CONFIGS.glob("*.cfg"))}
+    assert set(shipped) == set(EXPERIMENTS)
+    for path in shipped.values():
+        assert main(["validate", str(path)]) == 0
+    assert set(experiments._COMPUTE) == set(EXPERIMENTS)
+
+
+INVALID_AT_RUN_TIME = {
+    "half_integer_q": ("planewave", {"q": "0.5"}, "'q'"),
+    "unresolvable_q": ("planewave", {"q": "40", "n_sites": "64"}, "'q'"),
+    "validation_n_sites": ("validation", {"n_sites": "3"}, "n_sites"),
+    "unresolvable_mode": ("shock_single_mode", {"mode": "1,100,0", "n_sites": "64"},
+                          "mode"),
+    "u_max_underflow": ("shock_single_mode", {"mass": "1e308", "q_max": "1e-308"},
+                        "q_max"),
+}
+
+
+@pytest.mark.parametrize("name, overrides, field", INVALID_AT_RUN_TIME.values(),
+                         ids=INVALID_AT_RUN_TIME.keys())
+def test_cli_run_rejects_invalid_config_naming_the_field(tmp_path, capsys, name,
+                                                         overrides, field):
+    cfg = tmp_path / "bad.cfg"
+    text = _shipped(name, tmp_path / "out", **overrides)
+    assert all(f"{key} = {value}" in text for key, value in overrides.items())
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_tolerance_the_experiment_does_not_gate(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(_shipped("planewave", tmp_path / "out") + "tol.norm_drfit = 1e-30\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert "norm_drfit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_verdicts_carry_value_limit_margin(tmp_path):
+    # dtqw_shock gates norm_drift at its table default when the config is silent
+    _run_cfg(tmp_path / "w", SHOCK)
+    manifest = json.loads((tmp_path / "w" / "dtqw_shock_manifest.json").read_text())
+    verdict = manifest["tolerance_verdicts"]["norm_drift"]
+    assert set(verdict) == {"value", "limit", "margin"}
+    assert verdict["limit"] == 1e-10
+    assert verdict["value"] == manifest["diagnostics"]["norm_drift"]
+    assert verdict["margin"] == verdict["limit"] - verdict["value"] >= 0
+    # the Pearcey map has no tol.<name> gate; its own gate sits in diagnostics
+    _run_cfg(tmp_path / "p", PEARCEY)
+    manifest = json.loads((tmp_path / "p" / "pearcey_map_manifest.json").read_text())
+    assert manifest["tolerance_verdicts"] == {}
+
+
+def test_validation_gates_default_to_its_table_limits(tmp_path):
+    _run_cfg(tmp_path / "v", VALIDATION)
+    verdicts = json.loads(
+        (tmp_path / "v" / "validation_manifest.json").read_text())["tolerance_verdicts"]
+    assert {name: v["limit"] for name, v in verdicts.items()} == {
+        "norm_drift": 1e-12, "roundtrip": 1e-12, "current_identity": 1e-12}
+
+
+def test_nonrel_density_l2_gates_only_when_set(tmp_path):
+    _run_cfg(tmp_path / "n", NONREL)
+    manifest = json.loads((tmp_path / "n" / "nonrel_compare_manifest.json").read_text())
+    assert manifest["tolerance_verdicts"] == {}
+    result = _run_cfg(tmp_path / "nf", NONREL + "tol.density_l2 = 1e-30\n")
+    assert not result.ok
+    manifest = json.loads((tmp_path / "nf" / "nonrel_compare_manifest.json").read_text())
+    verdict = manifest["tolerance_verdicts"]["density_l2"]
+    assert verdict["value"] == manifest["diagnostics"]["final_density_l2"]
+    assert verdict["margin"] < 0 and manifest["ok"] is False
 
 
 def test_cli_validate_good_and_bad(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,18 @@ def test_build_walk_reference_angles():
     assert p.dt == p.spacing
     p2 = wk.build_walk(4096, 25.6)
     assert p2.coin_angle == pytest.approx(np.pi / 80, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, m", [(4096, 512.0), (4096, 25.6), (64, 16.0), (6, 3.0)])
+def test_walk_params_store_only_lattice_and_mass(n, m):
+    p = wk.build_walk(n, m)
+    assert [f.name for f in dataclasses.fields(p)] == ["n_sites", "mass"]
+    # the derived values are the expressions build_walk used to store
+    eps = 2.0 * np.pi / n
+    assert p.spacing == eps and p.dt == eps
+    assert p.coin_angle == eps * m
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.mass = 1.0
 
 
 @pytest.mark.parametrize("n, m", [(4095, 16.0), (2, 16.0), (4, 0.0), (64, -1.0)])
