@@ -88,9 +88,3 @@ def l2_norm(values: np.ndarray, spacing: float, where: np.ndarray | None = None)
         v = v[where]
     return float(np.sqrt(spacing * v.sum()))
 
-
-def rel_l2_error(approx: np.ndarray, exact: np.ndarray) -> float:
-    """Relative L² distance ‖a − b‖ / ‖b‖ over matching grids."""
-    num = np.linalg.norm(approx - exact)
-    den = np.linalg.norm(exact)
-    return float(num / den)

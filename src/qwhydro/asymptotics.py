@@ -39,126 +39,32 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
-# Airy function: Maclaurin series near the origin, asymptotic series beyond.
+# Airy function (scipy.special.airy).
 # ---------------------------------------------------------------------------
 
 _AI0 = 0.3550280538878172392600632  # Ai(0)  = 3^(-2/3)/Γ(2/3)
 _AIP0 = -0.2588194037928067984051836  # Ai'(0) = -3^(-1/3)/Γ(1/3)
-# Per-side series/asymptotic crossovers.  On the growing side the series
-# cancellation costs e^{ξ}·eps absolute error, so hand over to the (tiny,
-# sharply convergent) asymptotic form early; on the oscillatory side the
-# series stays accurate further out and the asymptotic tail needs larger ξ.
-_SERIES_CUT_POS = 6.0
-_SERIES_CUT_NEG = 8.0
-_SQRT_PI = math.sqrt(math.pi)
 
 
-def _airy_series(z: float) -> tuple[float, float]:
-    """(Ai, Ai') by the Maclaurin series, |z| ≲ 8.
+def _airy_pair(z, name: str = "airy"):
+    """(Ai(z), Ai′(z)) for real z, floats or arrays."""
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{name} requires finite argument")
+    # scipy loads here, not with the package, as in `pearcey`
+    from scipy.special import airy as airy_ai_bi
 
-    The two auxiliary series both grow like e^{|ξ|} while their combination
-    cancels to e^{−ξ}; extended-precision accumulation keeps the absolute
-    error of the cancellation below 1e−12 up to the crossover.
-    """
-    zl = np.longdouble(z)
-    z3 = zl ** 3
-    f = np.longdouble(1.0)   # Σ 3^k (1/3)_k z^{3k} / (3k)!
-    g = zl                   # Σ 3^k (2/3)_k z^{3k+1} / (3k+1)!
-    fp = np.longdouble(0.0)  # f'
-    gp = np.longdouble(1.0)  # g'
-    tf = np.longdouble(1.0)
-    tg = zl
-    for k in range(80):
-        tf = tf * z3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * z3 / ((3 * k + 3) * (3 * k + 4))
-        f += tf
-        g += tg
-        # term-wise derivatives: d/dz z^{3k+3} and z^{3k+4} pick up exponents
-        if z != 0.0:
-            fp += tf * (3 * k + 3) / zl
-            gp += tg * (3 * k + 4) / zl
-        if abs(tf) < 1e-25 * abs(f) and abs(tg) < 1e-25 * max(abs(g), 1e-30):
-            break
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return float(ai), float(aip)
-
-
-def _asymptotic_u_coeffs(n_terms: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    u = np.empty(n_terms)
-    v = np.empty(n_terms)
-    u[0] = 1.0
-    v[0] = 1.0
-    for k in range(n_terms - 1):
-        u[k + 1] = u[k] * (3 * k + 0.5) * (3 * k + 1.5) * (3 * k + 2.5) / (
-            54.0 * (k + 1) * (k + 0.5))
-        v[k + 1] = -(6 * (k + 1) + 1) / (6 * (k + 1) - 1) * u[k + 1]
-    return u, v
-
-
-_UK, _VK = _asymptotic_u_coeffs()
-
-
-def _alternating_tail(coeffs: np.ndarray, xi: float) -> float:
-    """Σ (−1)^k c_k ξ^{−k}, truncated at the smallest term."""
-    total = 0.0
-    prev = math.inf
-    for k, c in enumerate(coeffs):
-        term = c / xi ** k
-        if abs(term) > prev:
-            break
-        total += (-1) ** k * term
-        prev = abs(term)
-    return total
-
-
-def _airy_asymptotic_pos(z: float) -> tuple[float, float]:
-    xi = (2.0 / 3.0) * z ** 1.5
-    damp = math.exp(-xi)
-    ai = damp / (2.0 * _SQRT_PI * z ** 0.25) * _alternating_tail(_UK, xi)
-    aip = -damp * z ** 0.25 / (2.0 * _SQRT_PI) * _alternating_tail(_VK, xi)
+    ai, aip, _, _ = airy_ai_bi(z)
     return ai, aip
-
-
-def _airy_asymptotic_neg(z_abs: float) -> tuple[float, float]:
-    xi = (2.0 / 3.0) * z_abs ** 1.5
-    c = math.cos(xi - 0.25 * math.pi)
-    s = math.sin(xi - 0.25 * math.pi)
-    even_u = _alternating_tail(_UK[0::2], xi ** 2)
-    odd_u = _alternating_tail(_UK[1::2], xi ** 2) / xi
-    even_v = _alternating_tail(_VK[0::2], xi ** 2)
-    odd_v = _alternating_tail(_VK[1::2], xi ** 2) / xi
-    ai = (c * even_u + s * odd_u) / (_SQRT_PI * z_abs ** 0.25)
-    aip = (z_abs ** 0.25 / _SQRT_PI) * (s * even_v - c * odd_v)
-    return ai, aip
-
-
-def _airy_scalar(z: float) -> tuple[float, float]:
-    if -_SERIES_CUT_NEG <= z <= _SERIES_CUT_POS:
-        return _airy_series(z)
-    if z > 0:
-        return _airy_asymptotic_pos(z)
-    return _airy_asymptotic_neg(-z)
 
 
 def airy(z: float | np.ndarray) -> float | np.ndarray:
-    """Airy function Ai(z) for real z, absolute error ≤ 1e−10."""
-    if np.isscalar(z):
-        if not math.isfinite(z):
-            raise ValueError("airy requires finite argument")
-        return _airy_scalar(float(z))[0]
-    arr = np.asarray(z, dtype=float)
-    return np.array([_airy_scalar(float(v))[0] for v in arr.ravel()]).reshape(arr.shape)
+    """Airy function Ai(z) for real z."""
+    return _airy_pair(z, "airy")[0]
 
 
 def airy_prime(z: float | np.ndarray) -> float | np.ndarray:
-    """Derivative Ai′(z) for real z (same dual-method construction)."""
-    if np.isscalar(z):
-        if not math.isfinite(z):
-            raise ValueError("airy_prime requires finite argument")
-        return _airy_scalar(float(z))[1]
-    arr = np.asarray(z, dtype=float)
-    return np.array([_airy_scalar(float(v))[1] for v in arr.ravel()]).reshape(arr.shape)
+    """Derivative Ai′(z) for real z."""
+    return _airy_pair(z, "airy_prime")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -545,16 +451,27 @@ def _sd_term(u: float, T: float, X: float) -> complex:
         1j * (phi_value(u, T, X) + sign * math.pi / 4.0))
 
 
+def _zone_chart(x: float, t: float, chart: ShockChart, zone: Zone,
+                name: str) -> tuple[float, float, complex]:
+    """shock_map at (x, t), checked to lie in `zone` (default band)."""
+    T, X, A = shock_map(x, t, chart)
+    found = classify_zone(T, X).zone
+    if found is not zone:
+        raise ValueError(f"{name} called in zone {found.name}")
+    return T, X, A
+
+
 def zone1_saddle_approx(x: float, t: float, chart: ShockChart) -> complex:
     """Single-saddle steepest descent, valid away from the caustic (zone I).
 
     ψ_I = A·√(−2iπ/Φ″(u_c))·e^{iΦ(u_c)} with the square root taken along
     the steepest-descent direction, i.e. phase e^{iπ·sign(Φ″)/4}.
     """
-    T, X, A = shock_map(x, t, chart)
-    point = classify_zone(T, X)
-    if point.zone is not Zone.I:
-        raise ValueError(f"zone1_saddle_approx called in zone {point.zone.name}")
+    T, X, A = _zone_chart(x, t, chart, Zone.I, "zone1_saddle_approx")
+    return A * _zone1_value(T, X)
+
+
+def _zone1_value(T: float, X: float) -> complex:
     roots = saddle_points(T, X)
     real_roots = [complex(u).real for u in roots if abs(complex(u).imag) < _REAL_TOL]
     if len(real_roots) != 1:
@@ -562,19 +479,20 @@ def zone1_saddle_approx(x: float, t: float, chart: ShockChart) -> complex:
     u_c = real_roots[0]
     if abs(phi_second(u_c, T)) < 1e-10:
         raise ValueError("saddle is degenerate (on caustic)")
-    return A * _sd_term(u_c, T, X)
+    return _sd_term(u_c, T, X)
 
 
 def zone3_multi_saddle(x: float, t: float, chart: ShockChart) -> complex:
     """Sum of the three interfering steepest-descent waves (zone III)."""
-    T, X, A = shock_map(x, t, chart)
-    point = classify_zone(T, X)
-    if point.zone is not Zone.III:
-        raise ValueError(f"zone3_multi_saddle called in zone {point.zone.name}")
+    T, X, A = _zone_chart(x, t, chart, Zone.III, "zone3_multi_saddle")
+    return A * _zone3_value(T, X)
+
+
+def _zone3_value(T: float, X: float) -> complex:
     roots = saddle_points(T, X)
     if any(abs(complex(u).imag) > _REAL_TOL for u in roots):
         raise ValueError("zone III requires three real saddles")
-    return A * sum(_sd_term(complex(u).real, T, X) for u in roots)
+    return sum(_sd_term(complex(u).real, T, X) for u in roots)
 
 
 def _coalescing_pair(roots: np.ndarray) -> tuple[complex, complex, complex]:
@@ -633,7 +551,7 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
         g_hi = math.sqrt(-2.0 * sq / ddhi)
         p_amp = 0.5 * (g_lo + g_hi)
         q_amp = (g_lo - g_hi) / (2.0 * sq)
-        ai, aip = _airy_scalar(-zeta)
+        ai, aip = _airy_pair(-zeta)
         return TWO_PI * cmath.exp(1j * phibar) * (p_amp * ai - 1j * q_amp * aip)
 
     # complex-conjugate pair: the accessible saddle has Im Φ > 0
@@ -651,7 +569,7 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
         g_rej = -g_rej
     p_amp = 0.5 * (g_acc + g_rej)
     q_amp = (g_acc - g_rej) / (2.0 * sqrt_zeta)
-    ai, aip = _airy_scalar(-zeta)
+    ai, aip = _airy_pair(-zeta)
     return TWO_PI * cmath.exp(1j * phibar) * (p_amp * ai - 1j * q_amp * aip)
 
 
@@ -678,12 +596,8 @@ def zone2_airy_approx(x: float, t: float, chart: ShockChart) -> complex:
     Airy reduction of the two coalescing saddles plus, when present and
     separated, the steepest-descent wave of the remaining real saddle.
     """
-    T, X, A = shock_map(x, t, chart)
-    point = classify_zone(T, X)
-    if point.zone is not Zone.II:
-        raise ValueError(f"zone2_airy_approx called in zone {point.zone.name}")
-    value, _ = _zone2_value(T, X)
-    return A * value
+    T, X, A = _zone_chart(x, t, chart, Zone.II, "zone2_airy_approx")
+    return A * _zone2_value(T, X)[0]
 
 
 def _zone2_value(T: float, X: float) -> tuple[complex, bool]:
@@ -710,15 +624,14 @@ class ZoneApprox:
 
 def shock_zone_value(x: float, t: float, chart: ShockChart,
                      band: float = DELTA_BAND) -> ZoneApprox:
-    """Evaluate whichever zone approximation applies at (x, t)."""
+    """Evaluate the approximation of the zone that `band` assigns to (x, t)."""
     T, X, A = shock_map(x, t, chart)
     point = classify_zone(T, X, band)
     low = False
     if point.zone is Zone.I:
-        value = zone1_saddle_approx(x, t, chart)
+        value = _zone1_value(T, X)
     elif point.zone is Zone.III:
-        value = zone3_multi_saddle(x, t, chart)
+        value = _zone3_value(T, X)
     else:
-        raw, low = _zone2_value(T, X)
-        value = A * raw
-    return ZoneApprox(value=value, point=point, low_confidence=low)
+        value, low = _zone2_value(T, X)
+    return ZoneApprox(value=A * value, point=point, low_confidence=low)

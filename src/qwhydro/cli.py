@@ -4,9 +4,10 @@
     qwhydro validate <config-file>   parse and validate the config only
     qwhydro list-experiments         print the experiment names
 
-Exit codes: 0 success, 2 validation failure (bad config or a diagnostic
+Exit codes: 0 success, 2 validation failure (bad config, a diagnostic
 beyond its configured tolerance, such as a Pearcey map whose quadrature
-error estimate exceeds pearcey_tol), 1 unexpected error.
+error estimate exceeds pearcey_tol, or a diagnostic that is not finite),
+1 unexpected error.
 """
 
 from __future__ import annotations

@@ -219,6 +219,12 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         if k_max > cfg.n_sites // 2:
             raise ConfigError(f"'mode' wavenumber {k_max} is not resolvable on "
                               f"n_sites = {cfg.n_sites}")
+        # |∂ₓ(mφ)| ≤ q_max·Σ|aᵢ|·kᵢ must stay within the Nyquist wavenumber
+        gradient = cfg.q_max * sum(abs(m.amplitude) * m.wavenumber for m in cfg.modes)
+        if gradient > cfg.n_sites // 2:
+            raise ConfigError(f"'mode' amplitudes and 'q_max' give an initial phase "
+                              f"gradient q_max·Σ|a|·k = {gradient:g} above the "
+                              f"Nyquist wavenumber n_sites/2 = {cfg.n_sites // 2}")
         if t_final is None:
             # 1.5 × the characteristic caustic time 1/u_max
             t_final = 1.5 / cfg.u_max if cfg.u_max > 0 else math.inf

@@ -332,10 +332,25 @@ _COMPUTE = {
 }
 
 
+_SPELLED = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def _strict_json(doc) -> tuple[object, bool]:
+    """`doc` with nan and ±inf spelled "nan", "inf" and "-inf", as strict
+    JSON needs, and whether it held none; finite numbers round-trip exactly."""
+    spelled = []
+
+    def spell(token: str) -> str:
+        spelled.append(token)
+        return _SPELLED[token]
+
+    return json.loads(json.dumps(doc), parse_constant=spell), not spelled
+
+
 def _write_json(doc, path: Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(doc)[0], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -346,8 +361,8 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     The experiment computes its data files and diagnostics; the runner
     writes the files, gates every `tol.<name>` its `EXPERIMENTS` entry
     declares as {value, limit, margin}, and writes the manifest.  The run
-    is ok when every margin is nonnegative and the experiment's own gates
-    held.
+    is ok when every margin is nonnegative, every diagnostic is finite and
+    the experiment's own gates held.
     """
     try:
         compute = _COMPUTE[cfg.experiment]
@@ -363,7 +378,9 @@ def run_experiment(cfg: SimConfig) -> RunResult:
         limit = cfg.tolerances.get(name, default)
         if limit is not None:
             verdicts[name] = _gate(done.measured[name], limit)
-    ok = bool(done.held) and all(v["margin"] >= 0 for v in verdicts.values())
+    # a diagnostic that came out nan or inf fails the run, gated or not
+    finite = _strict_json(done.diagnostics)[1]
+    ok = bool(done.held) and finite and all(v["margin"] >= 0 for v in verdicts.values())
 
     doc = {
         "experiment": cfg.experiment,

@@ -30,7 +30,7 @@ from ._spectral import (
     phase_gradient,
     spectral_derivative,
 )
-from .walk import SpinorField, Trajectory, WalkParams
+from .walk import SpinorField, Trajectory, WalkParams, centered_window
 
 PHASE_FLOOR = 1e-14        # component modulus below which phases are invalid
 NULL_FRACTION = 1e-10      # n below this fraction of max(n) counts as null
@@ -269,13 +269,7 @@ def madelung_residuals(traj: Trajectory, params: WalkParams) -> tuple[float, flo
       (iii) ∂_t j⁰ + ∂_x j¹ = 0                      (current conservation)
     Sites where a component modulus is below the phase floor are excluded.
     """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
-        raise ValueError("madelung_residuals needs at least 3 snapshots")
-    mid = max(1, min(len(snaps) // 2, len(snaps) - 2))
-    prev, cur, nxt = snaps[mid - 1], snaps[mid], snaps[mid + 1]
-    if nxt.step_index - cur.step_index != 1 or cur.step_index - prev.step_index != 1:
-        raise ValueError("madelung_residuals needs consecutive (cadence 1) snapshots")
+    prev, cur, nxt = centered_window(traj, 3)
 
     dt = params.dt
     dt_l = centered_time_diff(prev.left, nxt.left, dt)
@@ -294,14 +288,7 @@ def stress_energy_conservation_residual(traj: Trajectory, params: WalkParams
     the middle three (centered time differences), then differenced in time
     once more.  Decreases under grid refinement at fixed mass.
     """
-    snaps = traj.snapshots
-    if len(snaps) < 5:
-        raise ValueError("conservation residual needs at least 5 snapshots")
-    mid = max(2, min(len(snaps) // 2, len(snaps) - 3))
-    window = snaps[mid - 2: mid + 3]
-    steps = [s.step_index for s in window]
-    if any(b - a != 1 for a, b in zip(steps, steps[1:])):
-        raise ValueError("conservation residual needs consecutive snapshots")
+    window = centered_window(traj, 5)
 
     tensors = [
         stress_energy_spinor(window[i], params, prev=window[i - 1], nxt=window[i + 1])

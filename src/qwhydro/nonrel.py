@@ -25,7 +25,7 @@ import numpy as np
 
 from ._spectral import l2_norm, phase_gradient, spectral_derivative
 from .schrodinger import Wavefunction, schrodinger_hydro
-from .walk import SpinorField, Trajectory, WalkParams
+from .walk import SpinorField, Trajectory, WalkParams, centered_window
 
 
 @dataclass
@@ -56,13 +56,6 @@ def strip_rest_phase(state: SpinorField, mass: float, c: float, t: float) -> Spi
     """Remove the rest-energy rotation: multiply both components by e^{+imc²t}."""
     factor = np.exp(1j * mass * c * c * t)
     return replace(state, left=state.left * factor, right=state.right * factor)
-
-
-def fields_from_left(psi_bar_left: np.ndarray, mass: float, c: float = 1.0) -> NRFields:
-    """NRFields chart (r, φ) of a stripped left component."""
-    r = np.abs(psi_bar_left)
-    phi = np.unwrap(np.angle(psi_bar_left))
-    return NRFields(r=r, phi=phi, mass=mass, light_speed=c)
 
 
 def component_relation_residual(psi_bar: SpinorField, fields: NRFields,
@@ -191,13 +184,7 @@ def klein_gordon_residual(traj: Trajectory, params: WalkParams,
     Centered second differences in both t and x on the middle of three
     consecutive snapshots; decreases under grid refinement at fixed mass.
     """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
-        raise ValueError("klein_gordon_residual needs at least 3 snapshots")
-    mid = max(1, min(len(snaps) // 2, len(snaps) - 2))
-    prev, cur, nxt = snaps[mid - 1], snaps[mid], snaps[mid + 1]
-    if nxt.step_index - cur.step_index != 1 or cur.step_index - prev.step_index != 1:
-        raise ValueError("klein_gordon_residual needs consecutive snapshots")
+    prev, cur, nxt = centered_window(traj, 3)
     eps = params.spacing
     m = params.mass
 

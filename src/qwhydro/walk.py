@@ -19,7 +19,7 @@ dispersion relation cos ω = cos θ·cos κ (Strauch, PRA 73, 054302 (2006)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -218,6 +218,24 @@ def evolve(state: SpinorField, params: WalkParams, n_steps: int,
     return Trajectory(params=params, snapshots=snaps, cadence=cadence)
 
 
+def centered_window(traj: Trajectory, width: int) -> list[SpinorField]:
+    """The `width` snapshots (odd) centred on snapshot len // 2.
+
+    Raises ValueError unless the trajectory holds that many and they are
+    consecutive steps (cadence 1), as centered time differences need.
+    """
+    snaps = traj.snapshots
+    if len(snaps) < width:
+        raise ValueError(f"needs at least {width} snapshots, got {len(snaps)}")
+    mid = len(snaps) // 2
+    window = snaps[mid - width // 2: mid + width // 2 + 1]
+    steps = [s.step_index for s in window]
+    if any(b - a != 1 for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"needs {width} consecutive (cadence 1) snapshots, "
+                         f"got steps {steps}")
+    return window
+
+
 def total_norm(state: SpinorField, params: WalkParams) -> float:
     """Discrete total probability ε·Σ(|Ψ_L|² + |Ψ_R|²)."""
     _check_state(state, params)
@@ -249,15 +267,7 @@ def dirac_residual(traj: Trajectory, params: WalkParams) -> float:
     consecutive cadence-1 snapshots.  The norm decreases under grid
     refinement at fixed mass for smooth data.
     """
-    snaps = traj.snapshots
-    if len(snaps) < 3:
-        raise ValueError("dirac_residual needs at least 3 snapshots")
-    mid = len(snaps) // 2
-    if mid == len(snaps) - 1:
-        mid -= 1
-    prev, cur, nxt = snaps[mid - 1], snaps[mid], snaps[mid + 1]
-    if nxt.step_index - cur.step_index != 1 or cur.step_index - prev.step_index != 1:
-        raise ValueError("dirac_residual needs consecutive (cadence 1) snapshots")
+    prev, cur, nxt = centered_window(traj, 3)
 
     eps = params.spacing
     m = params.mass
@@ -270,9 +280,3 @@ def dirac_residual(traj: Trajectory, params: WalkParams) -> float:
     res_r = 1j * dt_r + 1j * dx_r - m * cur.left
     return float(np.sqrt(l2_norm(res_l, eps) ** 2 + l2_norm(res_r, eps) ** 2))
 
-
-def shift_state(state: SpinorField, sites: int) -> SpinorField:
-    """Translate both components by `sites` lattice sites (positive = +x)."""
-    return replace(state,
-                   left=np.roll(state.left, sites),
-                   right=np.roll(state.right, sites))

@@ -54,6 +54,30 @@ def test_airy_rejects_nonfinite():
         asy.airy(float("nan"))
 
 
+def test_airy_solves_its_ode_without_scipy():
+    # Ai is the solution of Ai″ = z·Ai with the closed-form values at 0;
+    # checked from centered differences of asy.airy alone (no scipy oracle).
+    assert asy.airy(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-15)
+    assert asy.airy_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3),
+                                                abs=1e-15)
+    h = 1e-3
+    z = np.linspace(-10.0, 5.0, 1501)
+    ai, ai_up, ai_down = asy.airy(z), asy.airy(z + h), asy.airy(z - h)
+    # truncation h²/12·|Ai⁗| ≤ 2.5e-6 here (Ai⁗ = 2Ai′ + z²Ai), rounding ~1e-9
+    second = (ai_up - 2.0 * ai + ai_down) / h ** 2
+    assert np.max(np.abs(second - z * ai)) < 5e-6
+    first = (ai_up - ai_down) / (2.0 * h)
+    assert np.max(np.abs(first - asy.airy_prime(z))) < 5e-6
+
+
+def test_airy_arrays_keep_their_shape_and_reject_nonfinite():
+    z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    assert asy.airy(z).shape == (3, 4)
+    assert asy.airy_prime(z).shape == (3, 4)
+    with pytest.raises(ValueError):
+        asy.airy_prime(np.array([0.0, np.inf]))
+
+
 # ---------------------------------------------------------------------------
 # Saddle points
 # ---------------------------------------------------------------------------
@@ -310,6 +334,30 @@ def test_zone1_refuses_other_zones():
     x, t = asy.chart_point(6.0, 0.0, chart)  # deep zone III point
     with pytest.raises(ValueError):
         asy.zone1_saddle_approx(x, t, chart)
+
+
+def test_shock_zone_value_with_a_narrow_band_evaluates_the_zone_it_assigns():
+    # Δ = −17.8: zone I for band 5, zone II for the default band 20.  The
+    # point used to be reclassified with the default band and refused.
+    chart = asy.ShockChart.from_mass(20.0)
+    result = asy.shock_zone_value(-0.05, 0.78, chart, band=5.0)
+    assert result.point.zone is asy.Zone.I
+    assert result.point.discriminant == pytest.approx(-17.786, abs=1e-3)
+    T, X, A = asy.shock_map(-0.05, 0.78, chart)
+    assert result.value == A * asy._zone1_value(T, X)
+    exact = asy.pearcey_shock_approx(-0.05, 0.78, chart, tol=1e-8)
+    assert rel(result.value, exact) < 0.1
+    with pytest.raises(ValueError, match="zone II"):
+        asy.zone1_saddle_approx(-0.05, 0.78, chart)
+
+
+def test_shock_zone_value_equals_the_zone_functions():
+    chart = asy.ShockChart.from_mass(20.0)
+    for (T, X), approx in [((-12.0, 6.0), asy.zone1_saddle_approx),
+                           ((6.0, 2.0), asy.zone3_multi_saddle),
+                           ((2.0, 0.5), asy.zone2_airy_approx)]:
+        x, t = asy.chart_point(T, X, chart)
+        assert asy.shock_zone_value(x, t, chart).value == approx(x, t, chart)
 
 
 def test_zone1_magnitude_even_in_x():

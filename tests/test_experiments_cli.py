@@ -14,7 +14,7 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import EXPERIMENTS, parse_config
+from qwhydro.config import EXPERIMENTS, ConfigError, parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state
@@ -528,3 +528,50 @@ def test_importing_the_cli_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["shock_single_mode", "schrodinger_shock"])
+def test_cli_run_rejects_a_phase_gradient_beyond_the_grid(tmp_path, capsys, name):
+    # q_max·Σ|a|·k bounds |∂ₓ(mφ)|; above n_sites/2 the initial phase aliases
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text(_shipped(name, tmp_path / "out", mode="1e300,1,0"))
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "'mode'" in message and "'q_max'" in message
+    assert not (tmp_path / "out").exists()
+
+
+def test_phase_gradient_may_reach_the_nyquist_wavenumber(tmp_path):
+    def steep(q_max):  # n_sites 4096, one mode of unit amplitude and k = 1
+        return _shipped("schrodinger_shock", tmp_path, q_max=q_max) + "t_final = 1.5\n"
+
+    assert parse_config(steep("2048")).q_max == 2048.0
+    with pytest.raises(ConfigError, match="Nyquist"):
+        parse_config(steep("2048.5"))
+
+
+def test_nonfinite_diagnostic_is_spelled_in_strict_json_and_fails_the_run(
+        tmp_path, monkeypatch):
+    compute = experiments._COMPUTE["asymptotic_zones"]
+
+    def broken(cfg):
+        done = compute(cfg)
+        done.diagnostics.update(bad=float("nan"), worse=[float("inf"), -float("inf")])
+        return done
+
+    monkeypatch.setitem(experiments._COMPUTE, "asymptotic_zones", broken)
+    cfg = tmp_path / "zones.cfg"
+    cfg.write_text(_shipped("zones_map", tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 2
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    text = (tmp_path / "out" / "asymptotic_zones_manifest.json").read_text()
+    manifest = json.loads(text, parse_constant=refuse)
+    assert manifest["diagnostics"]["bad"] == "nan"
+    assert manifest["diagnostics"]["worse"] == ["inf", "-inf"]
+    assert manifest["diagnostics"]["zone_1"] > 0
+    assert manifest["ok"] is False

@@ -148,6 +148,22 @@ def test_dirac_residual_needs_consecutive_snapshots():
         wk.dirac_residual(traj, p)
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_centered_window_is_centred_on_the_middle_snapshot(width):
+    p = wk.build_walk(64, 4.0)
+    state = ini.plane_wave(p, 1.0)
+    for n_steps in range(width - 1, width + 6):
+        snaps = wk.evolve(state, p, n_steps).snapshots
+        window = wk.centered_window(wk.Trajectory(params=p, snapshots=snaps), width)
+        mid = len(snaps) // 2
+        assert [s.step_index for s in window] == list(range(mid - width // 2,
+                                                            mid + width // 2 + 1))
+    with pytest.raises(ValueError, match="at least"):
+        wk.centered_window(wk.evolve(state, p, width - 2), width)
+    with pytest.raises(ValueError, match="consecutive"):
+        wk.centered_window(wk.evolve(state, p, 2 * width, cadence=2), width)
+
+
 def _exact_plane_wave_trajectory(p, q):
     snaps = []
     for j in range(3):
