@@ -163,8 +163,10 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     U^j = e^{ijω}P + e^{−ijω}(I − P).  P is built from its closed-form
     entries, which carry no cancellation, so small θ and θ = π stay
     accurate; where sin ω = 0, U = ±I and P = I/2 gives the same U^j.
-    The input takes one FFT and each snapshot one inverse FFT; step 0
-    returns a copy of the input.
+    e^{ijω} is formed as e^{ijω_hi}·e^{ijω_lo} with j·ω_hi exact, so the
+    gap to one stepped step stays at roundoff for every j below 2^27.  The
+    input takes one FFT and each snapshot one inverse FFT; step 0 returns
+    a copy of the input.
     """
     _check_state(state, params)
     steps = [int(j) for j in steps]
@@ -182,6 +184,12 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     #      [−s e^{−iκ}/(2 sin ω), ½ − c sin κ/(2 sin ω)]]
     p_diag = c_sin * inv2
     p_off = -s * inv2
+    # j·ω would round to an ulp of its own size, an error growing with j;
+    # ω_hi keeps 26 significant bits, so j·ω_hi is exact for j < 2^27, and
+    # the rounding of j·ω_lo is 2^-26 times smaller
+    mantissa, exponent = np.frexp(omega)
+    omega_hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
+    omega_lo = omega - omega_hi
     shift = np.exp(1j * kappa)
     left_k = np.fft.fft(state.left)
     right_k = np.fft.fft(state.right)
@@ -194,7 +202,7 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
         if j == 0:
             out.append(state.copy())
             continue
-        rise = np.exp(1j * (j * omega))
+        rise = np.exp(1j * (j * omega_hi)) * np.exp(1j * (j * omega_lo))
         fall = np.conj(rise)
         out.append(SpinorField(left=np.fft.ifft(rise * up_left + fall * down_left),
                                right=np.fft.ifft(rise * up_right + fall * down_right),

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qwhydro
 from qwhydro import initial as ini
 from qwhydro import schrodinger as sch
 from qwhydro import walk as wk
@@ -85,6 +91,58 @@ def test_greens_propagate_rejects_bad_window():
         sch.greens_propagate(psi0, m, 0.5, window=0.05, x_eval=x[:4])
     with pytest.raises(ValueError):
         sch.greens_propagate(psi0, m, -0.5)
+
+
+@pytest.mark.parametrize("m, t, n", [(20.0, 0.5, 256), (50.0, 0.8, 256), (100.0, 1.0, 512)])
+def test_greens_estimate_bounds_the_error_against_a_4n_panel_rule(monkeypatch, m, t, n):
+    psi0, x = _cos_state(n, m)
+    values, errors = sch._greens_quadrature(psi0.values, m, t, None, x, 1e-3)
+    counts = sch._panel_counts
+    monkeypatch.setattr(sch, "_panel_counts", lambda *a: [2 * p for p in counts(*a)])
+    finer, _ = sch._greens_quadrature(psi0.values, m, t, None, x, 1e-3)
+    assert np.all(np.abs(values - finer) <= errors)
+    assert np.max(errors / np.maximum(1.0, np.abs(values))) <= 1e-10
+
+
+@pytest.mark.parametrize("n, m, t", [(256, 20.0, 0.8), (512, 100.0, 1.0)])
+def test_greens_propagate_full_grid_against_spectral_and_bessel(n, m, t):
+    psi0, x = _cos_state(n, m)
+    out = sch.greens_propagate(psi0.values, m, t).values
+    for ref in (sch.spectral_propagate(psi0, m, t).values, sch.single_shock_psi(x, t, m)):
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-4
+
+
+def test_greens_values_do_not_depend_on_the_other_points():
+    psi0, x = _cos_state(256, 20.0)
+    together = sch.greens_propagate(psi0.values, 20.0, 0.5, x_eval=x).values
+    order = np.random.default_rng(41).permutation(len(x))
+    shuffled = sch.greens_propagate(psi0.values, 20.0, 0.5, x_eval=x[order]).values
+    assert np.array_equal(shuffled, together[order])
+    for i in (0, 77, 200):
+        alone = sch.greens_propagate(psi0.values, 20.0, 0.5, x_eval=x[i:i + 1]).values
+        assert alone[0] == together[i]
+
+
+def test_greens_propagate_raises_when_the_rule_is_too_coarse(monkeypatch):
+    psi0, x = _cos_state(256, 20.0)
+    monkeypatch.setattr(sch, "_RADIANS_PER_PANEL", 64.0)
+    with pytest.raises(sch.GreensConvergenceError):
+        sch.greens_propagate(psi0.values, 20.0, 0.5, x_eval=x[::32])
+
+
+def test_greens_propagate_loads_no_scipy():
+    src = str(Path(qwhydro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from qwhydro import schrodinger as sch\n"
+            "x = 2 * np.pi * np.arange(256) / 256\n"
+            "sch.greens_propagate(np.exp(20j * np.cos(x)), 20.0, 0.5, x_eval=x[:4])\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_single_shock_unit_density_at_small_time():

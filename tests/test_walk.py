@@ -253,6 +253,19 @@ def test_propagate_matches_repeated_step_walk(case, rng):
         assert abs(wk.total_norm(jumped, p) - n0) / n0 <= 1e-13
 
 
+def test_propagate_one_step_gap_does_not_grow_with_the_step_count():
+    # the in-run step_consistency check, out to 10⁷ steps: a rounded j·ω
+    # would make the gap grow like j·ε·ω (about 7e-10 at 10⁷)
+    p = wk.build_walk(4096, 512.0)
+    state = ini.phase_modulated_state(p, ini.multimode_benchmark(51.2, 512.0))
+    for j in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7):
+        before, after = wk.propagate(state, p, [j - 1, j])
+        stepped = wk.step_walk(before, p)
+        gap = max(np.max(np.abs(after.left - stepped.left)),
+                  np.max(np.abs(after.right - stepped.right)))
+        assert gap <= 1e-14
+
+
 def test_propagate_step_indices_and_step_zero(rng):
     p = wk.build_walk(64, 4.0)
     state = _smooth_unit(rng, 64)
