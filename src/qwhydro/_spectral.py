@@ -3,7 +3,9 @@
 All fields live on N equispaced sites x_n = n·(2π/N).  Spatial derivatives
 of smooth periodic data are spectral (FFT, integer wavenumbers); phase
 fields are unwrapped and linearly detrended first because they may wind
-around the circle an integer number of times.
+around the circle an integer number of times.  The panel rule and the
+rounding unit of the array quadratures in `schrodinger` and `asymptotics`
+live here too.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
+EPS = float(np.finfo(float).eps)
 
 
 def grid(n_sites: int) -> np.ndarray:

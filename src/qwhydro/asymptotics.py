@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI
 
 # ---------------------------------------------------------------------------
 # Airy function (scipy.special.airy).
@@ -188,7 +188,6 @@ def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
     return complex(re, im)
 
 
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Units of the bound |X|L + |T|L² + L⁴ on the exponent's swing over the
 # contour per panel.  At 16 even the coarse rule Q(n) is at roundoff on the
 # shipped windows, so |Q(2n) − Q(n)| stays below 2e-11 at mass 20; at 24
@@ -198,7 +197,6 @@ _SWING_PER_PANEL = 16.0
 # Quadrature nodes evaluated per numpy call: bounds the working set of
 # pearcey_array to a few hundred kB whatever the number of points.
 _BLOCK_NODES = 8192
-_EPS = float(np.finfo(float).eps)
 _SIN_PI8, _COS_PI8 = math.sin(math.pi / 8.0), math.cos(math.pi / 8.0)
 _SQRT_HALF = math.sqrt(0.5)  # Re and −Im of ie^{iπ/4}
 
@@ -216,9 +214,9 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
     limits the result.  Every point is reduced along its own row, so its
     value does not depend on which other points share the call.
     """
-    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + _GL16_NODES) / n_panels
+    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + GL16_NODES) / n_panels
          - 1.0).ravel()
-    w = np.tile(_GL16_WEIGHTS, n_panels) / n_panels
+    w = np.tile(GL16_WEIGHTS, n_panels) / n_panels
     s = length[:, None] * u
     s2 = s * s
     s4 = s2 * s2
@@ -227,7 +225,7 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
     im = (_COS_PI8 * X)[:, None] * s + quad
     weighted = w * np.exp(re)
     swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
-    rounding = _EPS * length * (weighted * swing).sum(axis=-1)
+    rounding = EPS * length * (weighted * swing).sum(axis=-1)
     total = (weighted * np.cos(im)).sum(axis=-1) + 1j * (weighted * np.sin(im)).sum(axis=-1)
     return _ROT * length * total, rounding
 
@@ -256,7 +254,7 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     errors = np.empty(t_flat.shape)
     for n in np.unique(panels):
         idx = np.flatnonzero(panels == n)
-        step = max(1, _BLOCK_NODES // (2 * n * len(_GL16_NODES)))
+        step = max(1, _BLOCK_NODES // (2 * n * len(GL16_NODES)))
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
             args = (t_flat[block], x_flat[block], length[block])
             coarse, _ = _composite_gl(*args, n)
@@ -269,17 +267,16 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def pearcey_direct(T: float, X: float, y_flat: float = 8.0,
-                   y_taper: float = 4.0) -> complex:
+def pearcey_direct(T: float, X: float) -> complex:
     """Windowed quadrature of the Pearcey integrand on the real axis.
 
     Second, method-independent evaluation used to validate the contour
     rotation: composite Gauss–Legendre with panels no wider than a quarter
-    of the local oscillation, under a cos² taper from |y| = y_flat out to
-    y_flat + y_taper.  Valid while all stationary points sit well inside
-    the flat region (|T|, |X| ≲ 10 comfortably).
+    of the local oscillation, under a cos² taper from |y| = 8 out to 12.
+    Valid while all stationary points sit well inside the flat region
+    (|T|, |X| ≲ 10 comfortably).
     """
-    y_max = y_flat + y_taper
+    y_max = 12.0
 
     def local_rate(y: float) -> float:
         return abs(X + 2.0 * T * y + 4.0 * y ** 3) + 2.0
@@ -298,8 +295,8 @@ def pearcey_direct(T: float, X: float, y_flat: float = 8.0,
     def half_line(sign: float) -> complex:
         ys = sign * y
         taper = np.ones_like(ys)
-        out = np.abs(ys) > y_flat
-        taper[out] = np.cos(0.5 * np.pi * (np.abs(ys[out]) - y_flat) / y_taper) ** 2
+        out = np.abs(ys) > 8.0
+        taper[out] = np.cos(0.5 * np.pi * (np.abs(ys[out]) - 8.0) / 4.0) ** 2
         phase = X * ys + T * ys ** 2 + ys ** 4
         return complex((wts * taper * np.exp(1j * phase)).sum())
 
@@ -420,18 +417,16 @@ def classify_zone(T: float, X: float, band: float = DELTA_BAND) -> PearceyPoint:
     return PearceyPoint(T=T, X=X, discriminant=delta, zone=zone)
 
 
-def zone_labels(T, X, band: float = DELTA_BAND) -> np.ndarray:
-    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X).
+def zone_labels(T, X) -> np.ndarray:
+    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X), default band.
 
     np.float_power, like Python's `**`, calls the C library's pow, where
     numpy's `**` may take a vector kernel that rounds differently; the
     discriminant therefore matches the scalar one to the bit.
     """
-    if band <= 0:
-        raise ValueError("band must be positive")
     delta = np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0
-    return np.where(delta < -band, int(Zone.I),
-                    np.where(delta > band, int(Zone.III), int(Zone.II)))
+    return np.where(delta < -DELTA_BAND, int(Zone.I),
+                    np.where(delta > DELTA_BAND, int(Zone.III), int(Zone.II)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .initial import ModeSpec
+from .initial import ModeSpec, check_wavenumber
+from .walk import WalkParams, steps_until
 
 
 @dataclass(frozen=True)
@@ -26,11 +27,13 @@ class Experiment:
 
     Every experiment requires `mass`.  `needs` names the further key
     groups it requires: "lattice" (`n_sites`), "wave" (the plane-wave
-    momentum `q`), "modes" (`mode` lines and `q_max`; `t_final` defaults to
-    1.5/u_max) and "window" (the (x, t) map grid).  `gates` maps each
-    `tol.<name>` the run enforces to its default limit, None for a gate
-    enforced only when the config sets it.  `schedule` lists the default
-    snapshot times as fractions of `t_final`.
+    momentum `q`; a `t_final` sets the default `n_steps` to its whole
+    steps), "modes" (`mode` lines and `q_max`; `t_final` defaults to
+    1.5/u_max), "steps" (a walk of `n_steps` steps, 10⁴ by default, on
+    `n_sites` = 4096 unless set) and "window" (the (x, t) map grid).
+    `gates` maps each `tol.<name>` the run enforces to its default limit,
+    None for a gate enforced only when the config sets it.  `schedule`
+    lists the default snapshot times as fractions of `t_final`.
     """
 
     needs: tuple[str, ...]
@@ -43,14 +46,14 @@ _EIGHTHS = tuple(i / 8.0 for i in range(9))
 
 EXPERIMENTS = {
     "dtqw_shock": Experiment(("lattice", "modes"), _NORM_DRIFT, _EIGHTHS),
-    "dtqw_planewave": Experiment(("lattice", "wave"), _NORM_DRIFT),
+    "dtqw_planewave": Experiment(("lattice", "wave", "steps"), _NORM_DRIFT),
     "schrodinger_shock": Experiment(("lattice", "modes"), _NORM_DRIFT,
                                     (1.0 / 3.0, 2.0 / 3.0, 1.0)),
     "pearcey_map": Experiment(("window",), {}),
     "asymptotic_zones": Experiment(("window",), {}),
     "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS),
-    "validation": Experiment((), {"norm_drift": 1e-12, "roundtrip": 1e-12,
-                                  "current_identity": 1e-12}),
+    "validation": Experiment(("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
+                                          "current_identity": 1e-12}),
 }
 
 
@@ -167,11 +170,20 @@ def parse_config(text: str) -> SimConfig:
     return validate_config(SimConfig(modes=tuple(modes), tolerances=tolerances, **values))
 
 
+def _owned(check, *args):
+    """Run a rule's owning check, its ValueError reported as a ConfigError."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     """Check `cfg` against its experiment's table entry and return it resolved.
 
-    The result carries the default `t_final` and snapshot schedule; `cfg`
-    itself is left unchanged.  Raises ConfigError naming the field.
+    The result carries the default `n_sites`, `n_steps`, `t_final` and
+    snapshot schedule; `cfg` itself is left unchanged.  Raises ConfigError
+    naming the field.
     """
     spec = EXPERIMENTS.get(cfg.experiment)
     if spec is None:
@@ -200,31 +212,28 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError("missing required key 'mass'")
     if cfg.mass <= 0:
         raise ConfigError("'mass' must be positive")
-    if cfg.n_sites is None and "lattice" in spec.needs:
+    n_sites = cfg.n_sites
+    if n_sites is None and "lattice" in spec.needs:
         raise ConfigError("missing required key 'n_sites'")
-    if cfg.n_sites is not None and (cfg.n_sites < 4 or cfg.n_sites % 2 != 0):
-        raise ConfigError("'n_sites' must be even and at least 4")
-    # the plane wave's own rule: an integer wavenumber the lattice resolves
-    if "wave" in spec.needs and (abs(cfg.q - round(cfg.q)) > 1e-9
-                                 or abs(round(cfg.q)) > cfg.n_sites // 2):
-        raise ConfigError(f"'q' must be an integer with |q| <= n_sites/2 = "
-                          f"{cfg.n_sites // 2}, got {cfg.q}")
+    if n_sites is None and "steps" in spec.needs:
+        n_sites = 4096
+    if n_sites is not None:
+        params = _owned(WalkParams, n_sites, cfg.mass)
+    if "wave" in spec.needs:
+        _owned(check_wavenumber, "'q'", cfg.q, n_sites)
     t_final = cfg.t_final
     if "modes" in spec.needs:
         if not cfg.modes:
             raise ConfigError("at least one 'mode' line is required")
         if cfg.q_max <= 0:
             raise ConfigError("'q_max' must be positive")
-        k_max = max(m.wavenumber for m in cfg.modes)
-        if k_max > cfg.n_sites // 2:
-            raise ConfigError(f"'mode' wavenumber {k_max} is not resolvable on "
-                              f"n_sites = {cfg.n_sites}")
+        _owned(check_wavenumber, "'mode' k", max(m.wavenumber for m in cfg.modes), n_sites)
         # |∂ₓ(mφ)| ≤ q_max·Σ|aᵢ|·kᵢ must stay within the Nyquist wavenumber
         gradient = cfg.q_max * sum(abs(m.amplitude) * m.wavenumber for m in cfg.modes)
-        if gradient > cfg.n_sites // 2:
+        if gradient > n_sites // 2:
             raise ConfigError(f"'mode' amplitudes and 'q_max' give an initial phase "
                               f"gradient q_max·Σ|a|·k = {gradient:g} above the "
-                              f"Nyquist wavenumber n_sites/2 = {cfg.n_sites // 2}")
+                              f"Nyquist wavenumber n_sites/2 = {n_sites // 2}")
         if t_final is None:
             # 1.5 × the characteristic caustic time 1/u_max
             t_final = 1.5 / cfg.u_max if cfg.u_max > 0 else math.inf
@@ -241,8 +250,17 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     if t_final is not None and t_final <= 0:
         raise ConfigError("'t_final' must be positive")
-    if cfg.n_steps is not None and cfg.n_steps < 0:
+    n_steps = cfg.n_steps
+    if n_steps is not None and n_steps < 0:
         raise ConfigError("'n_steps' must be nonnegative")
+    if n_steps is None and "steps" in spec.needs:
+        n_steps = 10000
+        if "wave" in spec.needs and t_final is not None:
+            try:
+                n_steps = steps_until(t_final, params)
+            except OverflowError:
+                raise ConfigError(f"'t_final' = {t_final} is more steps than a "
+                                  f"float can count") from None
 
     snapshot_times = cfg.snapshot_times or tuple(f * t_final for f in spec.schedule)
     for t in snapshot_times:
@@ -255,4 +273,5 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                               f"(gated: {', '.join(spec.gates) or 'none'})")
         if not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
-    return replace(cfg, t_final=t_final, snapshot_times=snapshot_times)
+    return replace(cfg, n_sites=n_sites, n_steps=n_steps, t_final=t_final,
+                   snapshot_times=snapshot_times)

@@ -27,7 +27,7 @@ from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schroding
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_propagate
 from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, march, \
-    propagate, step_walk, total_norm
+    propagate, step_walk, steps_until, total_norm
 
 
 @dataclass
@@ -120,7 +120,7 @@ def _jump_walk(state: SpinorField, params, times):
     the stepped kernel: max |propagate(j) − step_walk(propagate(j − 1))| at
     the last step j.
     """
-    wanted = sorted({int(np.floor(t / params.dt + 1e-9)) for t in times})
+    wanted = sorted({steps_until(t, params) for t in times})
     last = max(wanted[-1], 1)  # a run that stops at step 0 checks step 1
     *snaps, before, after = propagate(state, params, [*wanted, last - 1, last])
     stepped = step_walk(before, params)
@@ -160,8 +160,6 @@ def _dtqw_planewave(cfg: SimConfig) -> Computed:
     params = build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, cfg.q)
     n_steps = cfg.n_steps
-    if n_steps is None:
-        n_steps = int(np.floor(cfg.t_final / params.dt)) if cfg.t_final else 10000
     n0 = total_norm(state, params)
     cur = state
     max_drift = 0.0
@@ -261,24 +259,14 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
         times=(list(cfg.snapshot_times), realized))
 
 
-def _fit_order(spacings, residuals) -> float:
-    """Least-squares slope of log(residual) vs log(spacing)."""
-    lx = np.log(np.asarray(spacings, dtype=float))
-    ly = np.log(np.asarray(residuals, dtype=float))
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
-
-
 def _validation(cfg: SimConfig) -> Computed:
     rng = np.random.default_rng(20260810)
-    n_sites = cfg.n_sites or 4096
-    n_steps = cfg.n_steps if cfg.n_steps is not None else 10000
 
     # unitarity
-    params = build_walk(n_sites, cfg.mass)
+    params = build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, 0.0)
     n0 = total_norm(state, params)
-    drift = float(abs(total_norm(march(state, params, n_steps), params) - n0) / n0)
+    drift = float(abs(total_norm(march(state, params, cfg.n_steps), params) - n0) / n0)
 
     # Madelung roundtrip + current identity on randomized smooth states
     small = build_walk(256, 16.0)
@@ -313,7 +301,9 @@ def _validation(cfg: SimConfig) -> Computed:
         "current_identity_gap": worst_id,
         "dirac_residuals": [float(r) for r in refine_res],
         "dirac_monotone": bool(dirac_monotone),
-        "dirac_fitted_order": _fit_order(refine_eps, refine_res),
+        # least-squares slope of log(residual) against log(spacing)
+        "dirac_fitted_order": float(np.polyfit(np.log(refine_eps),
+                                               np.log(refine_res), 1)[0]),
     }
     return Computed(files={}, diagnostics=diagnostics,
                     measured={"norm_drift": drift, "roundtrip": worst_rt,

@@ -87,20 +87,19 @@ def currents(state: SpinorField) -> CurrentField:
     return CurrentField(j0=rho_r + rho_l, j1=rho_r - rho_l)
 
 
-def phases(state: SpinorField, floor: float = PHASE_FLOOR) -> PhaseField:
+def phases(state: SpinorField) -> PhaseField:
     """Phase sum/difference of the two components, flagged where degenerate."""
     phi_l = np.angle(state.left)
     phi_r = np.angle(state.right)
-    valid = (np.abs(state.left) > floor) & (np.abs(state.right) > floor)
+    valid = (np.abs(state.left) > PHASE_FLOOR) & (np.abs(state.right) > PHASE_FLOOR)
     return PhaseField(phi_plus=phi_l + phi_r, phi_minus=phi_l - phi_r, valid=valid)
 
 
-def hydro_vars(cur: CurrentField, ph: PhaseField, mass: float,
-               null_fraction: float = NULL_FRACTION) -> HydroField:
+def hydro_vars(cur: CurrentField, ph: PhaseField, mass: float) -> HydroField:
     """Density, 2-velocity and enthalpy density; null sites masked."""
     n_sq = cur.j0 ** 2 - cur.j1 ** 2
     n = np.sqrt(np.clip(n_sq, 0.0, None))
-    threshold = null_fraction * n.max() if n.max() > 0 else np.inf
+    threshold = NULL_FRACTION * n.max() if n.max() > 0 else np.inf
     valid = (n > threshold) & ph.valid
     safe_n = np.where(valid, n, 1.0)
     u0 = np.where(valid, cur.j0 / safe_n, 0.0)
@@ -218,12 +217,11 @@ def velocity_from_phase_gradient(ph: PhaseField, h: HydroField,
     return np.where(np.abs(cos_minus) > 1e-12, u1, 0.0)
 
 
-def _component_phase_rate(comp: np.ndarray, d_comp: np.ndarray,
-                          floor: float = PHASE_FLOOR) -> np.ndarray:
+def _component_phase_rate(comp: np.ndarray, d_comp: np.ndarray) -> np.ndarray:
     # d(arg ψ)/dt = Im(ψ* ∂_tψ)/|ψ|², branch-free.
     rho = np.abs(comp) ** 2
-    safe = np.where(rho > floor ** 2, rho, 1.0)
-    return np.where(rho > floor ** 2, np.imag(np.conj(comp) * d_comp) / safe, 0.0)
+    safe = np.where(rho > PHASE_FLOOR ** 2, rho, 1.0)
+    return np.where(rho > PHASE_FLOOR ** 2, np.imag(np.conj(comp) * d_comp) / safe, 0.0)
 
 
 def _madelung_residual_fields(state: SpinorField, params: WalkParams,
@@ -237,10 +235,10 @@ def _madelung_residual_fields(state: SpinorField, params: WalkParams,
     ph = phases(state)
     n = np.sqrt(np.clip(cur.j0 ** 2 - cur.j1 ** 2, 0.0, None))
 
-    dphi_plus_dt = (_component_phase_rate(state.left, dt_l)
-                    + _component_phase_rate(state.right, dt_r))
-    dphi_minus_dt = (_component_phase_rate(state.left, dt_l)
-                     - _component_phase_rate(state.right, dt_r))
+    rate_l = _component_phase_rate(state.left, dt_l)
+    rate_r = _component_phase_rate(state.right, dt_r)
+    dphi_plus_dt = rate_l + rate_r
+    dphi_minus_dt = rate_l - rate_r
     dphi_plus_dx = phase_gradient(ph.phi_plus)
     dphi_minus_dx = phase_gradient(ph.phi_minus)
     dj0_dx = spectral_derivative(cur.j0)

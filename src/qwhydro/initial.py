@@ -68,10 +68,13 @@ def single_cosine(q_max: float, mass: float) -> ShockInitSpec:
     return ShockInitSpec(modes=(ModeSpec(1.0, 1),), q_max=q_max, mass=mass)
 
 
-def _check_modes_resolvable(spec: ShockInitSpec, n_sites: int):
-    k_max = max(m.wavenumber for m in spec.modes)
-    if k_max > n_sites // 2:
-        raise ValueError(f"mode k={k_max} not resolvable on {n_sites} sites")
+def check_wavenumber(name: str, k: float, n_sites: int):
+    """Raise ValueError naming `name` unless k is an integer wavenumber with
+    |k| ≤ n_sites/2.  Builds no array, so a config can be checked with it
+    before anything is allocated."""
+    if abs(k - round(k)) > 1e-9 or abs(round(k)) > n_sites // 2:
+        raise ValueError(f"{name} = {k} is not an integer wavenumber within "
+                         f"±n_sites/2 = ±{n_sites // 2}")
 
 
 def phase_profile(spec: ShockInitSpec, x: np.ndarray) -> np.ndarray:
@@ -104,10 +107,7 @@ def plane_wave(params: WalkParams, q: float, t: float = 0.0) -> SpinorField:
     q is the momentum in absolute units and must be an integer wavenumber
     for exact periodicity on [0, 2π).
     """
-    if abs(q - round(q)) > 1e-9:
-        raise ValueError(f"q={q} is not an integer grid wavenumber")
-    if abs(round(q)) > params.n_sites // 2:
-        raise ValueError(f"q={q} not resolvable on {params.n_sites} sites")
+    check_wavenumber("'q'", q, params.n_sites)
     q = float(round(q))
     m = params.mass
     q_tilde = q / m
@@ -128,7 +128,7 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
     """
     if not np.isclose(spec.mass, params.mass, rtol=1e-12):
         raise ValueError("spec.mass must match params.mass")
-    _check_modes_resolvable(spec, params.n_sites)
+    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
     x = params.x
     phi = phase_profile(spec, x)
     q_tilde = spectral_derivative(phi)
@@ -141,6 +141,6 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
 
 def schrodinger_initial(params: WalkParams, spec: ShockInitSpec) -> Wavefunction:
     """Unit-modulus wavefunction e^{imφ(x)} matching the walk's initial phase."""
-    _check_modes_resolvable(spec, params.n_sites)
+    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
     phi = phase_profile(spec, params.x)
     return Wavefunction(values=np.exp(1j * params.mass * phi), time=0.0)

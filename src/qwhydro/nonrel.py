@@ -13,8 +13,8 @@ formula is checked two ways in the tests: symbolically (transcription) and
 against exactly constructed spinors (order-of-accuracy sweeps, with the
 neglected terms falling off as the cube of 1/c).
 
-c is an explicit parameter in this module only; the lattice walk itself
-lives in c = 1 units.
+c is explicit in the expansion formulas of this module only; the lattice
+walk, and every comparison against it, lives in c = 1 units.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spectral import l2_norm, phase_gradient, spectral_derivative
+from ._spectral import TWO_PI, l2_norm, phase_gradient, spectral_derivative, wavenumbers
 from .schrodinger import Wavefunction, schrodinger_hydro
 from .walk import SpinorField, Trajectory, WalkParams, centered_window
+
+# Modulus r at or below which the 1/r terms of the expansions are set to 0.
+_R_FLOOR = 1e-12
 
 
 @dataclass
@@ -46,7 +49,7 @@ def band_limit_fraction(values: np.ndarray) -> float:
     """Spectral energy fraction in the top third of the band (smoothness check)."""
     spec = np.abs(np.fft.fft(values)) ** 2
     n = len(spec)
-    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    k = np.abs(wavenumbers(n))
     top = spec[k > n / 3.0].sum()
     total = spec.sum()
     return float(top / total) if total > 0 else 0.0
@@ -70,7 +73,7 @@ def component_relation_residual(psi_bar: SpinorField, fields: NRFields,
     m, c = fields.mass, fields.light_speed
     if band_limit_fraction(psi_bar.left) > 1e-6:
         raise ValueError("field is not band-limited enough for spectral derivatives")
-    eps = 2.0 * np.pi / psi_bar.n_sites
+    eps = TWO_PI / psi_bar.n_sites
 
     def expansion(comp, sign):
         d1 = spectral_derivative(comp)
@@ -93,22 +96,20 @@ def _derivatives(fields: NRFields):
     return r_x, r_xx, phi_x, phi_xx
 
 
-def deltas_first_order(fields: NRFields,
-                       floor: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def deltas_first_order(fields: NRFields) -> tuple[np.ndarray, np.ndarray]:
     """First-order phase and modulus mismatch between the two components.
 
     δφ = −(1/mc)·(∂_x r)/r and δr/r = (1/mc)·∂_xφ.
     """
     m, c = fields.mass, fields.light_speed
     r_x, _, phi_x, _ = _derivatives(fields)
-    safe_r = np.where(fields.r > floor, fields.r, 1.0)
-    delta_phi = np.where(fields.r > floor, -r_x / (m * c * safe_r), 0.0)
+    safe_r = np.where(fields.r > _R_FLOOR, fields.r, 1.0)
+    delta_phi = np.where(fields.r > _R_FLOOR, -r_x / (m * c * safe_r), 0.0)
     delta_r_over_r = phi_x / (m * c)
     return delta_phi, delta_r_over_r
 
 
-def deltas_second_order(fields: NRFields,
-                        floor: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def deltas_second_order(fields: NRFields) -> tuple[np.ndarray, np.ndarray]:
     """Second-order mismatches.
 
     δφ   = −(1/mc)·r_x/r − (1/2m²c²)·φ_xx
@@ -122,8 +123,8 @@ def deltas_second_order(fields: NRFields,
     r_x, r_xx, phi_x, phi_xx = _derivatives(fields)
     mc = m * c
     m2c2 = m * m * c * c
-    safe_r = np.where(fields.r > floor, fields.r, 1.0)
-    good = fields.r > floor
+    safe_r = np.where(fields.r > _R_FLOOR, fields.r, 1.0)
+    good = fields.r > _R_FLOOR
     delta_phi = np.where(good, -r_x / (mc * safe_r) - phi_xx / (2.0 * m2c2), 0.0)
     delta_r_over_r = np.where(
         good,
@@ -134,7 +135,7 @@ def deltas_second_order(fields: NRFields,
     return delta_phi, delta_r_over_r
 
 
-def hydro_second_order(fields: NRFields, floor: float = 1e-12
+def hydro_second_order(fields: NRFields
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fluid variables (n, u⁰, u¹, w) of the stripped field at second order.
 
@@ -148,8 +149,8 @@ def hydro_second_order(fields: NRFields, floor: float = 1e-12
     r_x, r_xx, phi_x, _ = _derivatives(fields)
     mc = m * c
     m2c2 = m * m * c * c
-    safe_r2 = np.where(r > floor, r, 1.0) ** 2
-    good = r > floor
+    safe_r2 = np.where(r > _R_FLOOR, r, 1.0) ** 2
+    good = r > _R_FLOOR
 
     n = 2.0 * r ** 2 + (2.0 * r ** 2 / mc) * phi_x + (
         r ** 2 * phi_x ** 2 + r_x ** 2 - r * r_xx) / m2c2
@@ -177,9 +178,8 @@ def build_second_order_spinor(fields: NRFields) -> SpinorField:
     return SpinorField(left=left, right=right)
 
 
-def klein_gordon_residual(traj: Trajectory, params: WalkParams,
-                          c: float = 1.0) -> tuple[float, float]:
-    """Discrete residual of (1/c²)∂_tt ψ − ∂_xx ψ + m²c²ψ per component.
+def klein_gordon_residual(traj: Trajectory, params: WalkParams) -> tuple[float, float]:
+    """Discrete residual of ∂_tt ψ − ∂_xx ψ + m²ψ per component.
 
     Centered second differences in both t and x on the middle of three
     consecutive snapshots; decreases under grid refinement at fixed mass.
@@ -191,32 +191,25 @@ def klein_gordon_residual(traj: Trajectory, params: WalkParams,
     def component_residual(fp, fc, fn):
         dtt = (fn - 2.0 * fc + fp) / (params.dt ** 2)
         dxx = (np.roll(fc, -1) - 2.0 * fc + np.roll(fc, +1)) / (eps ** 2)
-        return l2_norm(dtt / c ** 2 - dxx + (m * c) ** 2 * fc, eps)
+        return l2_norm(dtt - dxx + m ** 2 * fc, eps)
 
     return (component_residual(prev.left, cur.left, nxt.left),
             component_residual(prev.right, cur.right, nxt.right))
 
 
-def nonrel_compare(traj: Trajectory, oracle, mass: float, c: float = 1.0,
-                   component: str = "mean") -> list[dict]:
+def nonrel_compare(traj: Trajectory, oracle, mass: float) -> list[dict]:
     """Error report of the walk against a Schrödinger oracle.
 
     For each snapshot, strips the rest phase, forms the comparison
-    wavefunction ((Ψ̄_L+Ψ̄_R)/2 by default, Ψ̄_L with component="left"),
-    and reports relative L² and max errors of density 2|ψ̄|² and velocity
-    against the oracle's Madelung variables.  `oracle` maps a time to a
-    Wavefunction on the same grid.
+    wavefunction ψ̄ = (Ψ̄_L+Ψ̄_R)/2, and reports relative L² and max errors
+    of density 2|ψ̄|² and velocity against the oracle's Madelung variables.
+    `oracle` maps a time to a Wavefunction on the same grid.
     """
-    if component not in ("mean", "left"):
-        raise ValueError("component must be 'mean' or 'left'")
     records = []
     for snap in traj.snapshots:
         t = snap.step_index * traj.params.dt
-        stripped = strip_rest_phase(snap, mass, c, t)
-        if component == "mean":
-            psi = 0.5 * (stripped.left + stripped.right)
-        else:
-            psi = stripped.left
+        stripped = strip_rest_phase(snap, mass, 1.0, t)
+        psi = 0.5 * (stripped.left + stripped.right)
         reference = oracle(t)
         if reference.n_sites != snap.n_sites:
             raise ValueError("oracle grid does not match trajectory grid")

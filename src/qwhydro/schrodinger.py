@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import TWO_PI, spectral_derivative, wavenumbers
+from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI, grid, spectral_derivative, \
+    wavenumbers
 
 
 @dataclass
@@ -51,19 +52,12 @@ def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction
     return Wavefunction(values=np.fft.ifft(modes), time=psi.time + t)
 
 
-def _fourier_coefficients(values: np.ndarray, floor: float = 1e-13):
+def _fourier_coefficients(values: np.ndarray):
     n = values.shape[0]
     coeff = np.fft.fft(values) / n
     k = wavenumbers(n)
-    keep = np.abs(coeff) > floor * np.abs(coeff).max()
+    keep = np.abs(coeff) > 1e-13 * np.abs(coeff).max()
     return coeff[keep], k[keep]
-
-
-def default_window(psi0: np.ndarray, mass: float, t: float) -> float:
-    """Stationary-point reach t·k_max/m plus eight Fresnel zones √(2πt/m)."""
-    _, k = _fourier_coefficients(psi0)
-    k_max = float(np.abs(k).max()) if k.size else 0.0
-    return t * k_max / mass + 8.0 * np.sqrt(TWO_PI * t / mass)
 
 
 # Radians of the kernel phase per 16-node panel, counted at the bound
@@ -73,8 +67,8 @@ def default_window(psi0: np.ndarray, mass: float, t: float) -> float:
 _RADIANS_PER_PANEL = 16.0
 # Absolute and relative accuracy of the kernel integral, before the prefactor.
 _GREENS_TARGET = 1e-10
-_GL16_NODES, _GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_EPS = float(np.finfo(float).eps)
+# Largest bound (2π/(edge rate·taper))³ on the window's endpoint contribution.
+_BOUNDARY_TOL = 1e-3
 
 
 class GreensConvergenceError(RuntimeError):
@@ -100,17 +94,17 @@ def _kernel_integrals(kv: np.ndarray, mass: float, t: float, flat: float,
     for lo, hi, n in zip(edges[:-1], edges[1:], panels):
         half = (hi - lo) / (2 * n)
         mids = lo + half * (2.0 * np.arange(n) + 1.0)
-        u = mids[:, None] + half * _GL16_NODES
+        u = mids[:, None] + half * GL16_NODES
         ramp = np.clip((np.abs(u) - flat) / taper, 0.0, 1.0)
-        weight = (half * _GL16_WEIGHTS) * np.cos(0.5 * np.pi * ramp) ** 2
+        weight = (half * GL16_WEIGHTS) * np.cos(0.5 * np.pi * ramp) ** 2
         phase = mass * u * u / (2.0 * t)
-        offsets = np.exp(1j * np.outer(kv, half * _GL16_NODES))
+        offsets = np.exp(1j * np.outer(kv, half * GL16_NODES))
         # einsum, not a threaded BLAS product: with another core busy, `@`
         # made a solve 3-10 times slower
         inner = np.einsum("kj,pj->kp", offsets, weight * np.exp(1j * phase))
         total += (np.exp(1j * np.outer(kv, mids)) * inner).sum(axis=1)
-        rounding += _EPS * ((weight * (1.0 + phase)).sum()
-                            + np.abs(kv) * (weight * np.abs(u)).sum())
+        rounding += EPS * ((weight * (1.0 + phase)).sum()
+                           + np.abs(kv) * (weight * np.abs(u)).sum())
     return total, rounding
 
 
@@ -119,19 +113,20 @@ def _panel_counts(rate: float, lengths) -> list[int]:
     return [max(1, math.ceil(rate * length / _RADIANS_PER_PANEL)) for length in lengths]
 
 
-def _greens_quadrature(psi0_samples, mass, t, window, x_eval, boundary_tol):
+def _greens_quadrature(psi0_samples, mass, t, window, x_eval):
     """∫ e^{im(x−y)²/2t}·w(y − x)·ψ₀(y) dy at x_eval, with each value's error estimate."""
     if t <= 0:
         raise ValueError("t must be positive")
     psi0_samples = np.asarray(psi0_samples, dtype=np.complex128)
-    n = psi0_samples.shape[0]
     if x_eval is None:
-        x_eval = TWO_PI * np.arange(n) / n
-    if window is None:
-        window = default_window(psi0_samples, mass, t)
+        x_eval = grid(psi0_samples.shape[0])
 
     coeff, kv = _fourier_coefficients(psi0_samples)
+    k_max = float(np.abs(kv).max()) if kv.size else 0.0
     fresnel = np.sqrt(TWO_PI * t / mass)
+    if window is None:
+        # stationary-point reach t·k_max/m plus eight Fresnel zones √(2πt/m)
+        window = t * k_max / mass + 8.0 * fresnel
     taper = min(4.0 * fresnel, 0.45 * window)
     flat = window - taper
     if flat <= 0:
@@ -140,9 +135,8 @@ def _greens_quadrature(psi0_samples, mass, t, window, x_eval, boundary_tol):
     # Boundary safety: the taper zone must cover several oscillations of the
     # non-stationary integrand; the cos² window then suppresses the endpoint
     # contribution by roughly the cube of that count.
-    k_max = float(np.abs(kv).max()) if kv.size else 0.0
     edge_rate = mass * flat / t - k_max
-    if edge_rate <= 0 or (TWO_PI / (edge_rate * taper)) ** 3 > boundary_tol:
+    if edge_rate <= 0 or (TWO_PI / (edge_rate * taper)) ** 3 > _BOUNDARY_TOL:
         raise ValueError("window too small: boundary contribution not negligible")
 
     rate = mass * window / t + k_max
@@ -155,14 +149,13 @@ def _greens_quadrature(psi0_samples, mass, t, window, x_eval, boundary_tol):
     kx = np.outer(x_eval, kv)
     # each point is summed along its own row, whatever x_eval holds besides
     values = (np.exp(1j * kx) * amplitude).sum(axis=1)
-    sum_error = _EPS * (np.abs(amplitude) * (1.0 + np.abs(kx))).sum(axis=1)
+    sum_error = EPS * (np.abs(amplitude) * (1.0 + np.abs(kx))).sum(axis=1)
     return values, quad_error + sum_error
 
 
 def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
                      window: float | None = None,
-                     x_eval: np.ndarray | None = None,
-                     boundary_tol: float = 1e-3) -> Wavefunction:
+                     x_eval: np.ndarray | None = None) -> Wavefunction:
     """Propagate by direct quadrature against the free-particle kernel.
 
     ψ(x,t) = ∫ dy √(m/2iπt)·e^{im(x−y)²/(2t)}·ψ₀(y) over [x−W, x+W] with a
@@ -179,8 +172,7 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
     spectral_propagate (it never uses e^{−ik²t/2m}); used as a second
     oracle.
     """
-    values, errors = _greens_quadrature(psi0_samples, mass, t, window, x_eval,
-                                        boundary_tol)
+    values, errors = _greens_quadrature(psi0_samples, mass, t, window, x_eval)
     worst = float(np.max(errors / np.maximum(1.0, np.abs(values)), initial=0.0))
     if worst > _GREENS_TARGET:
         raise GreensConvergenceError(
@@ -189,14 +181,14 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
     return Wavefunction(values=prefactor * values, time=t)
 
 
-def bessel_cutoff(mass: float, tol: float = 1e-16) -> int:
-    """Smallest k beyond which |J_k(m)| stays below tol (safe uniform band)."""
+def bessel_cutoff(mass: float) -> int:
+    """Smallest k beyond which |J_k(m)| stays below 1e−16 (safe uniform band)."""
     from scipy.special import jv
 
     k_max = int(np.ceil(mass + 40.0 * mass ** (1.0 / 3.0)))
     k = np.arange(k_max + 1)
     mags = np.abs(jv(k, mass))
-    keep = np.nonzero(mags >= tol)[0]
+    keep = np.nonzero(mags >= 1e-16)[0]
     return int(keep[-1]) if keep.size else 0
 
 
@@ -216,23 +208,23 @@ def single_shock_psi(x: np.ndarray | float, t: float, mass: float) -> np.ndarray
     k = np.arange(1, k_cut + 1)
     weights = (1j ** k) * jv(k, mass) * np.exp(-1j * k ** 2 * t / (2.0 * mass))
     psi = jv(0, mass) * np.ones_like(xa, dtype=np.complex128)
-    psi += 2.0 * (np.cos(np.outer(xa, k)) @ weights)
+    # einsum, not a threaded BLAS product, as in _kernel_integrals
+    psi += 2.0 * np.einsum("xk,k->x", np.cos(np.outer(xa, k)), weights)
     if scalar:
         return complex(psi[0])
     return psi
 
 
-def schrodinger_hydro(psi: Wavefunction, mass: float,
-                      floor: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def schrodinger_hydro(psi: Wavefunction, mass: float) -> tuple[np.ndarray, np.ndarray]:
     """Madelung variables of the wavefunction: n = |ψ|², v = Im(ψ*∂_xψ)/(m|ψ|²).
 
     The velocity is the phase gradient over m computed branch-free; sites
-    with |ψ| at or below the floor are masked to v = 0.
+    with |ψ| at or below 1e−10·max(1, max|ψ|) are masked to v = 0.
     """
     values = psi.values
     n = np.abs(values) ** 2
     dpsi = spectral_derivative(values)
-    valid = np.abs(values) > floor * max(float(np.abs(values).max()), 1.0)
+    valid = np.abs(values) > 1e-10 * max(float(np.abs(values).max()), 1.0)
     safe = np.where(valid, n, 1.0)
     v = np.where(valid, np.imag(np.conj(values) * dpsi) / (mass * safe), 0.0)
     return n, v

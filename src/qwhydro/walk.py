@@ -61,6 +61,12 @@ def build_walk(n_sites: int, mass: float) -> WalkParams:
     return WalkParams(n_sites=n_sites, mass=float(mass))
 
 
+def steps_until(t: float, params: WalkParams) -> int:
+    """Whole steps in time t: the largest j with j·ε ≤ t, where a t that lies
+    a rounding below j·ε, as a j·ε computed in floating point can, reaches j."""
+    return int(np.floor(t / params.dt + 1e-9))
+
+
 @dataclass
 class SpinorField:
     """Two-component walk state (Ψ_L, Ψ_R) at discrete step j."""
@@ -95,10 +101,6 @@ class Trajectory:
         steps = [s.step_index for s in self.snapshots]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("snapshots must be strictly increasing in step_index")
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.params.dt * np.array([s.step_index for s in self.snapshots])
 
 
 def _check_state(state: SpinorField, params: WalkParams):

@@ -430,6 +430,39 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert main(["run", str(failing)]) == 2
 
 
+def test_cli_planewave_t_final_reaches_the_step_dtqw_shock_reaches(tmp_path):
+    # 11·2π/64 rounds to one ulp below 11 steps of 2π/64
+    t_final = 11 * 2 * np.pi / 64
+    assert t_final / (2 * np.pi / 64) < 11
+    common = f"n_sites = 64\nmass = 1\nt_final = {t_final!r}\n"
+    planewave, shock = tmp_path / "pw.cfg", tmp_path / "shock.cfg"
+    planewave.write_text(f"experiment = dtqw_planewave\nq = 0\n{common}"
+                         f"output_dir = {tmp_path / 'pw'}\n")
+    shock.write_text(f"experiment = dtqw_shock\nq_max = 1\nmode = 1,1,0\n{common}"
+                     f"snapshot_times = {t_final!r}\noutput_dir = {tmp_path / 'shock'}\n")
+    assert main(["run", str(planewave)]) == 0
+    assert main(["run", str(shock)]) == 0
+    eleven = 11 * wk.build_walk(64, 1.0).dt
+    rows = (tmp_path / "pw" / "dtqw_planewave_density.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[0]) == eleven
+    manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
+    assert manifest["config"]["n_steps"] == manifest["diagnostics"]["n_steps"] == 11
+    manifest = json.loads((tmp_path / "shock" / "dtqw_shock_manifest.json").read_text())
+    assert manifest["realized_times"] == [eleven]
+
+
+def test_manifest_echoes_the_walk_defaults_that_ran(tmp_path):
+    for experiment, n_sites in (("validation", None), ("dtqw_planewave", 64)):
+        text = f"experiment = {experiment}\nmass = 16\noutput_dir = {tmp_path}\n"
+        if n_sites is not None:
+            text += f"n_sites = {n_sites}\n"
+        (tmp_path / "run.cfg").write_text(text)
+        assert main(["run", str(tmp_path / "run.cfg")]) == 0
+        manifest = json.loads((tmp_path / f"{experiment}_manifest.json").read_text())
+        assert manifest["config"]["n_sites"] == (n_sites or 4096)
+        assert manifest["config"]["n_steps"] == 10000
+
+
 def test_cli_pearcey_map_over_tol_exits_2(tmp_path):
     # at mass 50 the corners of the shipped window are rounding-limited
     # beyond pearcey_tol: the map is still written, and the run fails its gate

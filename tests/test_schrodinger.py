@@ -93,13 +93,29 @@ def test_greens_propagate_rejects_bad_window():
         sch.greens_propagate(psi0, m, -0.5)
 
 
+def test_greens_propagate_names_each_rejected_input():
+    n, m, t = 128, 20.0, 0.5
+    x = 2 * np.pi * np.arange(n) / n
+    psi0 = np.exp(1j * m * np.cos(x))
+    with pytest.raises(ValueError, match="t must be positive"):
+        sch.greens_propagate(psi0, m, 0.0)
+    for window in (0.0, -1.0):
+        with pytest.raises(ValueError, match="fit the smooth taper"):
+            sch.greens_propagate(psi0, m, t, window=window, x_eval=x[:4])
+    # the endpoint bound (2π/(edge rate·taper))³ is 1.2e-3 at window 3.7
+    # and 7.5e-4 at window 3.85, on either side of the 1e-3 threshold
+    with pytest.raises(ValueError, match="boundary contribution not negligible"):
+        sch.greens_propagate(psi0, m, t, window=3.7, x_eval=x[:4])
+    assert sch.greens_propagate(psi0, m, t, window=3.85, x_eval=x[:4]).n_sites == 4
+
+
 @pytest.mark.parametrize("m, t, n", [(20.0, 0.5, 256), (50.0, 0.8, 256), (100.0, 1.0, 512)])
 def test_greens_estimate_bounds_the_error_against_a_4n_panel_rule(monkeypatch, m, t, n):
     psi0, x = _cos_state(n, m)
-    values, errors = sch._greens_quadrature(psi0.values, m, t, None, x, 1e-3)
+    values, errors = sch._greens_quadrature(psi0.values, m, t, None, x)
     counts = sch._panel_counts
     monkeypatch.setattr(sch, "_panel_counts", lambda *a: [2 * p for p in counts(*a)])
-    finer, _ = sch._greens_quadrature(psi0.values, m, t, None, x, 1e-3)
+    finer, _ = sch._greens_quadrature(psi0.values, m, t, None, x)
     assert np.all(np.abs(values - finer) <= errors)
     assert np.max(errors / np.maximum(1.0, np.abs(values))) <= 1e-10
 
