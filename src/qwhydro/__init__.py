@@ -56,9 +56,7 @@ from .asymptotics import (  # noqa: F401
     pearcey_shock_approx,
     saddle_points,
     shock_map,
-    zone1_saddle_approx,
-    zone2_airy_approx,
-    zone3_multi_saddle,
+    shock_zone_value,
 )
 from .nonrel import (  # noqa: F401
     NRFields,

@@ -9,7 +9,7 @@ is, near its first caustic (x, t) = (0, 1), a cusp diffraction pattern:
 with T = (t−1)/(2εt√a), X = −x/(εt a^{1/4}), A = e^{i(1+x²/2t)/ε}/√(2iπtε√a),
 a = m/24 and ε = 1/m.  The stationary-phase structure of
 Φ(u) = u⁴ − Tu² + Xu divides the plane into three zones by the cubic
-discriminant Δ = T³/2 − 27X²/16 of Φ′:
+discriminant Δ = T³/2 − 27X²/16 of Φ′ and the band δ = DELTA_BAND:
 
     zone I   (Δ < −δ): one real saddle, smooth field;
     zone II  (|Δ| ≤ δ): two saddles coalescing on the caustic, Airy regime;
@@ -364,7 +364,7 @@ def pearcey_shock_approx(x: float, t: float, chart: ShockChart,
 
 
 # ---------------------------------------------------------------------------
-# Zones of the saddle structure.
+# Zones of the saddle structure and their approximations.
 # ---------------------------------------------------------------------------
 
 class Zone(enum.IntEnum):
@@ -403,35 +403,30 @@ def caustic_x(T: float) -> float:
     return math.sqrt(8.0 * T ** 3 / 27.0)
 
 
-def classify_zone(T: float, X: float, band: float = DELTA_BAND) -> PearceyPoint:
-    """Assign zone I/II/III from the discriminant with near-caustic band."""
-    if band <= 0:
-        raise ValueError("band must be positive")
+def _zone_number(delta):
+    """Zone 1 for Δ < −DELTA_BAND, 3 for Δ > DELTA_BAND, else 2: the one zone
+    rule, for floats and arrays alike."""
+    return 2 + (delta > DELTA_BAND) - (delta < -DELTA_BAND)
+
+
+_ZONES = {int(zone): zone for zone in Zone}  # Zone(n) would cost a µs per point
+
+
+def classify_zone(T: float, X: float) -> PearceyPoint:
+    """Assign zone I/II/III from the discriminant and the band DELTA_BAND."""
     delta = discriminant(T, X)
-    if delta < -band:
-        zone = Zone.I
-    elif delta > band:
-        zone = Zone.III
-    else:
-        zone = Zone.II
-    return PearceyPoint(T=T, X=X, discriminant=delta, zone=zone)
+    return PearceyPoint(T=T, X=X, discriminant=delta, zone=_ZONES[_zone_number(delta)])
 
 
 def zone_labels(T, X) -> np.ndarray:
-    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X), default band.
+    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X).
 
     np.float_power, like Python's `**`, calls the C library's pow, where
     numpy's `**` may take a vector kernel that rounds differently; the
     discriminant therefore matches the scalar one to the bit.
     """
-    delta = np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0
-    return np.where(delta < -DELTA_BAND, int(Zone.I),
-                    np.where(delta > DELTA_BAND, int(Zone.III), int(Zone.II)))
+    return _zone_number(np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0)
 
-
-# ---------------------------------------------------------------------------
-# Zone approximations.
-# ---------------------------------------------------------------------------
 
 _REAL_TOL = 1e-9
 
@@ -446,44 +441,21 @@ def _sd_term(u: float, T: float, X: float) -> complex:
         1j * (phi_value(u, T, X) + sign * math.pi / 4.0))
 
 
-def _zone_chart(x: float, t: float, chart: ShockChart, zone: Zone,
-                name: str) -> tuple[float, float, complex]:
-    """shock_map at (x, t), checked to lie in `zone` (default band)."""
-    T, X, A = shock_map(x, t, chart)
-    found = classify_zone(T, X).zone
-    if found is not zone:
-        raise ValueError(f"{name} called in zone {found.name}")
-    return T, X, A
-
-
-def zone1_saddle_approx(x: float, t: float, chart: ShockChart) -> complex:
+def _zone1_value(T: float, X: float) -> complex:
     """Single-saddle steepest descent, valid away from the caustic (zone I).
 
-    ψ_I = A·√(−2iπ/Φ″(u_c))·e^{iΦ(u_c)} with the square root taken along
-    the steepest-descent direction, i.e. phase e^{iπ·sign(Φ″)/4}.
+    ∫e^{iΦ} ≈ √(2π/|Φ″(u_c)|)·e^{i(Φ(u_c) + π·sign(Φ″(u_c))/4)}: the root
+    of 2πi/Φ″ taken along the steepest-descent direction.
     """
-    T, X, A = _zone_chart(x, t, chart, Zone.I, "zone1_saddle_approx")
-    return A * _zone1_value(T, X)
-
-
-def _zone1_value(T: float, X: float) -> complex:
     roots = saddle_points(T, X)
     real_roots = [complex(u).real for u in roots if abs(complex(u).imag) < _REAL_TOL]
     if len(real_roots) != 1:
         raise ValueError("zone I requires exactly one real saddle")
-    u_c = real_roots[0]
-    if abs(phi_second(u_c, T)) < 1e-10:
-        raise ValueError("saddle is degenerate (on caustic)")
-    return _sd_term(u_c, T, X)
-
-
-def zone3_multi_saddle(x: float, t: float, chart: ShockChart) -> complex:
-    """Sum of the three interfering steepest-descent waves (zone III)."""
-    T, X, A = _zone_chart(x, t, chart, Zone.III, "zone3_multi_saddle")
-    return A * _zone3_value(T, X)
+    return _sd_term(real_roots[0], T, X)
 
 
 def _zone3_value(T: float, X: float) -> complex:
+    """Sum of the three interfering steepest-descent waves (zone III)."""
     roots = saddle_points(T, X)
     if any(abs(complex(u).imag) > _REAL_TOL for u in roots):
         raise ValueError("zone III requires three real saddles")
@@ -528,12 +500,8 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
 
     if abs(ua.imag) < _REAL_TOL and abs(ub.imag) < _REAL_TOL:
         # real pair: lower-Φ saddle is the local minimum, maps to s = +√ζ
-        if pa.real <= pb.real:
-            u_lo, u_hi = ua.real, ub.real
-            p_lo, p_hi = pa.real, pb.real
-        else:
-            u_lo, u_hi = ub.real, ua.real
-            p_lo, p_hi = pb.real, pa.real
+        (u_lo, p_lo), (u_hi, p_hi) = sorted([(ua.real, pa.real), (ub.real, pb.real)],
+                                            key=lambda saddle: saddle[1])
         phibar = 0.5 * (p_lo + p_hi)
         dphi = max(p_hi - p_lo, 0.0)
         zeta = (0.75 * dphi) ** (2.0 / 3.0)
@@ -585,17 +553,12 @@ def _degenerate_pair_value(u_d: float, phibar: float) -> complex:
         alpha * _AI0 + 2j * alpha ** 5 * _AIP0)
 
 
-def zone2_airy_approx(x: float, t: float, chart: ShockChart) -> complex:
-    """Near-caustic uniform approximation (zone II).
+def _zone2_value(T: float, X: float) -> tuple[complex, bool]:
+    """Near-caustic uniform approximation (zone II) and its low-confidence flag.
 
     Airy reduction of the two coalescing saddles plus, when present and
     separated, the steepest-descent wave of the remaining real saddle.
     """
-    T, X, A = _zone_chart(x, t, chart, Zone.II, "zone2_airy_approx")
-    return A * _zone2_value(T, X)[0]
-
-
-def _zone2_value(T: float, X: float) -> tuple[complex, bool]:
     roots = saddle_points(T, X)
     ua, ub, u_far = _coalescing_pair(roots)
     spread = max(abs(ua - ub), abs(ua - u_far), abs(ub - u_far))
@@ -617,11 +580,10 @@ class ZoneApprox:
     low_confidence: bool
 
 
-def shock_zone_value(x: float, t: float, chart: ShockChart,
-                     band: float = DELTA_BAND) -> ZoneApprox:
-    """Evaluate the approximation of the zone that `band` assigns to (x, t)."""
+def shock_zone_value(x: float, t: float, chart: ShockChart) -> ZoneApprox:
+    """A(x,t) times the approximation of the zone that (x, t) lies in."""
     T, X, A = shock_map(x, t, chart)
-    point = classify_zone(T, X, band)
+    point = classify_zone(T, X)
     low = False
     if point.zone is Zone.I:
         value = _zone1_value(T, X)

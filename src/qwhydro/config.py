@@ -3,8 +3,8 @@
 Format: one `key = value` per line; blank lines and lines starting with
 `#` are ignored.  `mode = amplitude,wavenumber,phase` may repeat, one line
 per cosine mode.  Tolerances are namespaced: `tol.<name> = <float>`.
-Unknown keys, and tolerances the experiment does not gate, are errors (no
-silent typo acceptance).
+Unknown keys, keys the experiment does not read, and tolerances it does
+not gate are errors (no silent typo or misplaced-key acceptance).
 
 `EXPERIMENTS` is the one table of what each experiment reads; parsing
 checks a config against its entry and returns a resolved, frozen
@@ -21,24 +21,42 @@ from .initial import ModeSpec, check_wavenumber
 from .walk import WalkParams, steps_until
 
 
+# The keys each key group owns.  Every experiment reads `experiment`,
+# `mass` and `output_dir`, and the keys of the groups it needs.
+GROUP_KEYS = {
+    "lattice": ("n_sites",),
+    # the plane-wave momentum; a `t_final` sets the default `n_steps` to its
+    # whole steps
+    "wave": ("q", "t_final"),
+    # `t_final` defaults to 1.5/u_max
+    "modes": ("mode", "q_max", "t_final", "snapshot_times"),
+    # a walk of `n_steps` steps, 10⁴ by default, on `n_sites` = 4096 unless set
+    "steps": ("n_sites", "n_steps"),
+    # the (x, t) map grid
+    "window": ("x_min", "x_max", "nx", "t_min", "t_max", "nt"),
+    "quadrature": ("pearcey_tol",),
+}
+
+
 @dataclass(frozen=True)
 class Experiment:
     """What one experiment reads from its config.
 
-    Every experiment requires `mass`.  `needs` names the further key
-    groups it requires: "lattice" (`n_sites`), "wave" (the plane-wave
-    momentum `q`; a `t_final` sets the default `n_steps` to its whole
-    steps), "modes" (`mode` lines and `q_max`; `t_final` defaults to
-    1.5/u_max), "steps" (a walk of `n_steps` steps, 10⁴ by default, on
-    `n_sites` = 4096 unless set) and "window" (the (x, t) map grid).
-    `gates` maps each `tol.<name>` the run enforces to its default limit,
-    None for a gate enforced only when the config sets it.  `schedule`
-    lists the default snapshot times as fractions of `t_final`.
+    `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
+    each `tol.<name>` the run enforces to its default limit, None for a
+    gate enforced only when the config sets it.  `schedule` lists the
+    default snapshot times as fractions of `t_final`.
     """
 
     needs: tuple[str, ...]
     gates: dict[str, float | None]
     schedule: tuple[float, ...] = ()
+
+    @property
+    def keys(self) -> frozenset[str]:
+        """Every key the experiment reads, `tol.<name>` lines aside."""
+        return frozenset({"experiment", "mass", "output_dir"}).union(
+            *(GROUP_KEYS[group] for group in self.needs))
 
 
 _NORM_DRIFT = {"norm_drift": 1e-10}
@@ -49,7 +67,7 @@ EXPERIMENTS = {
     "dtqw_planewave": Experiment(("lattice", "wave", "steps"), _NORM_DRIFT),
     "schrodinger_shock": Experiment(("lattice", "modes"), _NORM_DRIFT,
                                     (1.0 / 3.0, 2.0 / 3.0, 1.0)),
-    "pearcey_map": Experiment(("window",), {}),
+    "pearcey_map": Experiment(("window", "quadrature"), {}),
     "asymptotic_zones": Experiment(("window",), {}),
     "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS),
     "validation": Experiment(("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
@@ -164,6 +182,11 @@ def parse_config(text: str) -> SimConfig:
 
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
+    spec = EXPERIMENTS.get(values["experiment"])  # an unknown one is named below
+    given = values.keys() | ({"mode"} if modes else set())
+    if spec is not None and not given <= spec.keys:
+        raise ConfigError(f"{values['experiment']} does not read "
+                          f"{', '.join(map(repr, sorted(given - spec.keys)))}")
     if "output_dir" in values:
         values["output_dir"] = Path(str(values["output_dir"]))
 
@@ -245,6 +268,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError("'nx' and 'nt' must be at least 2")
         if cfg.t_min <= 0:
             raise ConfigError("'t_min' must be positive")
+    if "quadrature" in spec.needs:
         if not (0.0 < cfg.pearcey_tol <= 1e-3):
             raise ConfigError("'pearcey_tol' must lie in (0, 1e-3]")
 

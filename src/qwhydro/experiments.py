@@ -1,7 +1,7 @@
 """Named experiments: deterministic runs emitting plot-ready CSV data.
 
-Every experiment writes long-format CSV (`t,x,value` or `t,x,re,im`,
-17 significant digits, LF endings, t-major order) plus a JSON manifest
+Every experiment writes long-format CSV (`t,x,value`, 17 significant
+digits, LF endings, t-major order) plus a JSON manifest
 carrying the config echo, conservation diagnostics and the only timestamp
 of the run.  Identical configs produce byte-identical data files.
 
@@ -48,27 +48,22 @@ def _fmt(v: float) -> str:
 
 
 def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
-    """Write the grid in long format, deterministically ordered.
+    """Write the real grid in long format, deterministically ordered.
 
     The t and x strings are formatted once each; every t row is then one
     `%`-format of a `{t},{x},%.17g` template, which prints the same digits
-    as `format(v, ".17g")` did per value.
+    as `format(v, ".17g")` did per value.  Complex values are refused: a
+    cast to float would drop their imaginary parts.
     """
+    if np.iscomplexobj(grid.values):
+        raise ValueError("emit_spacetime_csv writes real values; got complex")
     path = Path(path)
-    complex_data = np.iscomplexobj(grid.values)
-    if complex_data:
-        header, cell = "t,x,re,im", "%.17g,%.17g\n"
-        values = np.asarray(grid.values, dtype=np.complex128)
-        rows = np.stack((values.real, values.imag), axis=-1).reshape(
-            len(grid.t), 2 * len(grid.x))
-    else:
-        header, cell = "t,x,value", "%.17g\n"
-        rows = np.asarray(grid.values, dtype=np.float64)
+    rows = np.asarray(grid.values, dtype=np.float64)
     # a row is t_str + t_str.join(sites): "{t},{x},%.17g\n" for every x
-    sites = [f",{_fmt(x)},{cell}" for x in grid.x]
+    sites = [f",{_fmt(x)},%.17g\n" for x in grid.x]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+        fh.write("t,x,value\n")
         for t, row in zip(grid.t, rows):
             if sites:
                 t_str = _fmt(t)

@@ -197,15 +197,16 @@ CAUSTIC_T = (1.5, 2.0, 3.0, 4.0, 6.0)
 def test_criterion_09_asymptotic_zones():
     chart = asy.ShockChart.from_mass(20.0)
 
-    def err(fn, T, X, tol=1e-8):
+    def err(zone, T, X, tol=1e-8):
         x, t = asy.chart_point(T, X, chart)
-        approx = fn(x, t, chart)
+        approx = asy.shock_zone_value(x, t, chart)
+        assert approx.point.zone is zone
         exact = asy.pearcey_shock_approx(x, t, chart, tol=tol)
-        return abs(approx - exact) / abs(exact)
+        return abs(approx.value - exact) / abs(exact)
 
-    worst1 = max(err(asy.zone1_saddle_approx, T, X) for T, X in DEEP_ZONE_I)
-    worst3 = max(err(asy.zone3_multi_saddle, T, X) for T, X in DEEP_ZONE_III)
-    worst2 = max(err(asy.zone2_airy_approx, T, s * asy.caustic_x(T), tol=1e-6)
+    worst1 = max(err(asy.Zone.I, T, X) for T, X in DEEP_ZONE_I)
+    worst3 = max(err(asy.Zone.III, T, X) for T, X in DEEP_ZONE_III)
+    worst2 = max(err(asy.Zone.II, T, s * asy.caustic_x(T), tol=1e-6)
                  for T in CAUSTIC_T for s in (+1.0, -1.0))
     ok = worst1 < 0.01 and worst3 < 0.05 and worst2 < 0.15
     _report(9, "asymptotic zones", ok,

@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,6 +11,9 @@ from scipy.special import gamma
 
 from qwhydro import asymptotics as asy
 from qwhydro import schrodinger as sch
+from qwhydro.config import parse_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PEARCEY_00 = (gamma(0.25) / 2.0) * cmath.exp(1j * math.pi / 8.0)
 
@@ -295,14 +299,12 @@ def test_chart_point_inverts_shock_map():
 
 def test_classify_zone_reference_points():
     assert asy.classify_zone(0.0, 0.0).zone is asy.Zone.II
-    assert asy.classify_zone(-5.0, 0.0, band=20.0).zone is asy.Zone.I
-    assert asy.classify_zone(5.0, 0.0, band=20.0).zone is asy.Zone.III
-    with pytest.raises(ValueError):
-        asy.classify_zone(0.0, 0.0, band=-1.0)
+    assert asy.classify_zone(-5.0, 0.0).zone is asy.Zone.I
+    assert asy.classify_zone(5.0, 0.0).zone is asy.Zone.III
 
 
 def test_classify_zone_single_saddle_on_negative_axis():
-    point = asy.classify_zone(-5.0, 0.0, band=20.0)
+    point = asy.classify_zone(-5.0, 0.0)
     roots = asy.saddle_points(point.T, point.X)
     assert sum(abs(r.imag) < 1e-9 for r in roots) == 1
 
@@ -313,6 +315,49 @@ def test_discriminant_matches_caustic_curve():
         assert abs(asy.discriminant(T, X)) < 1e-12
 
 
+def _assert_labels_match_classify_zone(T, X):
+    T, X = np.broadcast_arrays(T, X)
+    labels = asy.zone_labels(T, X)
+    assert labels.shape == T.shape
+    for t_val, x_val, label in zip(T.ravel(), X.ravel(), labels.ravel()):
+        assert label == asy.classify_zone(float(t_val), float(x_val)).zone
+    return labels
+
+
+def test_zone_labels_match_classify_zone_on_the_zones_map_window():
+    cfg = parse_config((CONFIGS / "zones_map.cfg").read_text())
+    xs = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
+    ts = np.linspace(cfg.t_min, cfg.t_max, cfg.nt)
+    T, X = asy.shock_coords(xs[None, :], ts[:, None], asy.ShockChart.from_mass(cfg.mass))
+    labels = _assert_labels_match_classify_zone(T, X)
+    assert labels.shape == (61, 81)
+    assert set(np.unique(labels)) == {1, 2, 3}
+
+
+def _ulps_around(value, n=8):
+    """`value` and its n nearest floats on each side, in increasing order."""
+    below, above = [value], [value]
+    for _ in range(n):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    return below[::-1] + above[1:]
+
+
+def test_zone_labels_match_classify_zone_at_the_band_edges():
+    # the floats nearest Δ = ±DELTA_BAND on either side, approached along X
+    # at fixed T and along T on the axis X = 0
+    for edge, zones in ((-asy.DELTA_BAND, {1, 2}), (asy.DELTA_BAND, {2, 3})):
+        points = [(T, X) for T in (-3.0, 0.0, 1.5, 4.0, 6.0)
+                  if T ** 3 / 2.0 - edge > 0
+                  for X in _ulps_around(math.sqrt((T ** 3 / 2.0 - edge) * 16.0 / 27.0))]
+        t_edge = math.copysign(abs(2.0 * edge) ** (1.0 / 3.0), edge)
+        points += [(T, 0.0) for T in _ulps_around(t_edge)]
+        deltas = [asy.discriminant(T, X) for T, X in points]
+        assert min(deltas) < edge < max(deltas)
+        T, X = np.array(points).T
+        assert set(_assert_labels_match_classify_zone(T, X)) == zones
+
+
 DEEP_ZONE_I = [(-14.0, x) for x in (-10.0, -5.0, 0.0, 5.0, 10.0)] + \
               [(-10.0, x) for x in (-10.0, -5.0, 0.0, 5.0, 10.0)]
 
@@ -321,59 +366,34 @@ DEEP_ZONE_III = [(4.5, 1.82), (4.5, -1.82), (5.0, 1.49), (5.0, -1.49),
                  (8.0, 3.0), (8.0, -3.0)]
 
 
+def _zone_value(T, X, chart, zone):
+    """shock_zone_value at the (x, t) charted to (T, X), checked to lie in `zone`."""
+    x, t = asy.chart_point(T, X, chart)
+    out = asy.shock_zone_value(x, t, chart)
+    assert out.point.zone is zone
+    return x, t, out.value
+
+
 def test_zone1_deep_accuracy():
     chart = asy.ShockChart.from_mass(20.0)
     for T, X in DEEP_ZONE_I:
-        x, t = asy.chart_point(T, X, chart)
-        approx = asy.zone1_saddle_approx(x, t, chart)
+        x, t, approx = _zone_value(T, X, chart, asy.Zone.I)
         exact = asy.pearcey_shock_approx(x, t, chart, tol=1e-8)
         assert rel(approx, exact) < 0.01
 
 
-def test_zone1_refuses_other_zones():
-    chart = asy.ShockChart.from_mass(20.0)
-    x, t = asy.chart_point(6.0, 0.0, chart)  # deep zone III point
-    with pytest.raises(ValueError):
-        asy.zone1_saddle_approx(x, t, chart)
-
-
-def test_shock_zone_value_with_a_narrow_band_evaluates_the_zone_it_assigns():
-    # Δ = −17.8: zone I for band 5, zone II for the default band 20.  The
-    # point used to be reclassified with the default band and refused.
-    chart = asy.ShockChart.from_mass(20.0)
-    result = asy.shock_zone_value(-0.05, 0.78, chart, band=5.0)
-    assert result.point.zone is asy.Zone.I
-    assert result.point.discriminant == pytest.approx(-17.786, abs=1e-3)
-    T, X, A = asy.shock_map(-0.05, 0.78, chart)
-    assert result.value == A * asy._zone1_value(T, X)
-    exact = asy.pearcey_shock_approx(-0.05, 0.78, chart, tol=1e-8)
-    assert rel(result.value, exact) < 0.1
-    with pytest.raises(ValueError, match="zone II"):
-        asy.zone1_saddle_approx(-0.05, 0.78, chart)
-
-
-def test_shock_zone_value_equals_the_zone_functions():
-    chart = asy.ShockChart.from_mass(20.0)
-    for (T, X), approx in [((-12.0, 6.0), asy.zone1_saddle_approx),
-                           ((6.0, 2.0), asy.zone3_multi_saddle),
-                           ((2.0, 0.5), asy.zone2_airy_approx)]:
-        x, t = asy.chart_point(T, X, chart)
-        assert asy.shock_zone_value(x, t, chart).value == approx(x, t, chart)
-
-
 def test_zone1_magnitude_even_in_x():
     chart = asy.ShockChart.from_mass(20.0)
-    x, t = asy.chart_point(-12.0, 6.0, chart)
-    a = asy.zone1_saddle_approx(x, t, chart)
-    b = asy.zone1_saddle_approx(-x, t, chart)
-    assert abs(a) == pytest.approx(abs(b), rel=1e-10)
+    x, t, a = _zone_value(-12.0, 6.0, chart, asy.Zone.I)
+    b = asy.shock_zone_value(-x, t, chart)
+    assert b.point.zone is asy.Zone.I
+    assert abs(a) == pytest.approx(abs(b.value), rel=1e-10)
 
 
 def test_zone3_deep_accuracy():
     chart = asy.ShockChart.from_mass(20.0)
     for T, X in DEEP_ZONE_III:
-        x, t = asy.chart_point(T, X, chart)
-        approx = asy.zone3_multi_saddle(x, t, chart)
+        x, t, approx = _zone_value(T, X, chart, asy.Zone.III)
         exact = asy.pearcey_shock_approx(x, t, chart, tol=1e-8)
         assert rel(approx, exact) < 0.05
 
@@ -387,7 +407,9 @@ def test_zone3_interference_fringes():
     for x in xs:
         T, X, _ = asy.shock_map(float(x), t, chart)
         if asy.classify_zone(T, X).zone is asy.Zone.III:
-            dens.append(abs(asy.zone3_multi_saddle(float(x), t, chart)) ** 2)
+            out = asy.shock_zone_value(float(x), t, chart)
+            assert out.point.zone is asy.Zone.III
+            dens.append(abs(out.value) ** 2)
     dens = np.array(dens)
     interior_maxima = np.sum((dens[1:-1] > dens[:-2]) & (dens[1:-1] > dens[2:]))
     assert interior_maxima >= 3
@@ -406,8 +428,7 @@ def test_zone2_on_caustic_accuracy():
     for T in (1.5, 2.0, 3.0, 4.0, 6.0):
         for sign in (+1.0, -1.0):
             X = sign * asy.caustic_x(T)
-            x, t = asy.chart_point(T, X, chart)
-            approx = asy.zone2_airy_approx(x, t, chart)
+            x, t, approx = _zone_value(T, X, chart, asy.Zone.II)
             exact = asy.pearcey_shock_approx(x, t, chart, tol=1e-6)
             assert rel(approx, exact) < 0.15
 

@@ -132,8 +132,26 @@ def test_q_accepted_on_the_plane_wave_rule():
     planewave = "experiment = dtqw_planewave\nn_sites = 64\nmass = 16\n"
     for q in ("-32", "32", "3.0000000001", "0"):
         assert parse_config(f"{planewave}q = {q}\n").q == float(q)
-    # q is read by the plane-wave experiment only
-    assert parse_config(FIG_STYLE + "q = 0.5\n").q == 0.5
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("experiment = validation\nmass = 16\nt_final = 1\n", "'t_final'"),
+    ("experiment = pearcey_map\nmass = 20\nt_final = 3\nn_sites = 64\n",
+     "'n_sites', 't_final'"),
+    (FIG_STYLE + "nx = 41\n", "'nx'"),
+    (FIG_STYLE + "q = 0\n", "'q'"),
+    (FIG_STYLE + "n_steps = 100\n", "'n_steps'"),
+    ("experiment = asymptotic_zones\nmass = 20\nq = 1\n", "'q'"),
+    ("experiment = asymptotic_zones\nmass = 20\npearcey_tol = 1e-6\n", "'pearcey_tol'"),
+    ("experiment = pearcey_map\nmass = 20\nmode = 1,1,0\n", "'mode'"),
+    ("experiment = dtqw_planewave\nn_sites = 64\nmass = 16\nsnapshot_times = 0\n",
+     "'snapshot_times'"),
+], ids=["validation_t_final", "pearcey_map_walk_keys", "shock_nx", "shock_q",
+        "shock_n_steps", "zones_q", "zones_pearcey_tol", "map_mode", "planewave_snapshots"])
+def test_keys_the_experiment_does_not_read_rejected_by_name(text, keys):
+    # rejected whatever the value, the default included (q = 0, nx = 41)
+    with pytest.raises(ConfigError, match=f"does not read {keys}$"):
+        parse_config(text)
 
 
 def test_tolerance_not_gated_by_the_experiment_rejected():
@@ -241,24 +259,25 @@ _TOL_NAMES = sorted({name for spec in EXPERIMENTS.values() for name in spec.gate
 
 @st.composite
 def _structured_configs(draw):
-    """Configs of a valid experiment over the known keys, with extreme values.
+    """Configs of a valid experiment over its own keys, with extreme values.
 
-    The keys an experiment requires are always present, so most examples
-    reach the checks behind them.
+    The keys an experiment requires are always present and every optional
+    key is one it reads, so most examples reach the checks behind them.
     """
     experiment = draw(st.sampled_from(list(EXPERIMENTS)))
-    needs = EXPERIMENTS[experiment].needs
-    required = {"mass"} | ({"n_sites"} if "lattice" in needs else set()) \
-        | ({"q_max"} if "modes" in needs else set())
-    optional = draw(st.lists(st.sampled_from(sorted(_SCALARS)), unique=True, max_size=4))
+    spec = EXPERIMENTS[experiment]
+    required = {"mass"} | ({"n_sites"} if "lattice" in spec.needs else set()) \
+        | ({"q_max"} if "modes" in spec.needs else set())
+    own = sorted(spec.keys & _SCALARS.keys())
+    optional = draw(st.lists(st.sampled_from(own), unique=True, max_size=4))
     lines = [f"experiment = {experiment}"]
     for key in sorted(required | set(optional)):
         lines.append(f"{key} = {draw(_SCALARS[key])!r}")
-    for _ in range(draw(st.integers(1 if "modes" in needs else 0, 3))):
+    for _ in range(draw(st.integers(1, 3)) if "mode" in spec.keys else 0):
         amplitude, phase = draw(_FINITE_FLOATS), draw(_FINITE_FLOATS)
         lines.append(f"mode = {amplitude!r},{draw(_EXTREME_INTS)},{phase!r}")
     times = draw(st.lists(_FINITE_FLOATS, unique=True, max_size=5).map(sorted))
-    if times:
+    if times and "snapshot_times" in spec.keys:
         lines.append("snapshot_times = " + ", ".join(map(repr, times)))
     for name in draw(st.lists(st.sampled_from(_TOL_NAMES), unique=True, max_size=3)):
         lines.append(f"tol.{name} = {draw(_FINITE_FLOATS)!r}")
