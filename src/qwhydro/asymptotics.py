@@ -42,10 +42,6 @@ from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI
 # Airy function (scipy.special.airy).
 # ---------------------------------------------------------------------------
 
-_AI0 = 0.3550280538878172392600632  # Ai(0)  = 3^(-2/3)/Γ(2/3)
-_AIP0 = -0.2588194037928067984051836  # Ai'(0) = -3^(-1/3)/Γ(1/3)
-
-
 def _airy_pair(z, name: str = "airy"):
     """(Ai(z), Ai′(z)) for real z, floats or arrays."""
     if not np.all(np.isfinite(z)):
@@ -441,42 +437,34 @@ def _sd_term(u: float, T: float, X: float) -> complex:
         1j * (phi_value(u, T, X) + sign * math.pi / 4.0))
 
 
-def _zone1_value(T: float, X: float) -> complex:
-    """Single-saddle steepest descent, valid away from the caustic (zone I).
+def _sd_sum(T: float, X: float, count: int) -> complex:
+    """Steepest-descent sum over the `count` real saddles, away from the caustic.
 
-    ∫e^{iΦ} ≈ √(2π/|Φ″(u_c)|)·e^{i(Φ(u_c) + π·sign(Φ″(u_c))/4)}: the root
-    of 2πi/Φ″ taken along the steepest-descent direction.
+    ∫e^{iΦ} ≈ Σ √(2π/|Φ″(u)|)·e^{i(Φ(u) + π·sign(Φ″(u))/4)}, the root of
+    2πi/Φ″ taken along each steepest-descent direction: one smooth wave in
+    zone I, three interfering waves in zone III.
     """
-    roots = saddle_points(T, X)
-    real_roots = [complex(u).real for u in roots if abs(complex(u).imag) < _REAL_TOL]
-    if len(real_roots) != 1:
-        raise ValueError("zone I requires exactly one real saddle")
-    return _sd_term(real_roots[0], T, X)
-
-
-def _zone3_value(T: float, X: float) -> complex:
-    """Sum of the three interfering steepest-descent waves (zone III)."""
-    roots = saddle_points(T, X)
-    if any(abs(complex(u).imag) > _REAL_TOL for u in roots):
-        raise ValueError("zone III requires three real saddles")
-    return sum(_sd_term(complex(u).real, T, X) for u in roots)
+    real = [complex(u).real for u in saddle_points(T, X) if abs(complex(u).imag) < _REAL_TOL]
+    if len(real) != count:
+        raise ValueError(f"expected {count} real saddle(s), found {len(real)}")
+    return sum(_sd_term(u, T, X) for u in real)
 
 
 def _coalescing_pair(roots: np.ndarray) -> tuple[complex, complex, complex]:
     """Split the three saddles into the coalescing pair and the bystander.
 
     Off the caustic the pair that merges is the complex-conjugate pair;
-    inside (all real) it is the two closest real saddles.
+    inside (all real, sorted) it is the closer of the two neighbouring pairs.
     """
     is_complex = np.abs(roots.imag) >= _REAL_TOL
     if is_complex.any():
         pair = roots[is_complex]
         far = roots[~is_complex]
         return complex(pair[0]), complex(pair[1]), complex(far[0])
-    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    dists = [abs(roots[i] - roots[j]) for i, j, _ in pairs]
-    i, j, k = pairs[int(np.argmin(dists))]
-    return complex(roots[i]), complex(roots[j]), complex(roots[k])
+    r0, r1, r2 = roots
+    if abs(r1 - r0) <= abs(r2 - r1):
+        return complex(r0), complex(r1), complex(r2)
+    return complex(r1), complex(r2), complex(r0)
 
 
 _PAIR_SEP_TOL = 1e-4  # below this the CFU amplitudes are noise-dominated
@@ -490,8 +478,10 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
     the linear map amplitude (p + q·s) matches the Hessians, giving
         ∫ e^{iΦ} ≈ 2π e^{iΦ̄} (p·Ai(−ζ) − i·q·Ai′(−ζ)).
     Real pair: ζ > 0 (fringes); complex-conjugate pair: ζ < 0 (shadow side).
-    Pairs closer than _PAIR_SEP_TOL go through the coalesced-fold limit,
-    where the CFU amplitudes lose all significant digits.
+    The branches only pick ζ and the saddles u₊, u₋ that map to s = ±√ζ;
+    g± = √(±2√ζ/Φ″(u±)) take Re g₊ ≥ 0 and g₋ nearer conj(g₊), so both
+    are positive on a real pair.  Pairs closer than _PAIR_SEP_TOL take the
+    coalesced-fold limit, where the CFU amplitudes lose all significant digits.
     """
     pa = complex(phi_value(ua, T, X))
     pb = complex(phi_value(ub, T, X))
@@ -499,39 +489,28 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
         return _degenerate_pair_value(0.5 * (ua + ub).real, 0.5 * (pa + pb).real)
 
     if abs(ua.imag) < _REAL_TOL and abs(ub.imag) < _REAL_TOL:
-        # real pair: lower-Φ saddle is the local minimum, maps to s = +√ζ
-        (u_lo, p_lo), (u_hi, p_hi) = sorted([(ua.real, pa.real), (ub.real, pb.real)],
-                                            key=lambda saddle: saddle[1])
-        phibar = 0.5 * (p_lo + p_hi)
-        dphi = max(p_hi - p_lo, 0.0)
-        zeta = (0.75 * dphi) ** (2.0 / 3.0)
-        sq = math.sqrt(zeta)
-        ddlo = phi_second(u_lo, T)
-        ddhi = phi_second(u_hi, T)
-        if ddlo <= 0.0 or ddhi >= 0.0:
-            return _degenerate_pair_value(0.5 * (u_lo + u_hi), phibar)
-        g_lo = math.sqrt(2.0 * sq / ddlo)
-        g_hi = math.sqrt(-2.0 * sq / ddhi)
-        p_amp = 0.5 * (g_lo + g_hi)
-        q_amp = (g_lo - g_hi) / (2.0 * sq)
-        ai, aip = _airy_pair(-zeta)
-        return TWO_PI * cmath.exp(1j * phibar) * (p_amp * ai - 1j * q_amp * aip)
-
-    # complex-conjugate pair: the accessible saddle has Im Φ > 0
-    u_acc, p_acc = (ua, pa) if pa.imag >= 0 else (ub, pb)
-    u_rej, p_rej = (ub, pb) if pa.imag >= 0 else (ua, pa)
-    phibar = 0.5 * (p_acc + p_rej).real
-    q_gap = abs(p_acc.imag)
-    zeta = -((0.75 * 2.0 * q_gap) ** (2.0 / 3.0))
-    sqrt_zeta = 1j * math.sqrt(-zeta)
-    g_acc = cmath.sqrt(2.0 * sqrt_zeta / phi_second(u_acc, T))
-    if g_acc.real < 0:
-        g_acc = -g_acc
-    g_rej = cmath.sqrt(-2.0 * sqrt_zeta / phi_second(u_rej, T))
-    if abs(g_rej - g_acc.conjugate()) > abs(g_rej + g_acc.conjugate()):
-        g_rej = -g_rej
-    p_amp = 0.5 * (g_acc + g_rej)
-    q_amp = (g_acc - g_rej) / (2.0 * sqrt_zeta)
+        # real pair: the lower-Φ saddle is the local minimum
+        (u_plus, p_plus), (u_minus, p_minus) = sorted(
+            [(ua.real, pa.real), (ub.real, pb.real)], key=lambda saddle: saddle[1])
+        phibar = 0.5 * (p_plus + p_minus)
+        zeta = (0.75 * max(p_minus - p_plus, 0.0)) ** (2.0 / 3.0)
+        if phi_second(u_plus, T) <= 0.0 or phi_second(u_minus, T) >= 0.0:
+            return _degenerate_pair_value(0.5 * (u_plus + u_minus), phibar)
+    else:
+        # complex-conjugate pair: the accessible saddle has Im Φ ≥ 0
+        (u_plus, p_plus), (u_minus, p_minus) = (
+            ((ua, pa), (ub, pb)) if pa.imag >= 0 else ((ub, pb), (ua, pa)))
+        phibar = 0.5 * (p_plus + p_minus).real
+        zeta = -((1.5 * abs(p_plus.imag)) ** (2.0 / 3.0))
+    sqrt_zeta = cmath.sqrt(zeta)
+    g_plus = cmath.sqrt(2.0 * sqrt_zeta / phi_second(u_plus, T))
+    if g_plus.real < 0:
+        g_plus = -g_plus
+    g_minus = cmath.sqrt(-2.0 * sqrt_zeta / phi_second(u_minus, T))
+    if abs(g_minus - g_plus.conjugate()) > abs(g_minus + g_plus.conjugate()):
+        g_minus = -g_minus
+    p_amp = 0.5 * (g_plus + g_minus)
+    q_amp = (g_plus - g_minus) / (2.0 * sqrt_zeta)
     ai, aip = _airy_pair(-zeta)
     return TWO_PI * cmath.exp(1j * phibar) * (p_amp * ai - 1j * q_amp * aip)
 
@@ -549,8 +528,8 @@ def _degenerate_pair_value(u_d: float, phibar: float) -> complex:
         # degenerates into the full quartic integral; return its apex value.
         return cmath.exp(1j * phibar) * _CUSP_CORE
     alpha = (2.0 / third) ** (1.0 / 3.0)
-    return TWO_PI * cmath.exp(1j * phibar) * (
-        alpha * _AI0 + 2j * alpha ** 5 * _AIP0)
+    ai0, aip0 = map(float, _airy_pair(0.0))
+    return TWO_PI * cmath.exp(1j * phibar) * (alpha * ai0 + 2j * alpha ** 5 * aip0)
 
 
 def _zone2_value(T: float, X: float) -> tuple[complex, bool]:
@@ -584,11 +563,8 @@ def shock_zone_value(x: float, t: float, chart: ShockChart) -> ZoneApprox:
     """A(x,t) times the approximation of the zone that (x, t) lies in."""
     T, X, A = shock_map(x, t, chart)
     point = classify_zone(T, X)
-    low = False
-    if point.zone is Zone.I:
-        value = _zone1_value(T, X)
-    elif point.zone is Zone.III:
-        value = _zone3_value(T, X)
-    else:
+    if point.zone is Zone.II:
         value, low = _zone2_value(T, X)
+    else:  # zone I has one real saddle, zone III three
+        value, low = _sd_sum(T, X, int(point.zone)), False
     return ZoneApprox(value=A * value, point=point, low_confidence=low)

@@ -367,12 +367,15 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     finite = _strict_json(done.diagnostics)[1]
     ok = bool(done.held) and finite and all(v["margin"] >= 0 for v in verdicts.values())
 
+    # the resolved values of the keys the experiment reads (`mode` lines are `modes`)
+    echoed = {"tolerances"} | {"modes" if key == "mode" else key
+                               for key in EXPERIMENTS[cfg.experiment].keys}
     doc = {
         "experiment": cfg.experiment,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": {key: str(value) if isinstance(value, Path) else value
-                   for key, value in asdict(cfg).items()},
+                   for key, value in asdict(cfg).items() if key in echoed},
         "diagnostics": done.diagnostics,
         "tolerance_verdicts": verdicts,
         "ok": ok,

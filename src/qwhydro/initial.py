@@ -118,6 +118,14 @@ def plane_wave(params: WalkParams, q: float, t: float = 0.0) -> SpinorField:
     return SpinorField(left=amp_l * phase, right=amp_r * phase)
 
 
+def _lattice_phase(params: WalkParams, spec: ShockInitSpec) -> np.ndarray:
+    """φ(x) on the lattice, for a spec of the lattice's mass whose modes it resolves."""
+    if not np.isclose(spec.mass, params.mass, rtol=1e-12):
+        raise ValueError("spec.mass must match params.mass")
+    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
+    return phase_profile(spec, params.x)
+
+
 def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorField:
     """Unit-density WKB state with velocity field u¹(x) = ∂_xφ(x).
 
@@ -126,11 +134,7 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
     (|q/m| ≥ 1) are legal: u¹ is the proper velocity m·γv, so any finite
     value stays subluminal.
     """
-    if not np.isclose(spec.mass, params.mass, rtol=1e-12):
-        raise ValueError("spec.mass must match params.mass")
-    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
-    x = params.x
-    phi = phase_profile(spec, x)
+    phi = _lattice_phase(params, spec)
     q_tilde = spectral_derivative(phi)
     if not np.all(np.isfinite(q_tilde)):
         raise ValueError("velocity field is not finite")
@@ -141,6 +145,5 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
 
 def schrodinger_initial(params: WalkParams, spec: ShockInitSpec) -> Wavefunction:
     """Unit-modulus wavefunction e^{imφ(x)} matching the walk's initial phase."""
-    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
-    phi = phase_profile(spec, params.x)
+    phi = _lattice_phase(params, spec)
     return Wavefunction(values=np.exp(1j * params.mass * phi), time=0.0)

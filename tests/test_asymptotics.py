@@ -433,6 +433,26 @@ def test_zone2_on_caustic_accuracy():
             assert rel(approx, exact) < 0.15
 
 
+@pytest.mark.parametrize("T", (4.0, 6.0, 8.0))
+def test_zone2_off_caustic_accuracy_on_both_sides_of_the_fold(T, monkeypatch):
+    # Δ > 0: a real coalescing pair (fringe side); Δ < 0: the complex pair
+    # (shadow side).  Neither may fall back to the coalesced-fold limit.
+    def no_fold_limit(*args):
+        raise AssertionError("took the coalesced-fold limit")
+
+    monkeypatch.setattr(asy, "_degenerate_pair_value", no_fold_limit)
+    chart = asy.ShockChart.from_mass(20.0)
+    for delta in (-15.0, -10.0, -5.0, 5.0, 10.0, 15.0):
+        for sign in (+1.0, -1.0):
+            X = sign * math.sqrt((T ** 3 / 2.0 - delta) * 16.0 / 27.0)
+            x, t = asy.chart_point(T, X, chart)
+            out = asy.shock_zone_value(x, t, chart)
+            assert out.point.zone is asy.Zone.II and not out.low_confidence
+            assert out.point.discriminant == pytest.approx(delta, abs=1e-9)
+            exact = asy.pearcey_shock_approx(x, t, chart, tol=1e-6)
+            assert rel(out.value, exact) < 0.05
+
+
 def test_zone2_converges_to_zone1_outward():
     # moving away from the caustic on the smooth side, the uniform value
     # approaches the single-saddle value

@@ -294,6 +294,17 @@ def test_validation_manifest_and_gate(tmp_path):
     assert man["diagnostics"]["norm_drift"] <= 1e-12
 
 
+def test_manifest_echoes_only_the_keys_the_experiment_reads(tmp_path):
+    _run_cfg(tmp_path / "v", VALIDATION)
+    config = json.loads((tmp_path / "v" / "validation_manifest.json").read_text())["config"]
+    assert set(config) == {"experiment", "mass", "n_sites", "n_steps", "output_dir",
+                           "tolerances"}
+    _run_cfg(tmp_path / "p", PEARCEY)
+    config = json.loads((tmp_path / "p" / "pearcey_map_manifest.json").read_text())["config"]
+    walk_keys = {"n_sites", "n_steps", "q", "q_max", "modes", "t_final", "snapshot_times"}
+    assert not walk_keys & set(config)
+
+
 def test_validation_fails_on_unreachable_tolerance(tmp_path):
     text = VALIDATION + "tol.norm_drift = 1e-30\n"
     result = _run_cfg(tmp_path / "vf", text)

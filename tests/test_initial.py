@@ -118,6 +118,16 @@ def test_phase_modulated_rejects_unresolvable_mode():
         ini.phase_modulated_state(p, spec)
 
 
+def test_shock_states_reject_a_spec_of_another_mass():
+    # the lattice phase m·φ needs φ = (q_max/m)·Σ aᵢcos(kᵢx + δᵢ) of the same m
+    p = wk.build_walk(64, 4.0)
+    spec = ini.single_cosine(q_max=4.0, mass=8.0)
+    with pytest.raises(ValueError, match="spec.mass"):
+        ini.phase_modulated_state(p, spec)
+    with pytest.raises(ValueError, match="spec.mass"):
+        ini.schrodinger_initial(p, spec)
+
+
 def test_exact_and_spectral_phase_derivative_agree():
     p = wk.build_walk(256, 16.0)
     spec = ini.multimode_benchmark(q_max=3.2, mass=16.0)
