@@ -18,12 +18,10 @@ discriminant Δ = T³/2 − 27X²/16 of Φ′ and the band δ = DELTA_BAND:
 I_P itself is evaluated on the rotated contour y = e^{iπ/8}s, which turns
 the quartic oscillation into e^{−s⁴} decay and leaves an absolutely
 convergent integral on a finite interval (DLMF §36.15; Connor & Curtis,
-J. Phys. A 15 (1982) 1179).  Two routes integrate it: `pearcey`, one point
-at a time by QUADPACK's adaptive quadrature, and `pearcey_array`, many
-points at once by fixed composite Gauss–Legendre rules with a per-point
-error estimate from doubling the panel count plus a rounding bound.
-`pearcey_direct` integrates on the real axis instead, as a check on the
-rotation.
+J. Phys. A 15 (1982) 1179).  One rule integrates it: `pearcey_array`, by
+composite Gauss–Legendre with a doubling-plus-rounding error estimate per
+point; `pearcey` is one point of it.  `pearcey_direct` integrates on the
+real axis instead, as an independent check on the rotation.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +43,7 @@ def _airy_pair(z, name: str = "airy"):
     """(Ai(z), Ai′(z)) for real z, floats or arrays."""
     if not np.all(np.isfinite(z)):
         raise ValueError(f"{name} requires finite argument")
-    # scipy loads here, not with the package, as in `pearcey`
+    # scipy loads here, on first use, not with the package
     from scipy.special import airy as airy_ai_bi
 
     ai, aip, _, _ = airy_ai_bi(z)
@@ -137,7 +134,6 @@ class PearceyConvergenceError(RuntimeError):
 
 
 _ROT = cmath.exp(1j * math.pi / 8.0)
-_ROT2 = _ROT * _ROT
 
 
 def _pearcey_truncation(T: float, X: float) -> float:
@@ -147,41 +143,6 @@ def _pearcey_truncation(T: float, X: float) -> float:
     while length ** 4 - abs(T) * length ** 2 - abs(X) * length < 50.0:
         length += 0.5
     return length
-
-
-def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
-    """I_P(T,X) = ∫ dy e^{i(Xy + Ty² + y⁴)} to absolute accuracy ≤ tol.
-
-    Contour rotation y = e^{iπ/8}s turns the quartic term into e^{−s⁴};
-    the remaining factors stay bounded on the rotated line, and the
-    adaptive quadrature integrates the absolutely convergent result.
-    """
-    if not (math.isfinite(T) and math.isfinite(X)):
-        raise ValueError("pearcey requires finite arguments")
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
-    # scipy loads here, not with the package: importing it costs most of
-    # the start-up time of a run that never calls QUADPACK.
-    from scipy import integrate
-
-    a_lin = 1j * X * _ROT
-    a_quad = 1j * T * _ROT2
-
-    def value(s: float) -> complex:
-        return _ROT * cmath.exp(a_lin * s + a_quad * s * s - s ** 4)
-
-    length = _pearcey_truncation(T, X)
-    with warnings.catch_warnings():
-        # QUADPACK's roundoff warning duplicates the estimate we check below.
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        re, err_re = integrate.quad(lambda s: value(s).real, -length, length,
-                                    epsabs=tol / 4, epsrel=1e-12, limit=400)
-        im, err_im = integrate.quad(lambda s: value(s).imag, -length, length,
-                                    epsabs=tol / 4, epsrel=1e-12, limit=400)
-    if err_re + err_im > tol:
-        raise PearceyConvergenceError(
-            f"pearcey quadrature error {err_re + err_im:.2e} exceeds tol {tol:.2e}")
-    return complex(re, im)
 
 
 # Units of the bound |X|L + |T|L² + L⁴ on the exponent's swing over the
@@ -229,15 +190,15 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
 def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     """I_P(T, X) for arrays of points, with a per-point error estimate.
 
-    Same rotated contour and truncation length L as `pearcey`, integrated
-    by composite 16-node Gauss–Legendre.  Each point gets n panels from its
-    own bound |X|L + |T|L² + L⁴; the value is the 2n-panel rule Q(2n) and
-    the estimate is |Q(2n) − Q(n)| plus the rounding bound of Q(2n).  The
-    difference alone under-reads where the rotated integrand grows large
-    before it decays: there both rules carry rounding errors of the same
-    size, and that of Q(2n) can exceed their difference.  Because n and
-    the sums depend on the point alone, a point's value is bit-identical
-    whichever other points it is evaluated with.
+    The rotated contour y = e^{iπ/8}s over [−L, L], L from
+    `_pearcey_truncation`, by composite 16-node Gauss–Legendre.  Each point
+    gets n panels from its own bound |X|L + |T|L² + L⁴; the value is the
+    2n-panel rule Q(2n) and the estimate is |Q(2n) − Q(n)| plus the rounding
+    bound of Q(2n).  The difference alone under-reads where the rotated
+    integrand grows large before it decays: there both rules carry rounding
+    errors of the same size, and that of Q(2n) can exceed their difference.
+    Because n and the sums depend on the point alone, a point's value is
+    bit-identical whichever other points it is evaluated with.
     """
     T, X = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(X, dtype=float))
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
@@ -258,6 +219,20 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
             values[block] = fine
             errors[block] = np.abs(fine - coarse) + rounding
     return values.reshape(T.shape), errors.reshape(T.shape)
+
+
+def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
+    """I_P(T,X) = ∫ dy e^{i(Xy + Ty² + y⁴)} to absolute accuracy ≤ tol.
+
+    One point of `pearcey_array`; it raises where that point's estimate
+    exceeds tol, as a map does, and on non-finite T, X as the array does.
+    """
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError("tol must lie in (0, 1e-3]")
+    value, error = pearcey_array(T, X)
+    if error > tol:
+        raise PearceyConvergenceError(f"pearcey error estimate {error:.2e} exceeds tol {tol:.2e}")
+    return complex(value)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)

@@ -4,10 +4,10 @@
     qwhydro validate <config-file>   parse and validate the config only
     qwhydro list-experiments         print the experiment names
 
-Exit codes: 0 success, 2 validation failure (bad config, a diagnostic
-beyond its configured tolerance, such as a Pearcey map whose quadrature
-error estimate exceeds pearcey_tol, or a diagnostic that is not finite),
-1 unexpected error.
+Exit codes: 0 success, 2 validation failure (bad config, a config file
+that is not UTF-8 text, a diagnostic beyond its configured tolerance, such
+as a Pearcey map whose quadrature error estimate exceeds pearcey_tol, or a
+diagnostic that is not finite), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ def _load(path: Path):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(1)
+    except UnicodeDecodeError as exc:
+        print(f"config error: {path} is not UTF-8 text (byte {exc.start})", file=sys.stderr)
+        raise SystemExit(2)
     try:
         return parse_config(text)
     except ConfigError as exc:

@@ -26,7 +26,7 @@ from .walk import WalkParams, steps_until
 GROUP_KEYS = {
     "lattice": ("n_sites",),
     # the plane-wave momentum; a `t_final` sets the default `n_steps` to its
-    # whole steps
+    # whole steps, so a config may not set both
     "wave": ("q", "t_final"),
     # `t_final` defaults to 1.5/u_max
     "modes": ("mode", "q_max", "t_final", "snapshot_times"),
@@ -187,6 +187,9 @@ def parse_config(text: str) -> SimConfig:
     if spec is not None and not given <= spec.keys:
         raise ConfigError(f"{values['experiment']} does not read "
                           f"{', '.join(map(repr, sorted(given - spec.keys)))}")
+    if spec is not None and "wave" in spec.needs and {"t_final", "n_steps"} <= given:
+        raise ConfigError("set 't_final' or 'n_steps', not both: "
+                          "'t_final' only sets the default 'n_steps'")
     if "output_dir" in values:
         values["output_dir"] = Path(str(values["output_dir"]))
 

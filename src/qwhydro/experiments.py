@@ -156,17 +156,12 @@ def _dtqw_planewave(cfg: SimConfig) -> Computed:
     state = plane_wave(params, cfg.q)
     n_steps = cfg.n_steps
     n0 = total_norm(state, params)
-    cur = state
-    max_drift = 0.0
-    check_every = max(1, n_steps // 16)
-    while cur.step_index < n_steps:
-        cur = march(cur, params, min(check_every, n_steps - cur.step_index))
-        max_drift = max(max_drift, abs(total_norm(cur, params) - n0) / n0)
-
-    density = np.array([currents(state).j0, currents(cur).j0])
+    snaps = evolve(state, params, n_steps, cadence=max(1, n_steps // 16)).snapshots
+    max_drift = float(max((abs(total_norm(s, params) - n0) / n0 for s in snaps[1:]),
+                          default=0.0))
+    density = np.array([currents(state).j0, currents(snaps[-1]).j0])
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, n_steps * params.dt]),
                          values=density)
-    max_drift = float(max_drift)
     return Computed(files={"dtqw_planewave_density.csv": grid},
                     diagnostics={"norm_drift": max_drift, "n_steps": n_steps},
                     measured={"norm_drift": max_drift})

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 
+import qwhydro
+from qwhydro import asymptotics as asy
 from qwhydro.walk import SpinorField
 
 
@@ -22,3 +30,31 @@ def make_smooth_spinor(rng, n_sites, offset=4.0, amp=0.4, k_max=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def pearcey_mp(T, X):
+    """I_P on the rotated contour to 40 digits by mpmath tanh-sinh.
+
+    The contour and its cut at L are those of `asymptotics.pearcey_array`,
+    the quadrature is not, so the two are independent up to the e^{−50}
+    tails the cut drops.
+    """
+    length = asy._pearcey_truncation(T, X)
+    with mpmath.workdps(40):
+        rot = mpmath.expjpi(mpmath.mpf(1) / 8)
+        lin = 1j * mpmath.mpf(X) * rot
+        quad = 1j * mpmath.mpf(T) * rot ** 2
+        nodes = mpmath.linspace(-length, length, int(8 * length) + 1)
+        value = mpmath.quad(lambda s: mpmath.exp(lin * s + quad * s * s - s ** 4), nodes)
+        return complex(rot * value)
+
+
+def scipy_modules_loaded_by(code):
+    """Names of the scipy modules a fresh interpreter holds after running `code`."""
+    src = str(Path(qwhydro.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.strip()

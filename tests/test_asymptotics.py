@@ -13,6 +13,8 @@ from qwhydro import asymptotics as asy
 from qwhydro import schrodinger as sch
 from qwhydro.config import parse_config
 
+from conftest import pearcey_mp, scipy_modules_loaded_by
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 PEARCEY_00 = (gamma(0.25) / 2.0) * cmath.exp(1j * math.pi / 8.0)
@@ -155,7 +157,10 @@ def test_pearcey_tol_contract():
 
 def test_pearcey_raises_when_conditioning_beats_tol():
     # at this corner the rotated integrand peaks around e^20 and double
-    # precision cannot certify 1e-8 absolute accuracy
+    # precision cannot certify 1e-8 absolute accuracy: the array estimate
+    # says so, and the one-point route raises
+    _, errors = asy.pearcey_array([-9.18], [-9.67])
+    assert errors[0] > 1e-8
     with pytest.raises(asy.PearceyConvergenceError):
         asy.pearcey(-9.18, -9.67, 1e-8)
 
@@ -175,13 +180,41 @@ def test_pearcey_direct_at_origin():
 
 
 def test_pearcey_array_matches_scalar_routes():
+    # mpmath on the same contour to 40 digits and the windowed real-axis
+    # route, neither of which shares the array rule's quadrature
     rng = np.random.default_rng(23)
     T = rng.uniform(-10, 10, 12)
     X = rng.uniform(-10, 10, 12)
     values, errors = asy.pearcey_array(T, X)
     for t, x, v, e in zip(T, X, values, errors):
-        assert abs(v - asy.pearcey(t, x, 1e-6)) < 1e-6 + e
+        assert abs(v - pearcey_mp(t, x)) <= e
         assert abs(v - asy.pearcey_direct(t, x)) < 1e-6
+
+
+def test_pearcey_is_one_point_of_pearcey_array():
+    # a seeded sample, and the shipped map window at mass 50, where the
+    # rotated integrand is roundoff-limited and tol 1e-6 refuses points
+    rng = np.random.default_rng(41)
+    chart = asy.ShockChart.from_mass(50.0)
+    T, X = asy.shock_coords(np.linspace(-1.0, 1.0, 41)[None, :],
+                            np.linspace(0.6, 1.8, 25)[:, None], chart)
+    T = np.concatenate([rng.uniform(-12, 12, 40), np.broadcast_to(-T, X.shape).ravel()])
+    X = np.concatenate([rng.uniform(-25, 25, 40), X.ravel()])
+    tol = 1e-6
+    values, errors = asy.pearcey_array(T, X)
+    for t, x, value, error in zip(T, X, values, errors):
+        if error > tol:
+            with pytest.raises(asy.PearceyConvergenceError):
+                asy.pearcey(t, x, tol)
+        else:
+            one = asy.pearcey(t, x, tol)
+            assert type(one) is complex and one == complex(value)
+    assert 0 < np.count_nonzero(errors > tol) < len(T)
+
+
+def test_pearcey_loads_no_scipy():
+    code = "from qwhydro import asymptotics as asy\nasy.pearcey(1.0, -2.0, 1e-8)"
+    assert scipy_modules_loaded_by(code) == "[]"
 
 
 def test_pearcey_array_origin_and_symmetry():
@@ -194,12 +227,6 @@ def test_pearcey_array_origin_and_symmetry():
     plus, err_plus = asy.pearcey_array(T, X)
     minus, err_minus = asy.pearcey_array(T, -X)
     assert np.all(np.abs(plus - minus) <= err_plus + err_minus)
-
-
-def test_pearcey_array_flags_conditioning_corner():
-    # where scalar pearcey raises at tol 1e-8, the estimate says so too
-    _, errors = asy.pearcey_array([-9.18], [-9.67])
-    assert errors[0] > 1e-8
 
 
 def test_pearcey_array_values_do_not_depend_on_the_block():
@@ -224,17 +251,6 @@ def test_pearcey_array_rejects_nonfinite():
         asy.pearcey_array([0.0, float("nan")], [0.0, 0.0])
 
 
-def _pearcey_mp(T, X, length):
-    """I_P on the rotated contour to 40 digits by mpmath tanh-sinh."""
-    with mpmath.workdps(40):
-        rot = mpmath.expjpi(mpmath.mpf(1) / 8)
-        lin = 1j * mpmath.mpf(X) * rot
-        quad = 1j * mpmath.mpf(T) * rot ** 2
-        nodes = mpmath.linspace(-length, length, int(8 * length) + 1)
-        value = mpmath.quad(lambda s: mpmath.exp(lin * s + quad * s * s - s ** 4), nodes)
-        return complex(rot * value)
-
-
 def test_pearcey_array_estimate_bounds_the_actual_error():
     # the shipped map window at mass 50, where the rotated integrand grows
     # to e^{23} and rounding limits the result: sample at random and at the
@@ -251,7 +267,7 @@ def test_pearcey_array_estimate_bounds_the_actual_error():
     rng = np.random.default_rng(37)
     picks = list(ranked[-3:]) + list(rng.choice(ranked, 5, replace=False))
     for i in picks:
-        exact = _pearcey_mp(T[i], X[i], asy._pearcey_truncation(T[i], X[i]))
+        exact = pearcey_mp(T[i], X[i])
         assert abs(values[i] - exact) <= errors[i]
 
 
@@ -415,12 +431,16 @@ def test_zone3_interference_fringes():
     assert interior_maxima >= 3
 
 
-def test_zone3_single_term_is_smooth():
-    # zeroing two of the three contributions removes the fringes
+def test_zone3_saddle_terms_match_closed_forms():
+    # at T = 6, X = 0 the saddles are u = 0 (Φ = 0, Φ″ = −12) and u = ±√3
+    # (Φ = −9, Φ″ = 24), each term √(2π/|Φ″|)·e^{i(Φ + sign(Φ″)π/4)}
     T, X = 6.0, 0.0
-    roots = asy.saddle_points(T, X)
-    one = [asy._sd_term(complex(r).real, T, X) for r in roots][0]
-    assert abs(one) > 0
+    roots = sorted(complex(r).real for r in asy.saddle_points(T, X))
+    assert roots == pytest.approx([-math.sqrt(3.0), 0.0, math.sqrt(3.0)], abs=1e-14)
+    wing = math.sqrt(2.0 * math.pi / 24.0) * cmath.exp(1j * (-9.0 + math.pi / 4.0))
+    centre = math.sqrt(2.0 * math.pi / 12.0) * cmath.exp(-1j * math.pi / 4.0)
+    for u, expected in zip(roots, (wing, centre, wing)):
+        assert abs(asy._sd_term(u, T, X) - expected) < 1e-12
 
 
 def test_zone2_on_caustic_accuracy():

@@ -1,15 +1,11 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qwhydro
 from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
@@ -18,6 +14,8 @@ from qwhydro.config import EXPERIMENTS, ConfigError, parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state
+
+from conftest import pearcey_mp, scipy_modules_loaded_by
 
 
 def test_emit_csv_small_grid(tmp_path):
@@ -226,15 +224,26 @@ def test_pearcey_map_runs_and_is_deterministic(tmp_path):
     assert r1.diagnostics["max_intensity"] == r2.diagnostics["max_intensity"]
 
 
-def test_pearcey_map_agrees_with_quadpack_on_shipped_window(tmp_path):
+def test_pearcey_map_agrees_with_mpmath_and_direct_on_shipped_window(tmp_path):
+    # references that share none of the map's quadrature: mpmath at 40
+    # digits anywhere on the window, the real-axis route where |T|, |X| ≤ 10
     result = _run_cfg(tmp_path, _shipped("pearcey_map", tmp_path))
     assert result.ok
     chart = asy.ShockChart.from_mass(20.0)
     rows = np.loadtxt(tmp_path / "pearcey_map.csv", delimiter=",", skiprows=1)
     assert len(rows) == 41 * 25
+    points = []
     for t, x, intensity in rows:
         T, X, A = asy.shock_map(x, t, chart)
-        assert abs(np.sqrt(intensity) / abs(A) - abs(asy.pearcey(-T, X, 1e-6))) < 1e-6
+        points.append((-T, X, np.sqrt(intensity) / abs(A)))
+    rng = np.random.default_rng(43)
+    for i in rng.choice(len(points), 8, replace=False):
+        T, X, magnitude = points[i]
+        assert abs(magnitude - abs(pearcey_mp(T, X))) < 1e-6
+    in_range = [p for p in points if abs(p[0]) <= 10 and abs(p[1]) <= 10]
+    for i in rng.choice(len(in_range), 12, replace=False):
+        T, X, magnitude = in_range[i]
+        assert abs(magnitude - abs(asy.pearcey_direct(T, X))) < 1e-6
 
 
 def test_manifest_echoes_the_resolved_config(tmp_path):
@@ -425,6 +434,29 @@ def test_cli_missing_file_is_error(tmp_path):
     assert err.value.code == 1
 
 
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"experiment = validation\nmass = 4\n# caf\xe9\n")
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cfg)])
+    assert err.value.code == 2
+    assert f"config error: {cfg} is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_cli_rejects_planewave_setting_t_final_and_n_steps(tmp_path, capsys):
+    # t_final only sets the default n_steps: a run given both took n_steps
+    # and its manifest echoed a t_final it never reached
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("experiment = dtqw_planewave\nn_sites = 64\nmass = 4\nq = 0\n"
+                   f"t_final = 1\nn_steps = 5\noutput_dir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "'t_final'" in message and "'n_steps'" in message
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(PLANEWAVE.format(out=tmp_path / "cli_out"))
@@ -561,14 +593,7 @@ def test_cli_rejects_snapshot_times_not_increasing(tmp_path, capsys, times):
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    src = str(Path(qwhydro.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, qwhydro.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert scipy_modules_loaded_by("import qwhydro.cli") == "[]"
 
 
 @pytest.mark.parametrize("name", ["shock_single_mode", "schrodinger_shock"])

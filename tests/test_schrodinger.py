@@ -1,15 +1,11 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import qwhydro
 from qwhydro import initial as ini
 from qwhydro import schrodinger as sch
 from qwhydro import walk as wk
+
+from conftest import scipy_modules_loaded_by
 
 
 def _cos_state(n, m):
@@ -147,18 +143,11 @@ def test_greens_propagate_raises_when_the_rule_is_too_coarse(monkeypatch):
 
 
 def test_greens_propagate_loads_no_scipy():
-    src = str(Path(qwhydro.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys\n"
-            "import numpy as np\n"
+    code = ("import numpy as np\n"
             "from qwhydro import schrodinger as sch\n"
             "x = 2 * np.pi * np.arange(256) / 256\n"
-            "sch.greens_propagate(np.exp(20j * np.cos(x)), 20.0, 0.5, x_eval=x[:4])\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+            "sch.greens_propagate(np.exp(20j * np.cos(x)), 20.0, 0.5, x_eval=x[:4])")
+    assert scipy_modules_loaded_by(code) == "[]"
 
 
 def test_single_shock_unit_density_at_small_time():
