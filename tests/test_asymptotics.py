@@ -157,10 +157,7 @@ def test_pearcey_tol_contract():
 
 def test_pearcey_raises_when_conditioning_beats_tol():
     # at this corner the rotated integrand peaks around e^20 and double
-    # precision cannot certify 1e-8 absolute accuracy: the array estimate
-    # says so, and the one-point route raises
-    _, errors = asy.pearcey_array([-9.18], [-9.67])
-    assert errors[0] > 1e-8
+    # precision cannot certify 1e-8 absolute accuracy
     with pytest.raises(asy.PearceyConvergenceError):
         asy.pearcey(-9.18, -9.67, 1e-8)
 
@@ -227,6 +224,12 @@ def test_pearcey_array_origin_and_symmetry():
     plus, err_plus = asy.pearcey_array(T, X)
     minus, err_minus = asy.pearcey_array(T, -X)
     assert np.all(np.abs(plus - minus) <= err_plus + err_minus)
+
+
+def test_pearcey_array_flags_conditioning_corner():
+    # where scalar pearcey raises at tol 1e-8, the estimate says so too
+    _, errors = asy.pearcey_array([-9.18], [-9.67])
+    assert errors[0] > 1e-8
 
 
 def test_pearcey_array_values_do_not_depend_on_the_block():
