@@ -18,7 +18,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .initial import ModeSpec, check_wavenumber
-from .walk import WalkParams, steps_until
+from .walk import EXACT_STEPS, WalkParams, steps_until
+
+
+# The most site updates, n_sites·n_steps, that a stepped (`walk.march`) walk
+# may ask for: at the ≈7 ns per site-step measured on one core of a 2-CPU
+# Xeon, about 12 minutes.  A jumped walk instead ends below `EXACT_STEPS`.
+MARCH_SITE_STEPS = 10 ** 11
 
 
 # The keys each key group owns.  Every experiment reads `experiment`,
@@ -45,12 +51,15 @@ class Experiment:
     `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
     each `tol.<name>` the run enforces to its default limit, None for a
     gate enforced only when the config sets it.  `schedule` lists the
-    default snapshot times as fractions of `t_final`.
+    default snapshot times as fractions of `t_final`.  `walk` says how the
+    run advances its walk: "jump" (`walk.propagate`), "march" (stepped) or
+    "" (it has none).
     """
 
     needs: tuple[str, ...]
     gates: dict[str, float | None]
     schedule: tuple[float, ...] = ()
+    walk: str = ""
 
     @property
     def keys(self) -> frozenset[str]:
@@ -63,15 +72,16 @@ _NORM_DRIFT = {"norm_drift": 1e-10}
 _EIGHTHS = tuple(i / 8.0 for i in range(9))
 
 EXPERIMENTS = {
-    "dtqw_shock": Experiment(("lattice", "modes"), _NORM_DRIFT, _EIGHTHS),
-    "dtqw_planewave": Experiment(("lattice", "wave", "steps"), _NORM_DRIFT),
+    "dtqw_shock": Experiment(("lattice", "modes"), _NORM_DRIFT, _EIGHTHS, "jump"),
+    "dtqw_planewave": Experiment(("lattice", "wave", "steps"), _NORM_DRIFT, walk="jump"),
     "schrodinger_shock": Experiment(("lattice", "modes"), _NORM_DRIFT,
                                     (1.0 / 3.0, 2.0 / 3.0, 1.0)),
     "pearcey_map": Experiment(("window", "quadrature"), {}),
     "asymptotic_zones": Experiment(("window",), {}),
-    "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS),
+    "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS,
+                                 "jump"),
     "validation": Experiment(("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
-                                          "current_identity": 1e-12}),
+                                          "current_identity": 1e-12}, walk="march"),
 }
 
 
@@ -204,6 +214,13 @@ def _owned(check, *args):
         raise ConfigError(str(exc)) from None
 
 
+def _steps_until(t: float, params: WalkParams, key: str) -> int:
+    try:
+        return steps_until(t, params)
+    except OverflowError:
+        raise ConfigError(f"{key} = {t} is more steps than a float can count") from None
+
+
 def validate_config(cfg: SimConfig) -> SimConfig:
     """Check `cfg` against its experiment's table entry and return it resolved.
 
@@ -283,16 +300,29 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if n_steps is None and "steps" in spec.needs:
         n_steps = 10000
         if "wave" in spec.needs and t_final is not None:
-            try:
-                n_steps = steps_until(t_final, params)
-            except OverflowError:
-                raise ConfigError(f"'t_final' = {t_final} is more steps than a "
-                                  f"float can count") from None
+            n_steps = _steps_until(t_final, params, "'t_final'")
 
     snapshot_times = cfg.snapshot_times or tuple(f * t_final for f in spec.schedule)
     for t in snapshot_times:
         if t_final is not None and not (0.0 <= t <= t_final * (1 + 1e-12)):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={t_final}]")
+
+    if spec.walk == "jump":
+        # the last step, and the key whose value set it
+        if "steps" in spec.needs:
+            key, value = ("n_steps", n_steps) if cfg.n_steps is not None \
+                else ("t_final", t_final)
+            last = n_steps
+        else:
+            key, value = ("snapshot_times", max(snapshot_times)) if cfg.snapshot_times \
+                else ("t_final", t_final)
+            last = _steps_until(max(snapshot_times), params, f"'{key}'")
+        if last >= EXACT_STEPS:
+            raise ConfigError(f"'{key}' = {value} reaches step {last}; a jumped walk is "
+                              f"exact only below step 2^27 = {EXACT_STEPS}")
+    if spec.walk == "march" and n_sites * n_steps > MARCH_SITE_STEPS:
+        raise ConfigError(f"'n_steps' = {n_steps} on {n_sites} sites is over the budget "
+                          f"of {MARCH_SITE_STEPS:.0e} stepped site updates (n_sites·n_steps)")
 
     for name, value in cfg.tolerances.items():
         if name not in spec.gates:

@@ -2,8 +2,9 @@
 
 Every experiment writes long-format CSV (`t,x,value`, 17 significant
 digits, LF endings, t-major order) plus a JSON manifest
-carrying the config echo, conservation diagnostics and the only timestamp
-of the run.  Identical configs produce byte-identical data files.
+carrying the config echo, conservation diagnostics, and the timestamp and
+telemetry of the run, the only values that change between reruns.
+Identical configs produce byte-identical data files.
 
 Each experiment is a compute function returning its data and diagnostics;
 `run_experiment` writes them, gates the `tol.<name>` limits that the
@@ -13,7 +14,12 @@ experiment's `config.EXPERIMENTS` entry declares, and writes the manifest.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
+import platform
+import resource
+import sys
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -107,21 +113,20 @@ def _gate(value: float, limit: float) -> dict:
 STEP_CONSISTENCY_LIMIT = 1e-10
 
 
-def _jump_walk(state: SpinorField, params, times):
-    """The walk states at the snapshot times, jumped to exactly.
+def _jump_walk(state: SpinorField, params, steps):
+    """The walk states at the given steps, jumped to exactly, once each and
+    in increasing order.
 
-    Times round down to whole steps (t = j·ε); the realized times are
-    returned with the states.  Also returns the in-run cross-check against
-    the stepped kernel: max |propagate(j) − step_walk(propagate(j − 1))| at
-    the last step j.
+    Also returns the in-run cross-check against the stepped kernel:
+    max |propagate(j) − step_walk(propagate(j − 1))| at the last step j.
     """
-    wanted = sorted({steps_until(t, params) for t in times})
+    wanted = sorted(set(steps))
     last = max(wanted[-1], 1)  # a run that stops at step 0 checks step 1
     *snaps, before, after = propagate(state, params, [*wanted, last - 1, last])
     stepped = step_walk(before, params)
     gap = float(max(np.max(np.abs(after.left - stepped.left)),
                     np.max(np.abs(after.right - stepped.right))))
-    return snaps, [j * params.dt for j in wanted], _gate(gap, STEP_CONSISTENCY_LIMIT)
+    return snaps, _gate(gap, STEP_CONSISTENCY_LIMIT)
 
 
 def _walk_shock_setup(cfg: SimConfig):
@@ -138,7 +143,9 @@ def _dtqw_shock(cfg: SimConfig) -> Computed:
     params, spec = _walk_shock_setup(cfg)
     state = phase_modulated_state(params, spec)
     n0 = total_norm(state, params)
-    snaps, realized, consistency = _jump_walk(state, params, cfg.snapshot_times)
+    snaps, consistency = _jump_walk(state, params,
+                                    [steps_until(t, params) for t in cfg.snapshot_times])
+    realized = [s.step_index * params.dt for s in snaps]
     density = np.array([currents(s).j0 for s in snaps])
     drift = float(abs(total_norm(snaps[-1], params) - n0) / n0)
     return Computed(
@@ -156,15 +163,18 @@ def _dtqw_planewave(cfg: SimConfig) -> Computed:
     state = plane_wave(params, cfg.q)
     n_steps = cfg.n_steps
     n0 = total_norm(state, params)
-    snaps = evolve(state, params, n_steps, cadence=max(1, n_steps // 16)).snapshots
-    max_drift = float(max((abs(total_norm(s, params) - n0) / n0 for s in snaps[1:]),
-                          default=0.0))
+    # every 16th of the run and its last step
+    cadence = max(1, n_steps // 16)
+    snaps, consistency = _jump_walk(state, params, [*range(0, n_steps, cadence), n_steps])
+    max_drift = float(max(abs(total_norm(s, params) - n0) / n0 for s in snaps))
     density = np.array([currents(state).j0, currents(snaps[-1]).j0])
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
-                    diagnostics={"norm_drift": max_drift, "n_steps": n_steps},
-                    measured={"norm_drift": max_drift})
+                    diagnostics={"norm_drift": max_drift, "n_steps": n_steps,
+                                 "step_consistency": consistency},
+                    measured={"norm_drift": max_drift},
+                    held=consistency["margin"] >= 0)
 
 
 def _schrodinger_shock(cfg: SimConfig) -> Computed:
@@ -233,7 +243,9 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
     params, spec = _walk_shock_setup(cfg)
     state = phase_modulated_state(params, spec)
     psi0 = schrodinger_initial(params, spec)
-    snaps, realized, consistency = _jump_walk(state, params, cfg.snapshot_times)
+    snaps, consistency = _jump_walk(state, params,
+                                    [steps_until(t, params) for t in cfg.snapshot_times])
+    realized = [s.step_index * params.dt for s in snaps]
 
     def oracle(t: float):
         return spectral_propagate(psi0, cfg.mass, t)
@@ -335,6 +347,24 @@ def _write_json(doc, path: Path) -> Path:
     return path
 
 
+@functools.cache
+def _versions() -> dict:
+    # scipy's is read from its installed metadata, so that no run has to
+    # import scipy; importlib.metadata itself costs 20 ms to import
+    from importlib.metadata import version
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": version("scipy")}
+
+
+def _telemetry(stages: dict[str, float]) -> dict:
+    """The manifest's record of the run's costs: wall seconds per stage,
+    the process's peak resident set so far, and the library versions."""
+    # ru_maxrss counts KiB on Linux and bytes on macOS
+    rss_unit = 1 << (20 if sys.platform == "darwin" else 10)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * rss_unit / 2.0 ** 20
+    return {"stage_wall_s": stages, "peak_rss_mb": peak, "versions": _versions()}
+
+
 def run_experiment(cfg: SimConfig) -> RunResult:
     """Execute the configured experiment; outputs land in cfg.output_dir.
 
@@ -342,16 +372,21 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     writes the files, gates every `tol.<name>` its `EXPERIMENTS` entry
     declares as {value, limit, margin}, and writes the manifest.  The run
     is ok when every margin is nonnegative, every diagnostic is finite and
-    the experiment's own gates held.
+    the experiment's own gates held.  The manifest's `telemetry` times the
+    compute, emit and manifest stages; the last ends where the manifest is
+    written, as a file cannot hold the time of its own write.
     """
     try:
         compute = _COMPUTE[cfg.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
+    started = time.perf_counter()
     done = compute(cfg)
+    computed = time.perf_counter()
     out = Path(cfg.output_dir)
     paths = [emit_spacetime_csv(data, out / name) if isinstance(data, SpacetimeGrid)
              else _write_json(data, out / name) for name, data in done.files.items()]
+    emitted = time.perf_counter()
 
     verdicts = {}
     for name, default in EXPERIMENTS[cfg.experiment].gates.items():
@@ -377,5 +412,8 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     }
     if done.times is not None:
         doc["requested_times"], doc["realized_times"] = done.times
+    doc["telemetry"] = _telemetry({"compute": computed - started,
+                                   "emit": emitted - computed,
+                                   "manifest": time.perf_counter() - emitted})
     paths.append(_write_json(doc, out / f"{cfg.experiment}_manifest.json"))
     return RunResult(paths=paths, diagnostics=done.diagnostics, ok=ok)

@@ -61,6 +61,10 @@ def build_walk(n_sites: int, mass: float) -> WalkParams:
     return WalkParams(n_sites=n_sites, mass=float(mass))
 
 
+# `propagate` is exact (its one-step gap stays at roundoff) below this step.
+EXACT_STEPS = 2 ** 27
+
+
 def steps_until(t: float, params: WalkParams) -> int:
     """Whole steps in time t: the largest j with j·ε ≤ t, where a t that lies
     a rounding below j·ε, as a j·ε computed in floating point can, reaches j."""
@@ -166,7 +170,8 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     entries, which carry no cancellation, so small θ and θ = π stay
     accurate; where sin ω = 0, U = ±I and P = I/2 gives the same U^j.
     e^{ijω} is formed as e^{ijω_hi}·e^{ijω_lo} with j·ω_hi exact, so the
-    gap to one stepped step stays at roundoff for every j below 2^27.  The
+    gap to one stepped step stays at roundoff for every j below
+    `EXACT_STEPS` = 2^27; beyond it the gap grows (6e-8 at 2^30).  The
     input takes one FFT and each snapshot one inverse FFT; step 0 returns
     a copy of the input.
     """

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -33,19 +34,23 @@ def rng():
 
 
 def pearcey_mp(T, X):
-    """I_P on the rotated contour to 40 digits by mpmath tanh-sinh.
+    """I_P on the rotated contour to 40 digits by mpmath Gauss–Legendre on
+    ⌈4L⌉ subintervals.
 
-    The contour and its cut at L are those of `asymptotics.pearcey_array`,
-    the quadrature is not, so the two are independent up to the e^{−50}
-    tails the cut drops.
+    The contour and its cut at L are those of `asymptotics.pearcey_array`;
+    the quadrature, mpmath's degree-doubling rule at 40 digits, is not, so
+    the two are independent up to the e^{−50} tails the cut drops.  On 208
+    points, every point the tests use among them, it returns the same
+    doubles as tanh-sinh on ⌊8L⌋ subintervals, in a quarter of the time.
     """
     length = asy._pearcey_truncation(T, X)
     with mpmath.workdps(40):
         rot = mpmath.expjpi(mpmath.mpf(1) / 8)
         lin = 1j * mpmath.mpf(X) * rot
         quad = 1j * mpmath.mpf(T) * rot ** 2
-        nodes = mpmath.linspace(-length, length, int(8 * length) + 1)
-        value = mpmath.quad(lambda s: mpmath.exp(lin * s + quad * s * s - s ** 4), nodes)
+        nodes = mpmath.linspace(-length, length, math.ceil(4 * length) + 1)
+        value = mpmath.quad(lambda s: mpmath.exp(lin * s + quad * s * s - s ** 4), nodes,
+                            method="gauss-legendre")
         return complex(rot * value)
 
 

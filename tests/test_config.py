@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwhydro.config import (EXPERIMENTS, ConfigError, SimConfig, parse_config,
-                            validate_config)
+from qwhydro.config import (EXPERIMENTS, MARCH_SITE_STEPS, ConfigError, SimConfig,
+                            parse_config, validate_config)
+from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
 FIG_STYLE = """
 # multimode shock, heaviest-mass panel
@@ -227,6 +228,14 @@ def _check_parse(text):
     if cfg.t_final is not None:
         assert 0 < cfg.t_final < float("inf")
         assert all(0 <= t <= cfg.t_final * (1 + 1e-12) for t in cfg.snapshot_times)
+    # every walk that parses is bounded
+    if spec.walk == "jump":
+        params = build_walk(cfg.n_sites, cfg.mass)
+        last = cfg.n_steps if cfg.n_steps is not None else \
+            steps_until(max(cfg.snapshot_times), params)
+        assert 0 <= last < EXACT_STEPS
+    if spec.walk == "march":
+        assert cfg.n_sites * cfg.n_steps <= MARCH_SITE_STEPS
     return cfg
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.metadata
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -10,10 +12,10 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import EXPERIMENTS, ConfigError, parse_config
+from qwhydro.config import EXPERIMENTS, MARCH_SITE_STEPS, ConfigError, parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
-from qwhydro.initial import ShockInitSpec, phase_modulated_state
+from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
 
 from conftest import pearcey_mp, scipy_modules_loaded_by
 
@@ -564,6 +566,117 @@ def test_nonrel_compare_manifest_records_step_consistency(tmp_path):
 def test_step_consistency_over_its_limit_fails_the_run(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "STEP_CONSISTENCY_LIMIT", 1e-30)
     assert not _run_cfg(tmp_path / "w", SHOCK).ok
+
+
+def test_planewave_manifest_records_step_consistency(tmp_path):
+    result = _run_cfg(tmp_path / "pw", PLANEWAVE)
+    manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
+    gate = manifest["diagnostics"]["step_consistency"]
+    assert set(gate) == {"value", "limit", "margin"}
+    assert gate["limit"] == 1e-10
+    assert 0.0 <= gate["value"] <= gate["limit"]
+    assert gate["margin"] == pytest.approx(gate["limit"] - gate["value"])
+    assert result.ok and manifest["ok"] is True
+
+
+def test_step_consistency_over_its_limit_fails_the_planewave_run(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "STEP_CONSISTENCY_LIMIT", 1e-30)
+    assert not _run_cfg(tmp_path / "pw", PLANEWAVE).ok
+    manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
+    assert manifest["diagnostics"]["step_consistency"]["margin"] < 0
+    assert manifest["ok"] is False
+
+
+PLANEWAVE_CASES = {
+    "shipped": _shipped("planewave", "{out}"),
+    "small_q0": "experiment = dtqw_planewave\nn_sites = 64\nmass = 8\nq = 0\n"
+                "n_steps = 3000\noutput_dir = {out}\n",
+    "small_q2": "experiment = dtqw_planewave\nn_sites = 64\nmass = 8\nq = 2\n"
+                "n_steps = 3000\noutput_dir = {out}\n",
+}
+
+
+@pytest.mark.parametrize("text", PLANEWAVE_CASES.values(), ids=PLANEWAVE_CASES.keys())
+def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
+    # the run jumps with propagate; march steps the same walk independently
+    cfg = parse_config(text.format(out=tmp_path))
+    assert run_experiment(cfg).ok
+    data = np.loadtxt(tmp_path / "dtqw_planewave_density.csv", delimiter=",", skiprows=1)
+    first, last = data[:, 2].reshape(2, cfg.n_sites)
+    params = wk.build_walk(cfg.n_sites, cfg.mass)
+    state = plane_wave(params, cfg.q)
+    assert np.array_equal(first, currents(state).j0)
+    assert np.max(np.abs(last - currents(wk.march(state, params, cfg.n_steps)).j0)) <= 1e-12
+    # a plane wave's density stays uniform
+    assert np.ptp(last) <= 1e-13
+
+
+def test_manifest_telemetry_records_stages_memory_and_versions(tmp_path):
+    _run_cfg(tmp_path / "pw", PLANEWAVE)
+    manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
+    telemetry = manifest["telemetry"]
+    assert set(telemetry) == {"stage_wall_s", "peak_rss_mb", "versions"}
+    assert set(telemetry["stage_wall_s"]) == {"compute", "emit", "manifest"}
+    assert all(seconds >= 0.0 for seconds in telemetry["stage_wall_s"].values())
+    assert telemetry["peak_rss_mb"] > 0.0
+    assert telemetry["versions"] == {"python": platform.python_version(),
+                                     "numpy": np.__version__,
+                                     "scipy": importlib.metadata.version("scipy")}
+
+
+def _with(name, **lines):
+    """A shipped config with keys set: replaced where it sets them, else added."""
+    text = _shipped(name, "out", **lines)
+    return text + "".join(f"{key} = {value}\n" for key, value in lines.items()
+                          if f"{key} = {value}\n" not in text)
+
+
+# 2^27 steps of 2π/4096 take t ≈ 205887, of 2π/64 t ≈ 1.3e7
+OUTSIDE_THE_EXACT_RANGE = {
+    "planewave_n_steps": (_with("planewave", n_steps=2 ** 27), "'n_steps'"),
+    "planewave_t_final": ("experiment = dtqw_planewave\nn_sites = 64\nmass = 4\n"
+                          "t_final = 2e7\n", "'t_final'"),
+    "shock_t_final": (_with("shock_single_mode", t_final="3e5"), "'t_final'"),
+    "shock_default_t_final": (_with("shock_single_mode", q_max="0.001"), "'t_final'"),
+    "nonrel_snapshot_times": (_with("nonrel_compare", t_final="3e5",
+                                    snapshot_times="0, 2.5e5"), "'snapshot_times'"),
+}
+
+
+@pytest.mark.parametrize("text, field", OUTSIDE_THE_EXACT_RANGE.values(),
+                         ids=OUTSIDE_THE_EXACT_RANGE.keys())
+def test_cli_validate_rejects_a_jumped_step_outside_the_exact_range(tmp_path, capsys,
+                                                                    text, field):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cfg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert field in message and "2^27" in message
+
+
+def test_cli_validate_accepts_the_last_step_of_the_exact_range(tmp_path):
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(_with("planewave", n_steps=wk.EXACT_STEPS - 1))
+    assert main(["validate", str(cfg)]) == 0
+
+
+def test_cli_validate_rejects_a_validation_soak_over_its_budget(tmp_path, capsys):
+    cfg = tmp_path / "soak.cfg"
+    cfg.write_text(_with("validation", n_steps="1000000000000"))
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cfg)])
+    assert err.value.code == 2
+    assert "'n_steps'" in capsys.readouterr().err
+    # n_sites·n_steps at the budget passes, one step more does not
+    n_steps = MARCH_SITE_STEPS // 10000
+    cfg.write_text(_with("validation", n_sites="10000", n_steps=str(n_steps)))
+    assert main(["validate", str(cfg)]) == 0
+    cfg.write_text(_with("validation", n_sites="10000", n_steps=str(n_steps + 1)))
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cfg)])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("name", ["shock_multimode", "shock_single_mode"])
