@@ -136,13 +136,35 @@ class PearceyConvergenceError(RuntimeError):
 _ROT = cmath.exp(1j * math.pi / 8.0)
 
 
-def _pearcey_truncation(T: float, X: float) -> float:
-    # e^{−s⁴} integrand with linear/quadratic growth bounded by |T|, |X|;
-    # pick L with s⁴ dominating by ≥ 50 e-folds at the ends.
-    length = 4.0
-    while length ** 4 - abs(T) * length ** 2 - abs(X) * length < 50.0:
-        length += 0.5
-    return length
+# e-folds by which the rotated integrand has fallen at the contour's ends,
+# where the cut drops a tail below e^{−40} ≈ 4e-18 absolute.  Every node
+# costs the same (most of it libm cos and sin), so the cut sets the cost.
+_TAIL_EFOLDS = 40.0
+# Newton steps to the cut: 8 reach roundoff for |T| ≤ 30, |X| ≤ 100, and 10
+# for |T| ≤ 300, |X| ≤ 10⁴.
+_TRUNCATION_STEPS = 10
+
+
+def _pearcey_truncation(T, X):
+    """Cut L of the rotated contour, elementwise: the root of
+    L⁴ − |T|L² − |X|L = `_TAIL_EFOLDS`.
+
+    On the contour |e^z| ≤ e^{|X|s + |T|s² − s⁴}, so the integrand is below
+    e^{−_TAIL_EFOLDS} beyond ±L.  Newton descends monotonically on the root
+    from L₀ = √(|T| + |X| + _TAIL_EFOLDS), an upper bound since the root
+    exceeds 1, so a cut that has not fully converged is still safe.  The
+    steps use only +, −, ×, ÷ and sqrt, which numpy rounds alike at every
+    array position: a point's L does not depend on its neighbours.  The last
+    step can round to an ulp below the root; the final nudge of 4 ulps keeps
+    L above it.
+    """
+    t, x = np.abs(T), np.abs(X)
+    length = np.sqrt(t + x + _TAIL_EFOLDS)
+    for _ in range(_TRUNCATION_STEPS):
+        l2 = length * length
+        excess = l2 * l2 - t * l2 - x * length - _TAIL_EFOLDS
+        length = length - excess / (4.0 * l2 * length - 2.0 * t * length - x)
+    return length * (1.0 + 4.0 * EPS)
 
 
 # Units of the bound |X|L + |T|L² + L⁴ on the exponent's swing over the
@@ -151,6 +173,11 @@ def _pearcey_truncation(T: float, X: float) -> float:
 # the coarse rule's own error already reads 2e-5 at |T|, |X| ≤ 10 and the
 # estimate would fail points whose value Q(2n) is accurate.
 _SWING_PER_PANEL = 16.0
+# Fewest panels of the coarse rule.  Near the origin the bound is only
+# about _TAIL_EFOLDS, three panels, and there the estimate at T = X = 0 reads
+# 1.0e-11; it reads 4e-15 at four panels and 8e-16 from five up.  Six, one to
+# spare, cost 1% more nodes on the mass-20 map window than no floor.
+_MIN_PANELS = 6
 # Quadrature nodes evaluated per numpy call: bounds the working set of
 # pearcey_array to a few hundred kB whatever the number of points.
 _BLOCK_NODES = 8192
@@ -158,18 +185,19 @@ _SIN_PI8, _COS_PI8 = math.sin(math.pi / 8.0), math.cos(math.pi / 8.0)
 _SQRT_HALF = math.sqrt(0.5)  # Re and −Im of ie^{iπ/4}
 
 
-def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
-                  n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray, n_panels: int,
+                  rounding: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Rotated-contour integral over [−L, L] by n_panels 16-node panels.
 
-    Returns the rule's values and a bound on their rounding error.  On the
-    contour the exponent is z = iXe^{iπ/8}s + iTe^{iπ/4}s² − s⁴, summed here
-    in real arithmetic as Re z and Im z.  It is rounded to a few ulps of
-    |X||s| + 2|T|s² + 4s⁴ (that of z and of its slope times the rounding of
-    s), so e^z is off by that much relative to |e^z| = e^{Re z}; where the
-    integrand grows to e^{20} before it decays this rounding, not the rule,
-    limits the result.  Every point is reduced along its own row, so its
-    value does not depend on which other points share the call.
+    Returns the rule's values and, if `rounding`, a bound on their rounding
+    error (else None).  On the contour the exponent is
+    z = iXe^{iπ/8}s + iTe^{iπ/4}s² − s⁴, summed here in real arithmetic as
+    Re z and Im z.  It is rounded to a few ulps of |X||s| + 2|T|s² + 4s⁴
+    (that of z and of its slope times the rounding of s), so e^z is off by
+    that much relative to |e^z| = e^{Re z}; where the integrand grows to
+    e^{20} before it decays this rounding, not the rule, limits the result.
+    Every point is reduced along its own row, so its value does not depend
+    on which other points share the call.
     """
     u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + GL16_NODES) / n_panels
          - 1.0).ravel()
@@ -181,32 +209,36 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
     re = (-_SIN_PI8 * X)[:, None] * s - quad - s4
     im = (_COS_PI8 * X)[:, None] * s + quad
     weighted = w * np.exp(re)
-    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
-    rounding = EPS * length * (weighted * swing).sum(axis=-1)
     total = (weighted * np.cos(im)).sum(axis=-1) + 1j * (weighted * np.sin(im)).sum(axis=-1)
-    return _ROT * length * total, rounding
+    if not rounding:
+        return _ROT * length * total, None
+    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
+    return _ROT * length * total, EPS * length * (weighted * swing).sum(axis=-1)
 
 
 def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     """I_P(T, X) for arrays of points, with a per-point error estimate.
 
-    The rotated contour y = e^{iπ/8}s over [−L, L], L from
-    `_pearcey_truncation`, by composite 16-node Gauss–Legendre.  Each point
-    gets n panels from its own bound |X|L + |T|L² + L⁴; the value is the
-    2n-panel rule Q(2n) and the estimate is |Q(2n) − Q(n)| plus the rounding
-    bound of Q(2n).  The difference alone under-reads where the rotated
-    integrand grows large before it decays: there both rules carry rounding
-    errors of the same size, and that of Q(2n) can exceed their difference.
-    Because n and the sums depend on the point alone, a point's value is
-    bit-identical whichever other points it is evaluated with.
+    The rotated contour y = e^{iπ/8}s over [−L, L], cut by
+    `_pearcey_truncation` where the integrand has fallen below e^{−40}, by
+    composite 16-node Gauss–Legendre.  Each point gets n panels from its
+    own bound |X|L + |T|L² + L⁴, at least `_MIN_PANELS`; the value is the
+    2n-panel rule Q(2n) and the estimate is |Q(2n) − Q(n)| plus the
+    rounding bound of Q(2n).  The difference alone under-reads where the
+    rotated integrand grows large before it decays: there both rules carry
+    rounding errors of the same size, and that of Q(2n) can exceed their
+    difference.  Because L, n and the sums depend on the point alone, a
+    point's value is bit-identical whichever other points it is evaluated
+    with.
     """
     T, X = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(X, dtype=float))
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
         raise ValueError("pearcey_array requires finite arguments")
     t_flat, x_flat = T.ravel(), X.ravel()
-    length = np.array([_pearcey_truncation(t, x) for t, x in zip(t_flat, x_flat)])
-    bound = np.abs(x_flat) * length + np.abs(t_flat) * length ** 2 + length ** 4
-    panels = np.ceil(bound / _SWING_PER_PANEL).astype(int)
+    length = _pearcey_truncation(t_flat, x_flat)
+    l2 = length * length
+    bound = np.abs(x_flat) * length + np.abs(t_flat) * l2 + l2 * l2
+    panels = np.maximum(np.ceil(bound / _SWING_PER_PANEL).astype(int), _MIN_PANELS)
     values = np.empty(t_flat.shape, dtype=complex)
     errors = np.empty(t_flat.shape)
     for n in np.unique(panels):
@@ -215,7 +247,7 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
             args = (t_flat[block], x_flat[block], length[block])
             coarse, _ = _composite_gl(*args, n)
-            fine, rounding = _composite_gl(*args, 2 * n)
+            fine, rounding = _composite_gl(*args, 2 * n, rounding=True)
             values[block] = fine
             errors[block] = np.abs(fine - coarse) + rounding
     return values.reshape(T.shape), errors.reshape(T.shape)

@@ -25,6 +25,14 @@ from .walk import EXACT_STEPS, WalkParams, steps_until
 # may ask for: at the ≈7 ns per site-step measured on one core of a 2-CPU
 # Xeon, about 12 minutes.  A jumped walk instead ends below `EXACT_STEPS`.
 MARCH_SITE_STEPS = 10 ** 11
+# The most memory one walk state, two complex128 arrays of 32 B a site, may
+# take: 128 MiB, so at most 2²² sites.  A run holds one state per snapshot
+# (nine by default) and a few more while it jumps.
+STATE_BYTES = 2 ** 27
+# The most (x, t) points, nx·nt, a map window may ask for: at the 36 µs a
+# point that a 1000 × 1000 mass-20 `pearcey_map` run took on one core of a
+# 2-CPU Xeon (110 MB peak), about 6 minutes and 1 GB.
+MAP_POINTS = 10 ** 7
 
 
 # The keys each key group owns.  Every experiment reads `experiment`,
@@ -262,6 +270,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         n_sites = 4096
     if n_sites is not None:
         params = _owned(WalkParams, n_sites, cfg.mass)
+        if 32 * n_sites > STATE_BYTES:
+            raise ConfigError(f"'n_sites' = {n_sites} needs {32 * n_sites} B per walk "
+                              f"state (32 B a site), over the budget of {STATE_BYTES} B")
     if "wave" in spec.needs:
         _owned(check_wavenumber, "'q'", cfg.q, n_sites)
     t_final = cfg.t_final
@@ -286,6 +297,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if "window" in spec.needs:
         if cfg.nx < 2 or cfg.nt < 2:
             raise ConfigError("'nx' and 'nt' must be at least 2")
+        if cfg.nx * cfg.nt > MAP_POINTS:
+            raise ConfigError(f"'nx' · 'nt' = {cfg.nx} · {cfg.nt} is over the budget of "
+                              f"{MAP_POINTS:.0e} window points")
         if cfg.t_min <= 0:
             raise ConfigError("'t_min' must be positive")
     if "quadrature" in spec.needs:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import qwhydro
-from qwhydro import asymptotics as asy
 from qwhydro.walk import SpinorField
 
 
@@ -33,17 +32,28 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def _reference_cut(T, X):
+    """Cut of the reference contour: the least L ≥ 4 on a 0.5 grid where
+    s⁴ beats the growth |T|s² + |X|s by 50 e-folds; independent of, and never
+    shorter than, the cut of `asymptotics.pearcey_array`."""
+    length = 4.0
+    while length ** 4 - abs(T) * length ** 2 - abs(X) * length < 50.0:
+        length += 0.5
+    return length
+
+
 def pearcey_mp(T, X):
     """I_P on the rotated contour to 40 digits by mpmath Gauss–Legendre on
     ⌈4L⌉ subintervals.
 
-    The contour and its cut at L are those of `asymptotics.pearcey_array`;
-    the quadrature, mpmath's degree-doubling rule at 40 digits, is not, so
-    the two are independent up to the e^{−50} tails the cut drops.  On 208
-    points, every point the tests use among them, it returns the same
-    doubles as tanh-sinh on ⌊8L⌋ subintervals, in a quarter of the time.
+    The contour is that of `asymptotics.pearcey_array`, but cut at its own
+    L (`_reference_cut`), where the integrand has fallen below e^{−50};
+    the quadrature, mpmath's degree-doubling rule at 40 digits, is not the
+    array's either, so the two share neither cut nor rule.  On 208 points,
+    every point the tests use among them, it returns the same doubles as
+    tanh-sinh on ⌊8L⌋ subintervals, in a quarter of the time.
     """
-    length = asy._pearcey_truncation(T, X)
+    length = _reference_cut(T, X)
     with mpmath.workdps(40):
         rot = mpmath.expjpi(mpmath.mpf(1) / 8)
         lin = 1j * mpmath.mpf(X) * rot

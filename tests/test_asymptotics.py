@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -272,6 +273,40 @@ def test_pearcey_array_estimate_bounds_the_actual_error():
     for i in picks:
         exact = pearcey_mp(T[i], X[i])
         assert abs(values[i] - exact) <= errors[i]
+
+
+def test_pearcey_truncation_is_the_root_of_the_tail_equation():
+    # elementwise over every sign combination, the shape kept; in exact
+    # arithmetic the cut never falls short of the root, so the dropped tails
+    # stay below e^{−_TAIL_EFOLDS}, and it overshoots by roundoff only
+    rng = np.random.default_rng(43)
+    t = np.concatenate([[0.0, 0.0, 30.0, 30.0], rng.uniform(0, 30, 8)])
+    x = np.concatenate([[0.0, 100.0, 0.0, 100.0], rng.uniform(0, 100, 8)])
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    T = signs[:, :1, None] * t.reshape(3, 4)
+    X = signs[:, 1:, None] * x.reshape(3, 4)
+    # a tail of e^{−36} ≈ 2e-16 is the most the cut may drop at roundoff
+    efolds = asy._TAIL_EFOLDS
+    assert efolds >= 36
+    length = asy._pearcey_truncation(T, X)
+    assert length.shape == T.shape == (4, 3, 4)
+    for cut, a, b in zip(length.ravel(), np.abs(T).ravel(), np.abs(X).ravel()):
+        L = Fraction(float(cut))
+        assert L ** 4 - Fraction(float(a)) * L ** 2 - Fraction(float(b)) * L >= efolds
+        with mpmath.workdps(30):
+            root = mpmath.findroot(lambda y: y ** 4 - a * y ** 2 - b * y - efolds, cut)
+            assert abs(cut / root - 1) <= 1e-12
+
+
+def test_pearcey_array_estimate_bounds_the_actual_error_near_the_origin():
+    # small |T|, |X|, where the cut shrank most (L ≈ 2.5 here, against a
+    # 4 the reference's cut never goes below)
+    rng = np.random.default_rng(47)
+    T = rng.uniform(-3, 3, 8)
+    X = rng.uniform(-3, 3, 8)
+    values, errors = asy.pearcey_array(T, X)
+    for t, x, value, error in zip(T, X, values, errors):
+        assert abs(value - pearcey_mp(t, x)) <= error
 
 
 # ---------------------------------------------------------------------------

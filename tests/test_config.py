@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwhydro.config import (EXPERIMENTS, MARCH_SITE_STEPS, ConfigError, SimConfig,
-                            parse_config, validate_config)
+from qwhydro.config import (EXPERIMENTS, MAP_POINTS, MARCH_SITE_STEPS, STATE_BYTES,
+                            ConfigError, SimConfig, parse_config, validate_config)
 from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
 FIG_STYLE = """
@@ -236,6 +236,11 @@ def _check_parse(text):
         assert 0 <= last < EXACT_STEPS
     if spec.walk == "march":
         assert cfg.n_sites * cfg.n_steps <= MARCH_SITE_STEPS
+    # and so is every lattice and map window
+    if cfg.n_sites is not None:
+        assert 32 * cfg.n_sites <= STATE_BYTES
+    if "window" in spec.needs:
+        assert cfg.nx * cfg.nt <= MAP_POINTS
     return cfg
 
 

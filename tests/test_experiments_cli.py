@@ -12,7 +12,8 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import EXPERIMENTS, MARCH_SITE_STEPS, ConfigError, parse_config
+from qwhydro.config import (EXPERIMENTS, MAP_POINTS, MARCH_SITE_STEPS, STATE_BYTES,
+                            ConfigError, parse_config)
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
@@ -677,6 +678,41 @@ def test_cli_validate_rejects_a_validation_soak_over_its_budget(tmp_path, capsys
     with pytest.raises(SystemExit) as err:
         main(["validate", str(cfg)])
     assert err.value.code == 2
+
+
+def _exits_2_naming(cfg, capsys, *fields):
+    with pytest.raises(SystemExit) as err:
+        main(["validate", str(cfg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert all(field in message for field in fields)
+
+
+@pytest.mark.parametrize("name", ["pearcey_map", "zones_map"])
+def test_cli_validate_rejects_a_map_window_over_its_budget(tmp_path, capsys, name):
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(_with(name, nx="100000", nt="100000"))
+    _exits_2_naming(cfg, capsys, "'nx'", "'nt'")
+    # nx·nt at the budget passes, one row more does not
+    nt = MAP_POINTS // 10000
+    cfg.write_text(_with(name, nx="10000", nt=str(nt)))
+    assert main(["validate", str(cfg)]) == 0
+    cfg.write_text(_with(name, nx="10000", nt=str(nt + 1)))
+    _exits_2_naming(cfg, capsys, "'nx'", "'nt'")
+
+
+@pytest.mark.parametrize("name", ["planewave", "validation", "shock_single_mode",
+                                  "schrodinger_shock", "nonrel_compare"])
+def test_cli_validate_rejects_a_lattice_over_its_memory_budget(tmp_path, capsys, name):
+    cfg = tmp_path / "lattice.cfg"
+    cfg.write_text(_with(name, n_sites=str(2 ** 40)))
+    _exits_2_naming(cfg, capsys, "'n_sites'")
+    # one walk state at the budget passes, two sites more do not
+    largest = STATE_BYTES // 32
+    cfg.write_text(_with(name, n_sites=str(largest)))
+    assert main(["validate", str(cfg)]) == 0
+    cfg.write_text(_with(name, n_sites=str(largest + 2)))
+    _exits_2_naming(cfg, capsys, "'n_sites'")
 
 
 @pytest.mark.parametrize("name", ["shock_multimode", "shock_single_mode"])
