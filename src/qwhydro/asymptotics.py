@@ -216,13 +216,23 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray, n_panels: in
     return _ROT * length * total, EPS * length * (weighted * swing).sum(axis=-1)
 
 
+def pearcey_panels(T, X) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's cut L and coarse panel count n (a float: inf or nan, never a
+    wrapped integer, at an extreme point); it costs 48n nodes, and L and n grow
+    with |T| and with |X|."""
+    length = _pearcey_truncation(T, X)
+    l2 = length * length
+    bound = np.abs(X) * length + np.abs(T) * l2 + l2 * l2
+    return length, np.maximum(np.ceil(bound / _SWING_PER_PANEL), _MIN_PANELS)
+
+
 def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     """I_P(T, X) for arrays of points, with a per-point error estimate.
 
     The rotated contour y = e^{iπ/8}s over [−L, L], cut by
     `_pearcey_truncation` where the integrand has fallen below e^{−40}, by
     composite 16-node Gauss–Legendre.  Each point gets n panels from its
-    own bound |X|L + |T|L² + L⁴, at least `_MIN_PANELS`; the value is the
+    own bound |X|L + |T|L² + L⁴ (`pearcey_panels`); the value is the
     2n-panel rule Q(2n) and the estimate is |Q(2n) − Q(n)| plus the
     rounding bound of Q(2n).  The difference alone under-reads where the
     rotated integrand grows large before it decays: there both rules carry
@@ -235,13 +245,10 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
         raise ValueError("pearcey_array requires finite arguments")
     t_flat, x_flat = T.ravel(), X.ravel()
-    length = _pearcey_truncation(t_flat, x_flat)
-    l2 = length * length
-    bound = np.abs(x_flat) * length + np.abs(t_flat) * l2 + l2 * l2
-    panels = np.maximum(np.ceil(bound / _SWING_PER_PANEL).astype(int), _MIN_PANELS)
+    length, panels = pearcey_panels(t_flat, x_flat)
     values = np.empty(t_flat.shape, dtype=complex)
     errors = np.empty(t_flat.shape)
-    for n in np.unique(panels):
+    for n in np.unique(panels).astype(int):
         idx = np.flatnonzero(panels == n)
         step = max(1, _BLOCK_NODES // (2 * n * len(GL16_NODES)))
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
@@ -253,14 +260,19 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     return values.reshape(T.shape), errors.reshape(T.shape)
 
 
+def check_pearcey_tol(name: str, tol: float):
+    """Raise ValueError naming `name` unless tol lies in (0, 1e-3]."""
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError(f"{name} must lie in (0, 1e-3]")
+
+
 def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
     """I_P(T,X) = ∫ dy e^{i(Xy + Ty² + y⁴)} to absolute accuracy ≤ tol.
 
     One point of `pearcey_array`; it raises where that point's estimate
     exceeds tol, as a map does, and on non-finite T, X as the array does.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
+    check_pearcey_tol("tol", tol)
     value, error = pearcey_array(T, X)
     if error > tol:
         raise PearceyConvergenceError(f"pearcey error estimate {error:.2e} exceeds tol {tol:.2e}")

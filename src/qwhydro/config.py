@@ -6,9 +6,9 @@ per cosine mode.  Tolerances are namespaced: `tol.<name> = <float>`.
 Unknown keys, keys the experiment does not read, and tolerances it does
 not gate are errors (no silent typo or misplaced-key acceptance).
 
-`EXPERIMENTS` is the one table of what each experiment reads; parsing
-checks a config against its entry and returns a resolved, frozen
-`SimConfig`.
+Parsing checks a config against its `EXPERIMENTS` entry (the one table, kept
+with the compute functions in `experiments`) and returns a resolved, frozen
+`SimConfig`; a rule with an owner elsewhere is checked by calling the owner.
 """
 
 from __future__ import annotations
@@ -17,7 +17,11 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .initial import ModeSpec, check_wavenumber
+import numpy as np
+
+from .asymptotics import ShockChart, check_pearcey_tol, pearcey_panels, shock_coords
+from .experiments import EXPERIMENTS, walk_steps
+from .initial import ModeSpec, ShockInitSpec, check_wavenumber
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
 
@@ -29,68 +33,15 @@ MARCH_SITE_STEPS = 10 ** 11
 # take: 128 MiB, so at most 2²² sites.  A run holds one state per snapshot
 # (nine by default) and a few more while it jumps.
 STATE_BYTES = 2 ** 27
-# The most (x, t) points, nx·nt, a map window may ask for: at the 36 µs a
-# point that a 1000 × 1000 mass-20 `pearcey_map` run took on one core of a
-# 2-CPU Xeon (110 MB peak), about 6 minutes and 1 GB.
+# The most (x, t) points, nx·nt, a map window may ask for: its arrays take
+# about 1 GB at 10⁷ points.
 MAP_POINTS = 10 ** 7
-
-
-# The keys each key group owns.  Every experiment reads `experiment`,
-# `mass` and `output_dir`, and the keys of the groups it needs.
-GROUP_KEYS = {
-    "lattice": ("n_sites",),
-    # the plane-wave momentum; a `t_final` sets the default `n_steps` to its
-    # whole steps, so a config may not set both
-    "wave": ("q", "t_final"),
-    # `t_final` defaults to 1.5/u_max
-    "modes": ("mode", "q_max", "t_final", "snapshot_times"),
-    # a walk of `n_steps` steps, 10⁴ by default, on `n_sites` = 4096 unless set
-    "steps": ("n_sites", "n_steps"),
-    # the (x, t) map grid
-    "window": ("x_min", "x_max", "nx", "t_min", "t_max", "nt"),
-    "quadrature": ("pearcey_tol",),
-}
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """What one experiment reads from its config.
-
-    `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
-    each `tol.<name>` the run enforces to its default limit, None for a
-    gate enforced only when the config sets it.  `schedule` lists the
-    default snapshot times as fractions of `t_final`.  `walk` says how the
-    run advances its walk: "jump" (`walk.propagate`), "march" (stepped) or
-    "" (it has none).
-    """
-
-    needs: tuple[str, ...]
-    gates: dict[str, float | None]
-    schedule: tuple[float, ...] = ()
-    walk: str = ""
-
-    @property
-    def keys(self) -> frozenset[str]:
-        """Every key the experiment reads, `tol.<name>` lines aside."""
-        return frozenset({"experiment", "mass", "output_dir"}).union(
-            *(GROUP_KEYS[group] for group in self.needs))
-
-
-_NORM_DRIFT = {"norm_drift": 1e-10}
-_EIGHTHS = tuple(i / 8.0 for i in range(9))
-
-EXPERIMENTS = {
-    "dtqw_shock": Experiment(("lattice", "modes"), _NORM_DRIFT, _EIGHTHS, "jump"),
-    "dtqw_planewave": Experiment(("lattice", "wave", "steps"), _NORM_DRIFT, walk="jump"),
-    "schrodinger_shock": Experiment(("lattice", "modes"), _NORM_DRIFT,
-                                    (1.0 / 3.0, 2.0 / 3.0, 1.0)),
-    "pearcey_map": Experiment(("window", "quadrature"), {}),
-    "asymptotic_zones": Experiment(("window",), {}),
-    "nonrel_compare": Experiment(("lattice", "modes"), {"density_l2": None}, _EIGHTHS,
-                                 "jump"),
-    "validation": Experiment(("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
-                                          "current_identity": 1e-12}, walk="march"),
-}
+# A map point takes at most the `pearcey_panels` nodes of the window's (max |T|,
+# max |X|), laid out in one array of ≈ 64 B a node: POINT_NODES bounds it to
+# 128 MiB.  At 14–19 ns a node so counted (masses 100 and 20, one core of a
+# 2-CPU Xeon) nx·nt·nodes ≤ MAP_NODES runs in about 6 minutes.
+POINT_NODES = 2 ** 21
+MAP_NODES = 2 * 10 ** 10
 
 
 class ConfigError(ValueError):
@@ -100,9 +51,7 @@ class ConfigError(ValueError):
 _INT_KEYS = {"n_sites", "n_steps", "nx", "nt"}
 _FLOAT_KEYS = {"mass", "q_max", "q", "t_final", "x_min", "x_max",
                "t_min", "t_max", "pearcey_tol"}
-_LIST_KEYS = {"snapshot_times"}
-_STR_KEYS = {"experiment", "output_dir"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS | _STR_KEYS | {"mode"}
+_KNOWN_KEYS = frozenset().union(*(spec.keys for spec in EXPERIMENTS.values()))
 
 
 @dataclass(frozen=True)
@@ -128,12 +77,6 @@ class SimConfig:
     nt: int = 25
     pearcey_tol: float = 1e-6
 
-    @property
-    def u_max(self) -> float:
-        if not self.mass:
-            return 0.0
-        return self.q_max / self.mass
-
 
 def _parse_mode(raw: str, lineno: int) -> ModeSpec:
     parts = [p.strip() for p in raw.split(",")]
@@ -141,15 +84,9 @@ def _parse_mode(raw: str, lineno: int) -> ModeSpec:
         raise ConfigError(
             f"line {lineno}: mode needs 'amplitude,wavenumber,phase', got {raw!r}")
     try:
-        amplitude = float(parts[0])
-        wavenumber = int(parts[1])
-        phase = float(parts[2])
-    except ValueError as exc:
+        return ModeSpec(float(parts[0]), int(parts[1]), float(parts[2]))
+    except ValueError as exc:  # a number that does not parse, or ModeSpec's own rule
         raise ConfigError(f"line {lineno}: bad mode value ({exc})") from None
-    try:
-        return ModeSpec(amplitude=amplitude, wavenumber=wavenumber, phase_offset=phase)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: {exc}") from None
 
 
 def parse_config(text: str) -> SimConfig:
@@ -191,7 +128,7 @@ def parse_config(text: str) -> SimConfig:
                 values[key] = int(raw)
             elif key in _FLOAT_KEYS:
                 values[key] = float(raw)
-            elif key in _LIST_KEYS:
+            elif key == "snapshot_times":
                 values[key] = tuple(float(v) for v in raw.split(",") if v.strip())
             else:
                 values[key] = raw
@@ -220,13 +157,6 @@ def _owned(check, *args):
         return check(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _steps_until(t: float, params: WalkParams, key: str) -> int:
-    try:
-        return steps_until(t, params)
-    except OverflowError:
-        raise ConfigError(f"{key} = {t} is more steps than a float can count") from None
 
 
 def validate_config(cfg: SimConfig) -> SimConfig:
@@ -261,8 +191,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     if cfg.mass is None:
         raise ConfigError("missing required key 'mass'")
-    if cfg.mass <= 0:
-        raise ConfigError("'mass' must be positive")
+    chart = _owned(ShockChart.from_mass, cfg.mass)  # the chart and the walk need m > 0
     n_sites = cfg.n_sites
     if n_sites is None and "lattice" in spec.needs:
         raise ConfigError("missing required key 'n_sites'")
@@ -277,9 +206,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         _owned(check_wavenumber, "'q'", cfg.q, n_sites)
     t_final = cfg.t_final
     if "modes" in spec.needs:
-        if not cfg.modes:
-            raise ConfigError("at least one 'mode' line is required")
-        if cfg.q_max <= 0:
+        _owned(ShockInitSpec, cfg.modes, cfg.q_max, cfg.mass)
+        if cfg.q_max == 0:  # the spec allows it; the default t_final does not
             raise ConfigError("'q_max' must be positive")
         _owned(check_wavenumber, "'mode' k", max(m.wavenumber for m in cfg.modes), n_sites)
         # |∂ₓ(mφ)| ≤ q_max·Σ|aᵢ|·kᵢ must stay within the Nyquist wavenumber
@@ -290,7 +218,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                               f"Nyquist wavenumber n_sites/2 = {n_sites // 2}")
         if t_final is None:
             # 1.5 × the characteristic caustic time 1/u_max
-            t_final = 1.5 / cfg.u_max if cfg.u_max > 0 else math.inf
+            u_max = cfg.q_max / cfg.mass
+            t_final = 1.5 / u_max if u_max > 0 else math.inf
             if not 0 < t_final < math.inf:
                 raise ConfigError("'q_max' / 'mass' is out of range: the default "
                                   "t_final = 1.5·mass/q_max must be positive and finite")
@@ -303,37 +232,34 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         if cfg.t_min <= 0:
             raise ConfigError("'t_min' must be positive")
     if "quadrature" in spec.needs:
-        if not (0.0 < cfg.pearcey_tol <= 1e-3):
-            raise ConfigError("'pearcey_tol' must lie in (0, 1e-3]")
+        _owned(check_pearcey_tol, "'pearcey_tol'", cfg.pearcey_tol)
 
     if t_final is not None and t_final <= 0:
         raise ConfigError("'t_final' must be positive")
     n_steps = cfg.n_steps
     if n_steps is not None and n_steps < 0:
         raise ConfigError("'n_steps' must be nonnegative")
-    if n_steps is None and "steps" in spec.needs:
-        n_steps = 10000
-        if "wave" in spec.needs and t_final is not None:
-            n_steps = _steps_until(t_final, params, "'t_final'")
 
     snapshot_times = cfg.snapshot_times or tuple(f * t_final for f in spec.schedule)
     for t in snapshot_times:
         if t_final is not None and not (0.0 <= t <= t_final * (1 + 1e-12)):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={t_final}]")
 
-    if spec.walk == "jump":
-        # the last step, and the key whose value set it
-        if "steps" in spec.needs:
-            key, value = ("n_steps", n_steps) if cfg.n_steps is not None \
-                else ("t_final", t_final)
-            last = n_steps
-        else:
-            key, value = ("snapshot_times", max(snapshot_times)) if cfg.snapshot_times \
-                else ("t_final", t_final)
-            last = _steps_until(max(snapshot_times), params, f"'{key}'")
-        if last >= EXACT_STEPS:
-            raise ConfigError(f"'{key}' = {value} reaches step {last}; a jumped walk is "
-                              f"exact only below step 2^27 = {EXACT_STEPS}")
+    key = "n_steps" if cfg.n_steps is not None else \
+        "snapshot_times" if cfg.snapshot_times else "t_final"  # the key setting the steps
+    try:
+        if n_steps is None and "steps" in spec.needs:
+            n_steps = 10000 if t_final is None else steps_until(t_final, params)
+        resolved = replace(cfg, n_sites=n_sites, n_steps=n_steps, t_final=t_final,
+                           snapshot_times=snapshot_times)
+        last = walk_steps(resolved)[-1] if spec.walk == "jump" else 0
+    except OverflowError:
+        raise ConfigError(f"'{key}' is more steps than a float can count") from None
+    except ValueError as exc:
+        raise ConfigError(f"'{key}': {exc}") from None
+    if last >= EXACT_STEPS:
+        raise ConfigError(f"'{key}' reaches step {last}; a jumped walk is "
+                          f"exact only below step 2^27 = {EXACT_STEPS}")
     if spec.walk == "march" and n_sites * n_steps > MARCH_SITE_STEPS:
         raise ConfigError(f"'n_steps' = {n_steps} on {n_sites} sites is over the budget "
                           f"of {MARCH_SITE_STEPS:.0e} stepped site updates (n_sites·n_steps)")
@@ -344,5 +270,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                               f"(gated: {', '.join(spec.gates) or 'none'})")
         if not 0 < value < math.inf:
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
-    return replace(cfg, n_sites=n_sites, n_steps=n_steps, t_final=t_final,
-                   snapshot_times=snapshot_times)
+    if "quadrature" in spec.needs:
+        with np.errstate(all="ignore"):  # an extreme window costs inf or nan nodes
+            T, X = shock_coords(np.array([cfg.x_min, cfg.x_max]),
+                                np.array([[cfg.t_min], [cfg.t_max]]), chart)
+            nodes = 48.0 * pearcey_panels(np.max(np.abs(T)), np.max(np.abs(X)))[1]
+        if not (nodes <= POINT_NODES and cfg.nx * cfg.nt * nodes <= MAP_NODES):
+            raise ConfigError(f"'x_min', 'x_max', 't_min', 't_max' and 'mass' give {nodes:.3g} "
+                              f"nodes a point (budget {POINT_NODES}), on 'nx' · 'nt' = {cfg.nx} "
+                              f"· {cfg.nt} points (budget {MAP_NODES:.0e} nodes in all)")
+    return resolved

@@ -6,9 +6,9 @@ carrying the config echo, conservation diagnostics, and the timestamp and
 telemetry of the run, the only values that change between reruns.
 Identical configs produce byte-identical data files.
 
-Each experiment is a compute function returning its data and diagnostics;
-`run_experiment` writes them, gates the `tol.<name>` limits that the
-experiment's `config.EXPERIMENTS` entry declares, and writes the manifest.
+Each `EXPERIMENTS` entry holds a compute function, returning data and
+diagnostics, and what it reads from its config; `run_experiment` writes the
+data, gates the entry's `tol.<name>` limits and writes the manifest.
 """
 
 from __future__ import annotations
@@ -22,18 +22,21 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
-from .config import EXPERIMENTS, SimConfig
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_propagate
 from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, march, \
     propagate, step_walk, steps_until, total_norm
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 
 @dataclass
@@ -92,8 +95,8 @@ class Computed:
 
     `files` maps output file names to a grid (written as CSV) or to records
     (written as JSON); `measured` holds the value each `tol.<name>` gate of
-    the experiment checks; `held` says whether the experiment's own gates
-    held; `times` pairs the requested and realized snapshot times.
+    the experiment checks; `held` says whether its checks that are no {value,
+    limit, margin} record held; `times` pairs requested and realized times.
     """
 
     files: dict[str, SpacetimeGrid | list]
@@ -113,16 +116,25 @@ def _gate(value: float, limit: float) -> dict:
 STEP_CONSISTENCY_LIMIT = 1e-10
 
 
-def _jump_walk(state: SpinorField, params, steps):
-    """The walk states at the given steps, jumped to exactly, once each and
-    in increasing order.
+def walk_steps(cfg: SimConfig) -> list[int]:
+    """The steps a jumped walk visits: every 16th of `n_steps` and the last, or
+    the whole steps of each snapshot time, one step each (else ValueError)."""
+    if cfg.n_steps is not None:
+        return [*range(0, cfg.n_steps, max(1, cfg.n_steps // 16)), cfg.n_steps]
+    params, times = build_walk(cfg.n_sites, cfg.mass), cfg.snapshot_times
+    steps = [steps_until(t, params) for t in times]
+    if any(b <= a for a, b in zip(steps, steps[1:])):
+        raise ValueError(f"two snapshot times land on the same step (2π/n_sites = "
+                         f"{params.dt:.6g}): {times} on steps {steps}")
+    return steps
 
-    Also returns the in-run cross-check against the stepped kernel:
-    max |propagate(j) − step_walk(propagate(j − 1))| at the last step j.
-    """
-    wanted = sorted(set(steps))
-    last = max(wanted[-1], 1)  # a run that stops at step 0 checks step 1
-    *snaps, before, after = propagate(state, params, [*wanted, last - 1, last])
+
+def _jump_walk(cfg: SimConfig, state: SpinorField, params):
+    """The walk states at `walk_steps`, jumped to exactly, and the check against the
+    stepped kernel, max |propagate(j) − step_walk(propagate(j − 1))| at the last j."""
+    steps = walk_steps(cfg)
+    last = max(steps[-1], 1)  # a run that stops at step 0 checks step 1
+    *snaps, before, after = propagate(state, params, [*steps, last - 1, last])
     stepped = step_walk(before, params)
     gap = float(max(np.max(np.abs(after.left - stepped.left)),
                     np.max(np.abs(after.right - stepped.right))))
@@ -130,9 +142,16 @@ def _jump_walk(state: SpinorField, params, steps):
 
 
 def _walk_shock_setup(cfg: SimConfig):
-    params = build_walk(cfg.n_sites, cfg.mass)
-    spec = ShockInitSpec(modes=cfg.modes, q_max=cfg.q_max, mass=cfg.mass)
-    return params, spec
+    return build_walk(cfg.n_sites, cfg.mass), ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass)
+
+
+def _shock_walk(cfg: SimConfig):
+    """The shock walk: parameters, spec, initial state, snapshots, gate, times."""
+    params, spec = _walk_shock_setup(cfg)
+    state = phase_modulated_state(params, spec)
+    snaps, consistency = _jump_walk(cfg, state, params)
+    times = (list(cfg.snapshot_times), [s.step_index * params.dt for s in snaps])
+    return params, spec, state, snaps, consistency, times
 
 
 # ---------------------------------------------------------------------------
@@ -140,41 +159,31 @@ def _walk_shock_setup(cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 def _dtqw_shock(cfg: SimConfig) -> Computed:
-    params, spec = _walk_shock_setup(cfg)
-    state = phase_modulated_state(params, spec)
+    params, _, state, snaps, consistency, times = _shock_walk(cfg)
     n0 = total_norm(state, params)
-    snaps, consistency = _jump_walk(state, params,
-                                    [steps_until(t, params) for t in cfg.snapshot_times])
-    realized = [s.step_index * params.dt for s in snaps]
     density = np.array([currents(s).j0 for s in snaps])
     drift = float(abs(total_norm(snaps[-1], params) - n0) / n0)
     return Computed(
         files={"dtqw_shock_density.csv":
-               SpacetimeGrid(x=params.x, t=np.array(realized), values=density)},
+               SpacetimeGrid(x=params.x, t=np.array(times[1]), values=density)},
         diagnostics={"norm_drift": drift, "initial_norm": float(n0),
                      "step_consistency": consistency},
-        measured={"norm_drift": drift},
-        held=consistency["margin"] >= 0,
-        times=(list(cfg.snapshot_times), realized))
+        measured={"norm_drift": drift}, times=times)
 
 
 def _dtqw_planewave(cfg: SimConfig) -> Computed:
     params = build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, cfg.q)
-    n_steps = cfg.n_steps
     n0 = total_norm(state, params)
-    # every 16th of the run and its last step
-    cadence = max(1, n_steps // 16)
-    snaps, consistency = _jump_walk(state, params, [*range(0, n_steps, cadence), n_steps])
+    snaps, consistency = _jump_walk(cfg, state, params)
     max_drift = float(max(abs(total_norm(s, params) - n0) / n0 for s in snaps))
     density = np.array([currents(state).j0, currents(snaps[-1]).j0])
-    grid = SpacetimeGrid(x=params.x, t=np.array([0.0, n_steps * params.dt]),
+    grid = SpacetimeGrid(x=params.x, t=np.array([0.0, cfg.n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
-                    diagnostics={"norm_drift": max_drift, "n_steps": n_steps,
+                    diagnostics={"norm_drift": max_drift, "n_steps": cfg.n_steps,
                                  "step_consistency": consistency},
-                    measured={"norm_drift": max_drift},
-                    held=consistency["margin"] >= 0)
+                    measured={"norm_drift": max_drift})
 
 
 def _schrodinger_shock(cfg: SimConfig) -> Computed:
@@ -227,8 +236,7 @@ def _pearcey_map(cfg: SimConfig) -> Computed:
                    "pearcey_error": _gate(worst, cfg.pearcey_tol),
                    "points_over_tol": over}
     grid = SpacetimeGrid(x=xs, t=ts, values=intensity)
-    return Computed(files={"pearcey_map.csv": grid}, diagnostics=diagnostics,
-                    held=over == 0)
+    return Computed(files={"pearcey_map.csv": grid}, diagnostics=diagnostics)
 
 
 def _asymptotic_zones(cfg: SimConfig) -> Computed:
@@ -240,12 +248,8 @@ def _asymptotic_zones(cfg: SimConfig) -> Computed:
 
 
 def _nonrel_compare(cfg: SimConfig) -> Computed:
-    params, spec = _walk_shock_setup(cfg)
-    state = phase_modulated_state(params, spec)
+    params, spec, _, snaps, consistency, times = _shock_walk(cfg)
     psi0 = schrodinger_initial(params, spec)
-    snaps, consistency = _jump_walk(state, params,
-                                    [steps_until(t, params) for t in cfg.snapshot_times])
-    realized = [s.step_index * params.dt for s in snaps]
 
     def oracle(t: float):
         return spectral_propagate(psi0, cfg.mass, t)
@@ -256,9 +260,7 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
         files={"nonrel_compare.json": records},
         diagnostics={"final_density_l2": final_err, "records": len(records),
                      "step_consistency": consistency},
-        measured={"density_l2": final_err},
-        held=consistency["margin"] >= 0,
-        times=(list(cfg.snapshot_times), realized))
+        measured={"density_l2": final_err}, times=times)
 
 
 def _validation(cfg: SimConfig) -> Computed:
@@ -313,14 +315,64 @@ def _validation(cfg: SimConfig) -> Computed:
                     held=dirac_monotone)
 
 
-_COMPUTE = {
-    "dtqw_shock": _dtqw_shock,
-    "dtqw_planewave": _dtqw_planewave,
-    "schrodinger_shock": _schrodinger_shock,
-    "pearcey_map": _pearcey_map,
-    "asymptotic_zones": _asymptotic_zones,
-    "nonrel_compare": _nonrel_compare,
-    "validation": _validation,
+# The keys each key group owns.  Every experiment reads `experiment`,
+# `mass` and `output_dir`, and the keys of the groups it needs.
+GROUP_KEYS = {
+    "lattice": ("n_sites",),
+    # the plane-wave momentum; a `t_final` sets the default `n_steps` to its
+    # whole steps, so a config may not set both
+    "wave": ("q", "t_final"),
+    # `t_final` defaults to 1.5/u_max
+    "modes": ("mode", "q_max", "t_final", "snapshot_times"),
+    # a walk of `n_steps` steps, 10⁴ by default, on `n_sites` = 4096 unless set
+    "steps": ("n_sites", "n_steps"),
+    # the (x, t) map grid
+    "window": ("x_min", "x_max", "nx", "t_min", "t_max", "nt"),
+    "quadrature": ("pearcey_tol",),
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its compute function and what it reads from its config.
+
+    `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
+    each `tol.<name>` the run enforces to its default limit, None for a
+    gate enforced only when the config sets it.  `schedule` lists the
+    default snapshot times as fractions of `t_final`.  `walk` says how the
+    run advances its walk: "jump" (`walk.propagate`, at `walk_steps`),
+    "march" (stepped) or "" (it has none).
+    """
+
+    compute: Callable[[SimConfig], Computed]
+    needs: tuple[str, ...]
+    gates: dict[str, float | None]
+    schedule: tuple[float, ...] = ()
+    walk: str = ""
+
+    @property
+    def keys(self) -> frozenset[str]:
+        """Every key the experiment reads, `tol.<name>` lines aside."""
+        return frozenset({"experiment", "mass", "output_dir"}).union(
+            *(GROUP_KEYS[group] for group in self.needs))
+
+
+_NORM_DRIFT = {"norm_drift": 1e-10}
+_EIGHTHS = tuple(i / 8.0 for i in range(9))
+
+EXPERIMENTS = {
+    "dtqw_shock": Experiment(_dtqw_shock, ("lattice", "modes"), _NORM_DRIFT, _EIGHTHS, "jump"),
+    "dtqw_planewave": Experiment(_dtqw_planewave, ("lattice", "wave", "steps"), _NORM_DRIFT,
+                                 walk="jump"),
+    "schrodinger_shock": Experiment(_schrodinger_shock, ("lattice", "modes"), _NORM_DRIFT,
+                                    (1.0 / 3.0, 2.0 / 3.0, 1.0)),
+    "pearcey_map": Experiment(_pearcey_map, ("window", "quadrature"), {}),
+    "asymptotic_zones": Experiment(_asymptotic_zones, ("window",), {}),
+    "nonrel_compare": Experiment(_nonrel_compare, ("lattice", "modes"), {"density_l2": None},
+                                 _EIGHTHS, "jump"),
+    "validation": Experiment(_validation, ("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
+                                                       "current_identity": 1e-12},
+                             walk="march"),
 }
 
 
@@ -371,17 +423,18 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     The experiment computes its data files and diagnostics; the runner
     writes the files, gates every `tol.<name>` its `EXPERIMENTS` entry
     declares as {value, limit, margin}, and writes the manifest.  The run
-    is ok when every margin is nonnegative, every diagnostic is finite and
-    the experiment's own gates held.  The manifest's `telemetry` times the
-    compute, emit and manifest stages; the last ends where the manifest is
-    written, as a file cannot hold the time of its own write.
+    is ok when every such record, in the verdicts or the diagnostics, has a
+    nonnegative margin, every diagnostic is finite and `held` is true.  The
+    manifest's `telemetry` times the compute, emit and manifest stages; the
+    last ends where the manifest is written, as a file cannot hold the time
+    of its own write.
     """
     try:
-        compute = _COMPUTE[cfg.experiment]
+        spec = EXPERIMENTS[cfg.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
     started = time.perf_counter()
-    done = compute(cfg)
+    done = spec.compute(cfg)
     computed = time.perf_counter()
     out = Path(cfg.output_dir)
     paths = [emit_spacetime_csv(data, out / name) if isinstance(data, SpacetimeGrid)
@@ -389,17 +442,18 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     emitted = time.perf_counter()
 
     verdicts = {}
-    for name, default in EXPERIMENTS[cfg.experiment].gates.items():
+    for name, default in spec.gates.items():
         limit = cfg.tolerances.get(name, default)
         if limit is not None:
             verdicts[name] = _gate(done.measured[name], limit)
+    records = [*verdicts.values(), *(value for value in done.diagnostics.values()
+                                     if isinstance(value, dict) and "margin" in value)]
     # a diagnostic that came out nan or inf fails the run, gated or not
     finite = _strict_json(done.diagnostics)[1]
-    ok = bool(done.held) and finite and all(v["margin"] >= 0 for v in verdicts.values())
+    ok = bool(done.held) and finite and all(r["margin"] >= 0 for r in records)
 
     # the resolved values of the keys the experiment reads (`mode` lines are `modes`)
-    echoed = {"tolerances"} | {"modes" if key == "mode" else key
-                               for key in EXPERIMENTS[cfg.experiment].keys}
+    echoed = {"tolerances"} | {"modes" if key == "mode" else key for key in spec.keys}
     doc = {
         "experiment": cfg.experiment,
         "version": __version__,

@@ -275,6 +275,23 @@ def test_pearcey_array_estimate_bounds_the_actual_error():
         assert abs(values[i] - exact) <= errors[i]
 
 
+def test_pearcey_panels_at_the_window_corner_bound_every_point():
+    # a map's work is bounded by the panels at the window's (max |T|, max |X|)
+    xs, ts = np.linspace(-1.0, 1.0, 41), np.linspace(0.6, 1.8, 25)
+    for mass in (20.0, 50.0, 100.0):
+        T, X = asy.shock_coords(xs[None, :], ts[:, None], asy.ShockChart.from_mass(mass))
+        T, X = np.broadcast_arrays(-T, X)
+        length, panels = asy.pearcey_panels(T, X)
+        corner_length, corner_panels = asy.pearcey_panels(np.max(np.abs(T)), np.max(np.abs(X)))
+        assert np.all(length <= corner_length) and np.all(panels <= corner_panels)
+        assert np.max(panels) == corner_panels  # this window attains it at t_min, |x| = 1
+    # an extreme point reads a float beyond every budget (inf or nan), never a
+    # wrapped integer
+    with np.errstate(all="ignore"):
+        for extreme in (1e100, 1e300):
+            assert not asy.pearcey_panels(extreme, extreme)[1] <= 2.0 ** 63
+
+
 def test_pearcey_truncation_is_the_root_of_the_tail_equation():
     # elementwise over every sign combination, the shape kept; in exact
     # arithmetic the cut never falls short of the root, so the dropped tails

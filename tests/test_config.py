@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qwhydro.config import (EXPERIMENTS, MAP_POINTS, MARCH_SITE_STEPS, STATE_BYTES,
                             ConfigError, SimConfig, parse_config, validate_config)
+from qwhydro.experiments import walk_steps
 from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
 FIG_STYLE = """
@@ -231,6 +232,10 @@ def _check_parse(text):
     # every walk that parses is bounded
     if spec.walk == "jump":
         params = build_walk(cfg.n_sites, cfg.mass)
+        steps = walk_steps(cfg)
+        assert all(a < b for a, b in zip(steps, steps[1:]))
+        if cfg.snapshot_times:  # one step of its own for each requested time
+            assert steps == [steps_until(t, params) for t in cfg.snapshot_times]
         last = cfg.n_steps if cfg.n_steps is not None else \
             steps_until(max(cfg.snapshot_times), params)
         assert 0 <= last < EXACT_STEPS

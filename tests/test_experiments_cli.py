@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.metadata
 import json
@@ -345,7 +346,6 @@ def test_every_experiment_has_a_shipped_config_that_validates(capsys):
     assert set(shipped) == set(EXPERIMENTS)
     for path in shipped.values():
         assert main(["validate", str(path)]) == 0
-    assert set(experiments._COMPUTE) == set(EXPERIMENTS)
 
 
 INVALID_AT_RUN_TIME = {
@@ -701,6 +701,52 @@ def test_cli_validate_rejects_a_map_window_over_its_budget(tmp_path, capsys, nam
     _exits_2_naming(cfg, capsys, "'nx'", "'nt'")
 
 
+def test_cli_rejects_a_pearcey_map_over_its_quadrature_work(tmp_path, capsys):
+    # near t = 0 one point's contour takes ~10¹⁵ nodes: the run used to exit 1,
+    # unable to allocate them
+    cfg = tmp_path / "early.cfg"
+    cfg.write_text(_with("pearcey_map", nx="2", nt="2", t_min="1e-6",
+                         output_dir=tmp_path / "out"))
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert "'t_min'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_bounds_a_pearcey_map_by_its_nodes_not_its_points(tmp_path, capsys):
+    cfg = tmp_path / "heavy.cfg"
+    for mass in ("50", "100"):  # the shipped window
+        cfg.write_text(_with("pearcey_map", mass=mass))
+        assert main(["validate", str(cfg)]) == 0
+    # 10⁷ points pass at mass 20, but a mass-100 point costs 4.4 times the nodes
+    cfg.write_text(_with("pearcey_map", mass="100", nx="10000", nt=str(MAP_POINTS // 10000)))
+    _exits_2_naming(cfg, capsys, "'nx'", "'nt'", "'mass'")
+
+
+SHARED_STEP = {
+    # the default schedule puts nine times in t_final = 0.2, about two steps
+    "default_schedule": ("experiment = dtqw_shock\nn_sites = 64\nmass = 4\nq_max = 0.4\n"
+                         "mode = 1,1,0\nt_final = 0.2\noutput_dir = {out}\n", "'t_final'"),
+    "snapshot_times": (_shipped("nonrel_compare", "{out}", snapshot_times="0.0, 0.001, 1.0"),
+                       "'snapshot_times'"),
+}
+
+
+@pytest.mark.parametrize("text, field", SHARED_STEP.values(), ids=SHARED_STEP.keys())
+def test_cli_rejects_snapshot_times_on_one_walk_step(tmp_path, capsys, text, field):
+    # each requested time gets a step of its own; the run used to write fewer
+    # rows than it was asked for
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(text.format(out=tmp_path / "out"))
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert field in message and "same step" in message
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["planewave", "validation", "shock_single_mode",
                                   "schrodinger_shock", "nonrel_compare"])
 def test_cli_validate_rejects_a_lattice_over_its_memory_budget(tmp_path, capsys, name):
@@ -769,14 +815,14 @@ def test_phase_gradient_may_reach_the_nyquist_wavenumber(tmp_path):
 
 def test_nonfinite_diagnostic_is_spelled_in_strict_json_and_fails_the_run(
         tmp_path, monkeypatch):
-    compute = experiments._COMPUTE["asymptotic_zones"]
+    spec = EXPERIMENTS["asymptotic_zones"]
 
     def broken(cfg):
-        done = compute(cfg)
+        done = spec.compute(cfg)
         done.diagnostics.update(bad=float("nan"), worse=[float("inf"), -float("inf")])
         return done
 
-    monkeypatch.setitem(experiments._COMPUTE, "asymptotic_zones", broken)
+    monkeypatch.setitem(EXPERIMENTS, "asymptotic_zones", dataclasses.replace(spec, compute=broken))
     cfg = tmp_path / "zones.cfg"
     cfg.write_text(_shipped("zones_map", tmp_path / "out"))
     assert main(["run", str(cfg)]) == 2
