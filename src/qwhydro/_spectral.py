@@ -71,13 +71,10 @@ def phase_gradient(phase: np.ndarray) -> np.ndarray:
     return spectral_derivative(residual) + w
 
 
-def principal_value(phi: np.ndarray | float) -> np.ndarray | float:
+def principal_value(phi: np.ndarray) -> np.ndarray:
     """Reduce angles to the principal interval (−π, π]."""
-    out = np.mod(np.asarray(phi) + np.pi, TWO_PI) - np.pi
-    out = np.where(out == -np.pi, np.pi, out)
-    if np.isscalar(phi):
-        return float(out)
-    return out
+    out = np.mod(phi + np.pi, TWO_PI) - np.pi
+    return np.where(out == -np.pi, np.pi, out)
 
 
 def centered_time_diff(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:

@@ -75,42 +75,35 @@ def saddle_points(T: float, X: float) -> np.ndarray:
         raise ValueError("saddle_points requires finite arguments")
     p = -T / 2.0
     q = X / 4.0
-    if p == 0.0 and q == 0.0:
-        roots = np.zeros(3, dtype=complex)
-    elif p == 0.0:
-        # u³ = −q: one real cube root and its two rotations
-        base = math.copysign(abs(q) ** (1.0 / 3.0), -q)
-        spin = cmath.exp(2j * math.pi / 3.0)
-        roots = np.array([base, base * spin, base * spin.conjugate()])
+    disc = -4.0 * p ** 3 - 27.0 * q ** 2
+    if disc >= 0.0 and p < 0.0:
+        # three real roots (p < 0 whenever disc > 0)
+        amp = 2.0 * math.sqrt(-p / 3.0)
+        denom = p * amp  # underflows to 0 for |T| below about 1e-200
+        cos3t = 3.0 * q / denom if denom != 0.0 else 0.0
+        theta = math.acos(min(1.0, max(-1.0, cos3t))) / 3.0
+        roots = np.array([
+            amp * math.cos(theta),
+            amp * math.cos(theta - 2.0 * math.pi / 3.0),
+            amp * math.cos(theta + 2.0 * math.pi / 3.0),
+        ], dtype=complex)
     else:
-        disc = -4.0 * p ** 3 - 27.0 * q ** 2
-        if disc >= 0.0 and p < 0.0:
-            # three real roots (p < 0 whenever disc > 0)
-            amp = 2.0 * math.sqrt(-p / 3.0)
-            denom = p * amp
-            cos3t = 3.0 * q / denom if denom != 0.0 else 0.0
-            theta = math.acos(min(1.0, max(-1.0, cos3t))) / 3.0
-            roots = np.array([
-                amp * math.cos(theta),
-                amp * math.cos(theta - 2.0 * math.pi / 3.0),
-                amp * math.cos(theta + 2.0 * math.pi / 3.0),
-            ], dtype=complex)
+        # Cardano; p = 0 gives u³ = −q, and p = q = 0 the triple root 0
+        sqrt_d = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
+        if q >= 0.0:
+            big = -q / 2.0 - sqrt_d
         else:
-            sqrt_d = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-            if q >= 0.0:
-                big = -q / 2.0 - sqrt_d
-            else:
-                big = -q / 2.0 + sqrt_d
-            s = math.copysign(abs(big) ** (1.0 / 3.0), big)
-            t_small = -p / (3.0 * s) if s != 0.0 else 0.0
-            real_root = s + t_small
-            re_pair = -real_root / 2.0
-            im_pair = (math.sqrt(3.0) / 2.0) * (s - t_small)
-            roots = np.array([
-                real_root,
-                re_pair + 1j * im_pair,
-                re_pair - 1j * im_pair,
-            ])
+            big = -q / 2.0 + sqrt_d
+        s = math.copysign(abs(big) ** (1.0 / 3.0), big)
+        t_small = -p / (3.0 * s) if s != 0.0 else 0.0
+        real_root = s + t_small
+        re_pair = -real_root / 2.0
+        im_pair = (math.sqrt(3.0) / 2.0) * (s - t_small)
+        roots = np.array([
+            real_root,
+            re_pair + 1j * im_pair,
+            re_pair - 1j * im_pair,
+        ])
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -438,9 +431,13 @@ def zone_labels(T, X) -> np.ndarray:
 
     np.float_power, like Python's `**`, calls the C library's pow, where
     numpy's `**` may take a vector kernel that rounds differently; the
-    discriminant therefore matches the scalar one to the bit.
-    """
-    return _zone_number(np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0)
+    discriminant therefore matches the scalar one to the bit.  A point where
+    it is not finite has no zone: ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("zone_labels requires a finite discriminant")
+    return _zone_number(delta)
 
 
 _REAL_TOL = 1e-9

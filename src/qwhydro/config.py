@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import ShockChart, check_pearcey_tol, pearcey_panels, shock_coords
+from .asymptotics import ShockChart, check_pearcey_tol, discriminant, pearcey_panels, \
+    shock_coords
 from .experiments import EXPERIMENTS, walk_steps
 from .initial import ModeSpec, ShockInitSpec, check_wavenumber
 from .walk import EXACT_STEPS, WalkParams, steps_until
@@ -231,6 +232,12 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                               f"{MAP_POINTS:.0e} window points")
         if cfg.t_min <= 0:
             raise ConfigError("'t_min' must be positive")
+        with np.errstate(all="ignore"):  # an extreme window charts to inf or nan
+            T, X = shock_coords(np.array([cfg.x_min, cfg.x_max]),
+                                np.array([[cfg.t_min], [cfg.t_max]]), chart)
+            if not np.all(np.isfinite(discriminant(T, X))):  # |Δ| peaks at the corners
+                raise ConfigError("'mass', 'x_min', 'x_max', 't_min' and 't_max' chart the "
+                                  "window to a non-finite discriminant Δ")
     if "quadrature" in spec.needs:
         _owned(check_pearcey_tol, "'pearcey_tol'", cfg.pearcey_tol)
 
@@ -272,8 +279,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
     if "quadrature" in spec.needs:
         with np.errstate(all="ignore"):  # an extreme window costs inf or nan nodes
-            T, X = shock_coords(np.array([cfg.x_min, cfg.x_max]),
-                                np.array([[cfg.t_min], [cfg.t_max]]), chart)
             nodes = 48.0 * pearcey_panels(np.max(np.abs(T)), np.max(np.abs(X)))[1]
         if not (nodes <= POINT_NODES and cfg.nx * cfg.nt * nodes <= MAP_NODES):
             raise ConfigError(f"'x_min', 'x_max', 't_min', 't_max' and 'mass' give {nodes:.3g} "

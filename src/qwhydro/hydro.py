@@ -34,6 +34,7 @@ from .walk import SpinorField, Trajectory, WalkParams, centered_window
 
 PHASE_FLOOR = 1e-14        # component modulus below which phases are invalid
 NULL_FRACTION = 1e-10      # n below this fraction of max(n) counts as null
+MASK_TOL = 1e-10           # |1 − (w/mn)²| at or below this is masked by the enthalpy route
 
 
 @dataclass
@@ -310,17 +311,16 @@ class EnthalpyGradientCheck:
     direct: np.ndarray
     from_enthalpy: np.ndarray
     difference: np.ndarray
-    sigma: np.ndarray
     valid: np.ndarray
 
 
-def quantum_pressure_gradient(h: HydroField, ph: PhaseField, params: WalkParams,
-                              mask_tol: float = 1e-10) -> EnthalpyGradientCheck:
+def quantum_pressure_gradient(h: HydroField, ph: PhaseField,
+                              params: WalkParams) -> EnthalpyGradientCheck:
     """∂_xφ₋ computed directly and as −σ·∂_x(w/mn)/√(1−(w/mn)²), σ = sign sinφ₋.
 
     The second route expresses the quantum-pressure gradient through the
     thermodynamic function w/n alone; it is singular where φ₋ ∈ {0, π}
-    (w = ±mn), and those sites are masked.
+    (w = ±mn), and those sites (within MASK_TOL) are masked.
     """
     m = params.mass
     direct = phase_gradient(ph.phi_minus)
@@ -328,18 +328,16 @@ def quantum_pressure_gradient(h: HydroField, ph: PhaseField, params: WalkParams,
     safe_n = np.where(h.valid_mask & (h.n > 0), h.n, 1.0)
     ratio = h.w / (m * safe_n)          # = cosφ₋ on valid sites
     one_minus = 1.0 - ratio ** 2
-    valid = h.valid_mask & (np.abs(one_minus) > mask_tol)
-    sigma = np.sign(np.sin(ph.phi_minus))
+    valid = h.valid_mask & (np.abs(one_minus) > MASK_TOL)
 
     dratio_dx = spectral_derivative(ratio)
-    denom = np.sqrt(np.clip(one_minus, mask_tol, None))
-    from_enthalpy = np.where(valid, -sigma * dratio_dx / denom, 0.0)
+    denom = np.sqrt(np.clip(one_minus, MASK_TOL, None))
+    from_enthalpy = np.where(valid, -np.sign(np.sin(ph.phi_minus)) * dratio_dx / denom, 0.0)
     direct_masked = np.where(valid, direct, 0.0)
     return EnthalpyGradientCheck(
         direct=direct_masked,
         from_enthalpy=from_enthalpy,
         difference=direct_masked - from_enthalpy,
-        sigma=sigma,
         valid=valid,
     )
 

@@ -146,4 +146,4 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
 def schrodinger_initial(params: WalkParams, spec: ShockInitSpec) -> Wavefunction:
     """Unit-modulus wavefunction e^{imφ(x)} matching the walk's initial phase."""
     phi = _lattice_phase(params, spec)
-    return Wavefunction(values=np.exp(1j * params.mass * phi), time=0.0)
+    return Wavefunction(values=np.exp(1j * params.mass * phi))

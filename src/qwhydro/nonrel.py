@@ -214,8 +214,7 @@ def nonrel_compare(traj: Trajectory, oracle, mass: float) -> list[dict]:
         if reference.n_sites != snap.n_sites:
             raise ValueError("oracle grid does not match trajectory grid")
         n_ref, v_ref = schrodinger_hydro(reference, mass)
-        n_walk, v_walk = schrodinger_hydro(Wavefunction(values=np.sqrt(2.0) * psi,
-                                                        time=t), mass)
+        n_walk, v_walk = schrodinger_hydro(Wavefunction(values=np.sqrt(2.0) * psi), mass)
         v_scale = max(float(np.max(np.abs(v_ref))), 1e-12)
         records.append({
             "time": float(t),

@@ -28,10 +28,9 @@ from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI, grid, spectral_der
 
 @dataclass
 class Wavefunction:
-    """Complex field on N periodic sites at a given time."""
+    """Complex field on N periodic sites."""
 
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -49,7 +48,7 @@ def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction
     k = wavenumbers(n)
     modes = np.fft.fft(psi.values)
     modes *= np.exp(-1j * k ** 2 * t / (2.0 * mass))
-    return Wavefunction(values=np.fft.ifft(modes), time=psi.time + t)
+    return Wavefunction(values=np.fft.ifft(modes))
 
 
 def _fourier_coefficients(values: np.ndarray):
@@ -67,8 +66,6 @@ def _fourier_coefficients(values: np.ndarray):
 _RADIANS_PER_PANEL = 16.0
 # Absolute and relative accuracy of the kernel integral, before the prefactor.
 _GREENS_TARGET = 1e-10
-# Largest bound (2π/(edge rate·taper))³ on the window's endpoint contribution.
-_BOUNDARY_TOL = 1e-3
 
 
 class GreensConvergenceError(RuntimeError):
@@ -113,7 +110,18 @@ def _panel_counts(rate: float, lengths) -> list[int]:
     return [max(1, math.ceil(rate * length / _RADIANS_PER_PANEL)) for length in lengths]
 
 
-def _greens_quadrature(psi0_samples, mass, t, window, x_eval):
+def _greens_window(mass: float, t: float, k_max: float) -> tuple[float, float]:
+    """(flat, taper) of the window W, the stationary-point reach t·k_max/m plus eight
+    Fresnel zones f = √(2πt/m), of which min(4f, 0.45W) ≥ 3.6f taper.  As flat ≥ W − 4f,
+    the rate m·flat/t − k_max at the taper's inner edge is at least 4m·f/t, so the cos²
+    taper bounds the endpoint term (2π/(rate·taper))³ by 14.4⁻³ ≈ 3.3e-4."""
+    fresnel = np.sqrt(TWO_PI * t / mass)
+    window = t * k_max / mass + 8.0 * fresnel
+    taper = min(4.0 * fresnel, 0.45 * window)
+    return window - taper, taper
+
+
+def _greens_quadrature(psi0_samples, mass, t, x_eval):
     """∫ e^{im(x−y)²/2t}·w(y − x)·ψ₀(y) dy at x_eval, with each value's error estimate."""
     if t <= 0:
         raise ValueError("t must be positive")
@@ -123,23 +131,8 @@ def _greens_quadrature(psi0_samples, mass, t, window, x_eval):
 
     coeff, kv = _fourier_coefficients(psi0_samples)
     k_max = float(np.abs(kv).max()) if kv.size else 0.0
-    fresnel = np.sqrt(TWO_PI * t / mass)
-    if window is None:
-        # stationary-point reach t·k_max/m plus eight Fresnel zones √(2πt/m)
-        window = t * k_max / mass + 8.0 * fresnel
-    taper = min(4.0 * fresnel, 0.45 * window)
-    flat = window - taper
-    if flat <= 0:
-        raise ValueError("window too small to fit the smooth taper")
-
-    # Boundary safety: the taper zone must cover several oscillations of the
-    # non-stationary integrand; the cos² window then suppresses the endpoint
-    # contribution by roughly the cube of that count.
-    edge_rate = mass * flat / t - k_max
-    if edge_rate <= 0 or (TWO_PI / (edge_rate * taper)) ** 3 > _BOUNDARY_TOL:
-        raise ValueError("window too small: boundary contribution not negligible")
-
-    rate = mass * window / t + k_max
+    flat, taper = _greens_window(mass, t, k_max)
+    rate = mass * (flat + taper) / t + k_max
     panels = _panel_counts(rate, (taper, 2.0 * flat, taper))
     coarse, _ = _kernel_integrals(kv, mass, t, flat, taper, panels)
     fine, rounding = _kernel_integrals(kv, mass, t, flat, taper, [2 * p for p in panels])
@@ -154,7 +147,6 @@ def _greens_quadrature(psi0_samples, mass, t, window, x_eval):
 
 
 def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
-                     window: float | None = None,
                      x_eval: np.ndarray | None = None) -> Wavefunction:
     """Propagate by direct quadrature against the free-particle kernel.
 
@@ -168,17 +160,17 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
     on its rate.  The value is the 2n-panel rule Q(2n); each point's
     estimate is |Q(2n) − Q(n)| plus rounding bounds, and the call raises
     GreensConvergenceError where it exceeds 1e-10 absolute and relative to
-    the integral before the prefactor √(m/2iπt).  Independent of
-    spectral_propagate (it never uses e^{−ik²t/2m}); used as a second
-    oracle.
+    the integral before the prefactor √(m/2iπt).  It covers the quadrature, not
+    the window's truncation: on the m = 20, t = 0.5 datum it reads 1.1e-12 where
+    spectral_propagate, independent of it (no e^{−ik²t/2m}), differs by 9.7e-6.
     """
-    values, errors = _greens_quadrature(psi0_samples, mass, t, window, x_eval)
+    values, errors = _greens_quadrature(psi0_samples, mass, t, x_eval)
     worst = float(np.max(errors / np.maximum(1.0, np.abs(values)), initial=0.0))
     if worst > _GREENS_TARGET:
         raise GreensConvergenceError(
             f"greens_propagate error estimate {worst:.2e} exceeds {_GREENS_TARGET:.0e}")
     prefactor = np.sqrt(mass / (2j * np.pi * t))
-    return Wavefunction(values=prefactor * values, time=t)
+    return Wavefunction(values=prefactor * values)
 
 
 def bessel_cutoff(mass: float) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
@@ -111,6 +111,10 @@ def test_saddles_generic_three_real():
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(-25, 25), st.floats(-25, 25))
+@example(0.0, 0.0)  # p = q = 0: the triple root, by Cardano's s = 0 guard
+@example(0.0, 3.0)  # p = 0: u³ = −q, by Cardano
+@example(0.0, -3.0)
+@example(1.56e-272, 0.0)  # p·amp underflows to 0 in the trigonometric branch
 def test_saddles_residuals_small(T, X):
     roots = asy.saddle_points(T, X)
     assert len(roots) == 3
@@ -403,6 +407,13 @@ def test_zone_labels_match_classify_zone_on_the_zones_map_window():
     labels = _assert_labels_match_classify_zone(T, X)
     assert labels.shape == (61, 81)
     assert set(np.unique(labels)) == {1, 2, 3}
+
+
+def test_zone_labels_reject_a_non_finite_discriminant():
+    # a NaN chart point, and one whose T³ overflows, have no zone
+    for T, X in ((np.nan, 0.0), (1e200, 0.0), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite discriminant"):
+            asy.zone_labels(np.array([1.0, T]), np.array([0.0, X]))
 
 
 def _ulps_around(value, n=8):

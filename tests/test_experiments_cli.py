@@ -701,6 +701,19 @@ def test_cli_validate_rejects_a_map_window_over_its_budget(tmp_path, capsys, nam
     _exits_2_naming(cfg, capsys, "'nx'", "'nt'")
 
 
+@pytest.mark.parametrize("mass", ["5e-324", "1e308"])
+def test_cli_rejects_a_zones_map_whose_chart_is_not_finite(tmp_path, capsys, mass):
+    # at 5e-324 the chart reads X = NaN everywhere and at 1e308 T³ overflows:
+    # both runs used to exit 0 with a mislabelled map
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text(_with("zones_map", mass=mass, nx="3", nt="3", output_dir=tmp_path / "out"))
+    _exits_2_naming(cfg, capsys, "'mass'", "'x_min'", "'t_max'")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_a_pearcey_map_over_its_quadrature_work(tmp_path, capsys):
     # near t = 0 one point's contour takes ~10¹⁵ nodes: the run used to exit 1,
     # unable to allocate them

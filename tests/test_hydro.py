@@ -328,6 +328,6 @@ def test_quantum_pressure_gradient_masks_zero_crossings():
                         np.full(n, 1 / np.sqrt(2), dtype=complex))
     ph = hy.phases(st)
     h = hy.hydro_vars(hy.currents(st), ph, p.mass)
-    chk = hy.quantum_pressure_gradient(h, ph, p, mask_tol=1e-6)
+    chk = hy.quantum_pressure_gradient(h, ph, p)
     assert not chk.valid.all()
     assert np.max(np.abs(chk.difference[chk.valid])) < 1e-6

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwhydro import initial as ini
 from qwhydro import schrodinger as sch
@@ -84,34 +86,36 @@ def test_greens_propagate_rejects_bad_window():
     x = 2 * np.pi * np.arange(n) / n
     psi0 = np.exp(1j * m * np.cos(x))
     with pytest.raises(ValueError):
-        sch.greens_propagate(psi0, m, 0.5, window=0.05, x_eval=x[:4])
-    with pytest.raises(ValueError):
         sch.greens_propagate(psi0, m, -0.5)
 
 
 def test_greens_propagate_names_each_rejected_input():
-    n, m, t = 128, 20.0, 0.5
+    n, m = 128, 20.0
     x = 2 * np.pi * np.arange(n) / n
     psi0 = np.exp(1j * m * np.cos(x))
     with pytest.raises(ValueError, match="t must be positive"):
         sch.greens_propagate(psi0, m, 0.0)
-    for window in (0.0, -1.0):
-        with pytest.raises(ValueError, match="fit the smooth taper"):
-            sch.greens_propagate(psi0, m, t, window=window, x_eval=x[:4])
-    # the endpoint bound (2π/(edge rate·taper))³ is 1.2e-3 at window 3.7
-    # and 7.5e-4 at window 3.85, on either side of the 1e-3 threshold
-    with pytest.raises(ValueError, match="boundary contribution not negligible"):
-        sch.greens_propagate(psi0, m, t, window=3.7, x_eval=x[:4])
-    assert sch.greens_propagate(psi0, m, t, window=3.85, x_eval=x[:4]).n_sites == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e6), st.floats(1e-8, 1e4), st.floats(0.0, 1e6))
+def test_greens_window_fits_its_taper_and_bounds_the_endpoint_term(m, t, k_max):
+    # the derived window leaves a flat part, and the taper spans enough
+    # oscillations that the cos² ramp bounds the endpoint term by 1e-3
+    flat, taper = sch._greens_window(m, t, k_max)
+    assert flat > 0
+    edge_rate = m * flat / t - k_max
+    assert edge_rate > 0
+    assert (2 * np.pi / (edge_rate * taper)) ** 3 <= 1e-3
 
 
 @pytest.mark.parametrize("m, t, n", [(20.0, 0.5, 256), (50.0, 0.8, 256), (100.0, 1.0, 512)])
 def test_greens_estimate_bounds_the_error_against_a_4n_panel_rule(monkeypatch, m, t, n):
     psi0, x = _cos_state(n, m)
-    values, errors = sch._greens_quadrature(psi0.values, m, t, None, x)
+    values, errors = sch._greens_quadrature(psi0.values, m, t, x)
     counts = sch._panel_counts
     monkeypatch.setattr(sch, "_panel_counts", lambda *a: [2 * p for p in counts(*a)])
-    finer, _ = sch._greens_quadrature(psi0.values, m, t, None, x)
+    finer, _ = sch._greens_quadrature(psi0.values, m, t, x)
     assert np.all(np.abs(values - finer) <= errors)
     assert np.max(errors / np.maximum(1.0, np.abs(values))) <= 1e-10
 
