@@ -329,6 +329,10 @@ class ShockChart:
             raise ValueError("mass must be positive")
         return cls(mass=float(mass), a=mass / 24.0, eps=1.0 / mass)
 
+    def prefactor_intensity(self, t):
+        """|A|² = 1/(2πtε√a) of `shock_map`'s prefactor A, for broadcasting arrays of t."""
+        return 1.0 / (2.0 * np.pi * t * self.eps * np.sqrt(self.a))
+
 
 def shock_coords(x, t, chart: ShockChart):
     """Scaled cusp coordinates (T, X) at (x, t); floats or broadcasting arrays.

@@ -19,17 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import ShockChart, check_pearcey_tol, discriminant, pearcey_panels, \
-    shock_coords
-from .experiments import EXPERIMENTS, walk_steps
+from .asymptotics import ShockChart, check_pearcey_tol, discriminant, pearcey_panels
+from .experiments import EXPERIMENTS, _window, walk_steps
 from .initial import ModeSpec, ShockInitSpec, check_wavenumber
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
 
-# The most site updates, n_sites·n_steps, that a stepped (`walk.march`) walk
-# may ask for: at the ≈7 ns per site-step measured on one core of a 2-CPU
-# Xeon, about 12 minutes.  A jumped walk instead ends below `EXACT_STEPS`.
-MARCH_SITE_STEPS = 10 ** 11
 # The most memory one walk state, two complex128 arrays of 32 B a site, may
 # take: 128 MiB, so at most 2²² sites.  A run holds one state per snapshot
 # (nine by default) and a few more while it jumps.
@@ -192,7 +187,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     if cfg.mass is None:
         raise ConfigError("missing required key 'mass'")
-    chart = _owned(ShockChart.from_mass, cfg.mass)  # the chart and the walk need m > 0
+    _owned(ShockChart.from_mass, cfg.mass)  # the chart and the walk need m > 0
     n_sites = cfg.n_sites
     if n_sites is None and "lattice" in spec.needs:
         raise ConfigError("missing required key 'n_sites'")
@@ -232,12 +227,15 @@ def validate_config(cfg: SimConfig) -> SimConfig:
                               f"{MAP_POINTS:.0e} window points")
         if cfg.t_min <= 0:
             raise ConfigError("'t_min' must be positive")
-        with np.errstate(all="ignore"):  # an extreme window charts to inf or nan
-            T, X = shock_coords(np.array([cfg.x_min, cfg.x_max]),
-                                np.array([[cfg.t_min], [cfg.t_max]]), chart)
-            if not np.all(np.isfinite(discriminant(T, X))):  # |Δ| peaks at the corners
-                raise ConfigError("'mass', 'x_min', 'x_max', 't_min' and 't_max' chart the "
-                                  "window to a non-finite discriminant Δ")
+        try:  # the run's own window at its corners, where |T|, |X|, |Δ| and |A|² peak
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                _, ts, chart, T, X = _window(replace(cfg, nx=2, nt=2))
+                discriminant(T, X)
+                if "quadrature" in spec.needs:  # pearcey_map weighs each point by |A|²
+                    chart.prefactor_intensity(ts[:, None])
+        except FloatingPointError as exc:
+            raise ConfigError(f"'mass', 'x_min', 'x_max', 't_min' and 't_max' chart the "
+                              f"window out of the floats ({exc})") from None
     if "quadrature" in spec.needs:
         _owned(check_pearcey_tol, "'pearcey_tol'", cfg.pearcey_tol)
 
@@ -259,7 +257,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             n_steps = 10000 if t_final is None else steps_until(t_final, params)
         resolved = replace(cfg, n_sites=n_sites, n_steps=n_steps, t_final=t_final,
                            snapshot_times=snapshot_times)
-        last = walk_steps(resolved)[-1] if spec.walk == "jump" else 0
+        last = walk_steps(resolved)[-1] if spec.walk else 0
     except OverflowError:
         raise ConfigError(f"'{key}' is more steps than a float can count") from None
     except ValueError as exc:
@@ -267,9 +265,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if last >= EXACT_STEPS:
         raise ConfigError(f"'{key}' reaches step {last}; a jumped walk is "
                           f"exact only below step 2^27 = {EXACT_STEPS}")
-    if spec.walk == "march" and n_sites * n_steps > MARCH_SITE_STEPS:
-        raise ConfigError(f"'n_steps' = {n_steps} on {n_sites} sites is over the budget "
-                          f"of {MARCH_SITE_STEPS:.0e} stepped site updates (n_sites·n_steps)")
 
     for name, value in cfg.tolerances.items():
         if name not in spec.gates:

@@ -32,8 +32,8 @@ from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_propagate
-from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, march, \
-    propagate, step_walk, steps_until, total_norm
+from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, propagate, \
+    step_walk, steps_until, total_norm
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -171,19 +171,25 @@ def _dtqw_shock(cfg: SimConfig) -> Computed:
         measured={"norm_drift": drift}, times=times)
 
 
-def _dtqw_planewave(cfg: SimConfig) -> Computed:
+def _planewave_soak(cfg: SimConfig, q: float):
+    """A plane wave of momentum `q` jumped to `walk_steps`: the walk, the first and
+    last state, and the diagnostics, the largest relative norm drift and the gate."""
     params = build_walk(cfg.n_sites, cfg.mass)
-    state = plane_wave(params, cfg.q)
+    state = plane_wave(params, q)
     n0 = total_norm(state, params)
     snaps, consistency = _jump_walk(cfg, state, params)
-    max_drift = float(max(abs(total_norm(s, params) - n0) / n0 for s in snaps))
-    density = np.array([currents(state).j0, currents(snaps[-1]).j0])
+    drift = float(max(abs(total_norm(s, params) - n0) / n0 for s in snaps))
+    return params, state, snaps[-1], {"norm_drift": drift, "step_consistency": consistency}
+
+
+def _dtqw_planewave(cfg: SimConfig) -> Computed:
+    params, state, last, soak = _planewave_soak(cfg, cfg.q)
+    density = np.array([currents(state).j0, currents(last).j0])
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, cfg.n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
-                    diagnostics={"norm_drift": max_drift, "n_steps": cfg.n_steps,
-                                 "step_consistency": consistency},
-                    measured={"norm_drift": max_drift})
+                    diagnostics={**soak, "n_steps": cfg.n_steps},
+                    measured={"norm_drift": soak["norm_drift"]})
 
 
 def _schrodinger_shock(cfg: SimConfig) -> Computed:
@@ -226,9 +232,7 @@ def _window(cfg: SimConfig):
 def _pearcey_map(cfg: SimConfig) -> Computed:
     xs, ts, chart, T, X = _window(cfg)
     values, errors = pearcey_array(-T, X)
-    # |A|² of shock_map's prefactor A = e^{iφ}/√(2iπtε√a)
-    amplitude2 = 1.0 / (2.0 * np.pi * ts[:, None] * chart.eps * np.sqrt(chart.a))
-    intensity = amplitude2 * np.abs(values) ** 2
+    intensity = chart.prefactor_intensity(ts[:, None]) * np.abs(values) ** 2
     worst = float(np.max(errors))
     over = int(np.sum(errors > cfg.pearcey_tol))
     diagnostics = {"grid": [int(cfg.nt), int(cfg.nx)],
@@ -266,11 +270,7 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
 def _validation(cfg: SimConfig) -> Computed:
     rng = np.random.default_rng(20260810)
 
-    # unitarity
-    params = build_walk(cfg.n_sites, cfg.mass)
-    state = plane_wave(params, 0.0)
-    n0 = total_norm(state, params)
-    drift = float(abs(total_norm(march(state, params, cfg.n_steps), params) - n0) / n0)
+    soak = _planewave_soak(cfg, 0.0)[-1]  # unitarity
 
     # Madelung roundtrip + current identity on randomized smooth states
     small = build_walk(256, 16.0)
@@ -300,7 +300,7 @@ def _validation(cfg: SimConfig) -> Computed:
     dirac_monotone = all(b < a for a, b in zip(refine_res, refine_res[1:]))
 
     diagnostics = {
-        "norm_drift": drift,
+        **soak,
         "roundtrip_max_error": worst_rt,
         "current_identity_gap": worst_id,
         "dirac_residuals": [float(r) for r in refine_res],
@@ -310,7 +310,7 @@ def _validation(cfg: SimConfig) -> Computed:
                                                np.log(refine_res), 1)[0]),
     }
     return Computed(files={}, diagnostics=diagnostics,
-                    measured={"norm_drift": drift, "roundtrip": worst_rt,
+                    measured={"norm_drift": soak["norm_drift"], "roundtrip": worst_rt,
                               "current_identity": worst_id},
                     held=dirac_monotone)
 
@@ -339,16 +339,15 @@ class Experiment:
     `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
     each `tol.<name>` the run enforces to its default limit, None for a
     gate enforced only when the config sets it.  `schedule` lists the
-    default snapshot times as fractions of `t_final`.  `walk` says how the
-    run advances its walk: "jump" (`walk.propagate`, at `walk_steps`),
-    "march" (stepped) or "" (it has none).
+    default snapshot times as fractions of `t_final`.  `walk` says whether
+    the run jumps a walk to `walk_steps` with `walk.propagate`.
     """
 
     compute: Callable[[SimConfig], Computed]
     needs: tuple[str, ...]
     gates: dict[str, float | None]
     schedule: tuple[float, ...] = ()
-    walk: str = ""
+    walk: bool = False
 
     @property
     def keys(self) -> frozenset[str]:
@@ -361,18 +360,18 @@ _NORM_DRIFT = {"norm_drift": 1e-10}
 _EIGHTHS = tuple(i / 8.0 for i in range(9))
 
 EXPERIMENTS = {
-    "dtqw_shock": Experiment(_dtqw_shock, ("lattice", "modes"), _NORM_DRIFT, _EIGHTHS, "jump"),
+    "dtqw_shock": Experiment(_dtqw_shock, ("lattice", "modes"), _NORM_DRIFT, _EIGHTHS, True),
     "dtqw_planewave": Experiment(_dtqw_planewave, ("lattice", "wave", "steps"), _NORM_DRIFT,
-                                 walk="jump"),
+                                 walk=True),
     "schrodinger_shock": Experiment(_schrodinger_shock, ("lattice", "modes"), _NORM_DRIFT,
                                     (1.0 / 3.0, 2.0 / 3.0, 1.0)),
     "pearcey_map": Experiment(_pearcey_map, ("window", "quadrature"), {}),
     "asymptotic_zones": Experiment(_asymptotic_zones, ("window",), {}),
     "nonrel_compare": Experiment(_nonrel_compare, ("lattice", "modes"), {"density_l2": None},
-                                 _EIGHTHS, "jump"),
+                                 _EIGHTHS, True),
     "validation": Experiment(_validation, ("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
                                                        "current_identity": 1e-12},
-                             walk="march"),
+                             walk=True),
 }
 
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qwhydro.config import (EXPERIMENTS, MAP_POINTS, MARCH_SITE_STEPS, STATE_BYTES,
-                            ConfigError, SimConfig, parse_config, validate_config)
+from qwhydro import experiments
+from qwhydro.asymptotics import zone_labels
+from qwhydro.config import (EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, SimConfig,
+                            parse_config, validate_config)
 from qwhydro.experiments import walk_steps
 from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
@@ -230,7 +232,7 @@ def _check_parse(text):
         assert 0 < cfg.t_final < float("inf")
         assert all(0 <= t <= cfg.t_final * (1 + 1e-12) for t in cfg.snapshot_times)
     # every walk that parses is bounded
-    if spec.walk == "jump":
+    if spec.walk:
         params = build_walk(cfg.n_sites, cfg.mass)
         steps = walk_steps(cfg)
         assert all(a < b for a, b in zip(steps, steps[1:]))
@@ -239,13 +241,16 @@ def _check_parse(text):
         last = cfg.n_steps if cfg.n_steps is not None else \
             steps_until(max(cfg.snapshot_times), params)
         assert 0 <= last < EXACT_STEPS
-    if spec.walk == "march":
-        assert cfg.n_sites * cfg.n_steps <= MARCH_SITE_STEPS
     # and so is every lattice and map window
     if cfg.n_sites is not None:
         assert 32 * cfg.n_sites <= STATE_BYTES
     if "window" in spec.needs:
         assert cfg.nx * cfg.nt <= MAP_POINTS
+        # and charts without overflow, as the run does (a warning fails the test)
+        _, ts, chart, T, X = experiments._window(dataclasses.replace(cfg, nx=3, nt=3))
+        zone_labels(T, X)
+        if "quadrature" in spec.needs:
+            chart.prefactor_intensity(ts[:, None])
     return cfg
 
 
@@ -303,8 +308,21 @@ def _structured_configs(draw):
     return "\n".join(lines) + "\n"
 
 
+# Windows that used to validate and then overflow in the run: the chart's
+# products, and the span x_max − x_min
+WINDOW_OVERFLOWS = {
+    "chart": "experiment = asymptotic_zones\nmass = 1e-300\nt_max = 1e300\nnx = 3\nnt = 3\n",
+    "x_span": ("experiment = asymptotic_zones\nmass = 1e-200\nx_min = -1e308\nx_max = 1e308\n"
+               "t_min = 1e6\nt_max = 2e6\nnx = 3\nnt = 3\n"),
+    "prefactor": "experiment = pearcey_map\nmass = 0.1\nt_max = 3e306\nnx = 3\nnt = 3\n",
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(_structured_configs())
+@example(WINDOW_OVERFLOWS["chart"])
+@example(WINDOW_OVERFLOWS["x_span"])
+@example(WINDOW_OVERFLOWS["prefactor"])
 def test_structured_configs_parse_or_raise_config_error(text):
     outcome = _check_parse(text)
     # the experiment line is valid, so parsing always gets past it

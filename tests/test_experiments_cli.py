@@ -13,8 +13,7 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import (EXPERIMENTS, MAP_POINTS, MARCH_SITE_STEPS, STATE_BYTES,
-                            ConfigError, parse_config)
+from qwhydro.config import EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
@@ -305,6 +304,10 @@ def test_validation_manifest_and_gate(tmp_path):
     assert man["diagnostics"]["dirac_monotone"] is True
     assert man["diagnostics"]["dirac_fitted_order"] > 0.5
     assert man["diagnostics"]["norm_drift"] <= 1e-12
+    # the soak is jumped, and checked against one stepped step like every jumped run
+    consistency = man["diagnostics"]["step_consistency"]
+    assert set(consistency) == {"value", "limit", "margin"}
+    assert consistency["limit"] == 1e-10 and consistency["margin"] >= 0
 
 
 def test_manifest_echoes_only_the_keys_the_experiment_reads(tmp_path):
@@ -635,6 +638,7 @@ def _with(name, **lines):
 # 2^27 steps of 2π/4096 take t ≈ 205887, of 2π/64 t ≈ 1.3e7
 OUTSIDE_THE_EXACT_RANGE = {
     "planewave_n_steps": (_with("planewave", n_steps=2 ** 27), "'n_steps'"),
+    "validation_n_steps": (_with("validation", n_steps=2 ** 27), "'n_steps'"),
     "planewave_t_final": ("experiment = dtqw_planewave\nn_sites = 64\nmass = 4\n"
                           "t_final = 2e7\n", "'t_final'"),
     "shock_t_final": (_with("shock_single_mode", t_final="3e5"), "'t_final'"),
@@ -659,25 +663,9 @@ def test_cli_validate_rejects_a_jumped_step_outside_the_exact_range(tmp_path, ca
 
 def test_cli_validate_accepts_the_last_step_of_the_exact_range(tmp_path):
     cfg = tmp_path / "edge.cfg"
-    cfg.write_text(_with("planewave", n_steps=wk.EXACT_STEPS - 1))
-    assert main(["validate", str(cfg)]) == 0
-
-
-def test_cli_validate_rejects_a_validation_soak_over_its_budget(tmp_path, capsys):
-    cfg = tmp_path / "soak.cfg"
-    cfg.write_text(_with("validation", n_steps="1000000000000"))
-    with pytest.raises(SystemExit) as err:
-        main(["validate", str(cfg)])
-    assert err.value.code == 2
-    assert "'n_steps'" in capsys.readouterr().err
-    # n_sites·n_steps at the budget passes, one step more does not
-    n_steps = MARCH_SITE_STEPS // 10000
-    cfg.write_text(_with("validation", n_sites="10000", n_steps=str(n_steps)))
-    assert main(["validate", str(cfg)]) == 0
-    cfg.write_text(_with("validation", n_sites="10000", n_steps=str(n_steps + 1)))
-    with pytest.raises(SystemExit) as err:
-        main(["validate", str(cfg)])
-    assert err.value.code == 2
+    for name in ("planewave", "validation"):
+        cfg.write_text(_with(name, n_steps=wk.EXACT_STEPS - 1))
+        assert main(["validate", str(cfg)]) == 0
 
 
 def _exits_2_naming(cfg, capsys, *fields):
@@ -708,6 +696,33 @@ def test_cli_rejects_a_zones_map_whose_chart_is_not_finite(tmp_path, capsys, mas
     cfg = tmp_path / "extreme.cfg"
     cfg.write_text(_with("zones_map", mass=mass, nx="3", nt="3", output_dir=tmp_path / "out"))
     _exits_2_naming(cfg, capsys, "'mass'", "'x_min'", "'t_max'")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+WINDOW_OVERFLOWS = {
+    # 2·ε·t overflows in the chart: both runs warned, and pearcey_map wrote
+    # intensities of exactly 0
+    "zones_chart": ("zones_map", {"mass": "1e-300", "t_max": "1e300"}, ("'mass'", "'t_max'")),
+    "pearcey_chart": ("pearcey_map", {"mass": "1e-300", "t_max": "1e300"},
+                      ("'mass'", "'t_max'")),
+    # 2π·t·ε of pearcey_map's |A|² overflows where the chart does not
+    "pearcey_prefactor": ("pearcey_map", {"mass": "0.1", "t_max": "3e306"},
+                          ("'mass'", "'t_max'")),
+    # x_max − x_min overflows: linspace filled the grid with nan and the run exited 1
+    "zones_x_span": ("zones_map", {"mass": "1e-200", "x_min": "-1e308", "x_max": "1e308",
+                                   "t_min": "1e6", "t_max": "2e6"}, ("'x_min'", "'x_max'")),
+}
+
+
+@pytest.mark.parametrize("name, keys, fields", WINDOW_OVERFLOWS.values(),
+                         ids=WINDOW_OVERFLOWS.keys())
+def test_cli_rejects_a_window_that_overflows(tmp_path, capsys, name, keys, fields):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(_with(name, nx="3", nt="3", output_dir=tmp_path / "out", **keys))
+    _exits_2_naming(cfg, capsys, *fields)
     with pytest.raises(SystemExit) as err:
         main(["run", str(cfg)])
     assert err.value.code == 2
