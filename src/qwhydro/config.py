@@ -21,7 +21,7 @@ import numpy as np
 
 from .asymptotics import ShockChart, check_pearcey_tol, discriminant, pearcey_panels
 from .experiments import EXPERIMENTS, _window, walk_steps
-from .initial import ModeSpec, ShockInitSpec, check_wavenumber
+from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_wavenumber
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
 
@@ -219,6 +219,17 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             if not 0 < t_final < math.inf:
                 raise ConfigError("'q_max' / 'mass' is out of range: the default "
                                   "t_final = 1.5·mass/q_max must be positive and finite")
+    if spec.walk and {"wave", "modes"} & set(spec.needs):
+        # the initial amplitudes at the largest |q̃| the config allows, |q|/m or
+        # the phase gradient over m, divided as a float64 so that it raises too
+        top, names = (abs(cfg.q), "'q' and 'mass'") if "wave" in spec.needs else \
+            (gradient, "'q_max', 'mode' and 'mass'")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                _plane_wave_amplitudes(np.float64(top) / cfg.mass)
+        except FloatingPointError as exc:
+            raise ConfigError(f"{names} give the walk's initial state a |q̃| = {top:g} / "
+                              f"{cfg.mass:g} out of the floats ({exc})") from None
     if "window" in spec.needs:
         if cfg.nx < 2 or cfg.nt < 2:
             raise ConfigError("'nx' and 'nt' must be at least 2")

@@ -11,10 +11,10 @@ With θ = εm, ε = 2π/N and t = jε, x = nε the walk converges to the free
 Dirac equation iγ^μ∂_μψ = mψ in 1+1 dimensions (γ⁰ = σ₁, γ¹ = iσ₂,
 ħ = c = 1), which dirac_residual measures directly.
 
-Three routes advance a state: `step_walk` applies one step (the reference
-kernel), `march` applies many steps of the same arithmetic in place, and
-`propagate` jumps to any step exactly in Fourier space through the walk's
-dispersion relation cos ω = cos θ·cos κ (Strauch, PRA 73, 054302 (2006)).
+Two routes advance a state: `step_walk` applies one step (the stepped
+kernel, `coin_shift`), and `propagate` jumps to any step exactly in Fourier
+space through the walk's dispersion relation cos ω = cos θ·cos κ (Strauch,
+PRA 73, 054302 (2006)).
 """
 
 from __future__ import annotations
@@ -95,7 +95,8 @@ class SpinorField:
 
 @dataclass
 class Trajectory:
-    """Snapshots of a walk run, every `cadence` steps (step 0 and final always kept)."""
+    """Snapshots of a walk run.  `cadence` is the stride its caller recorded
+    them at (`evolve` keeps every `cadence`-th step); nothing here reads it."""
 
     params: WalkParams
     snapshots: list[SpinorField] = field(default_factory=list)
@@ -115,12 +116,23 @@ def _check_state(state: SpinorField, params: WalkParams):
 
 def coin_shift(left: np.ndarray, right: np.ndarray,
                theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One update of the raw arrays: coin exp(−iθσ₁), then the shifts."""
+    """One update of the raw arrays: coin exp(−iθσ₁), then the shifts, each product
+    written straight into its shifted slot (the bits `np.roll` would give)."""
     c = np.cos(theta)
     s = np.sin(theta)
-    coined_left = c * left - 1j * s * right
-    coined_right = -1j * s * left + c * right
-    return np.roll(coined_left, -1), np.roll(coined_right, +1)
+    new_left, new_right = np.empty_like(left, complex), np.empty_like(right, complex)
+    # new left[n] = c·left[n+1] − is·right[n+1], new right[n] = −is·left[n−1] + c·right[n−1]
+    np.multiply(c, left[1:], out=new_left[:-1])
+    np.multiply(c, left[:1], out=new_left[-1:])
+    np.multiply(-1j * s, left[:-1], out=new_right[1:])
+    np.multiply(-1j * s, left[-1:], out=new_right[:1])
+    product = 1j * s * right
+    np.subtract(new_left[:-1], product[1:], out=new_left[:-1])
+    np.subtract(new_left[-1:], product[:1], out=new_left[-1:])
+    np.multiply(c, right, out=product)
+    np.add(new_right[1:], product[:-1], out=new_right[1:])
+    np.add(new_right[:1], product[-1:], out=new_right[:1])
+    return new_left, new_right
 
 
 def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
@@ -129,34 +141,6 @@ def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
     new_left, new_right = coin_shift(state.left, state.right, params.coin_angle)
     return SpinorField(left=new_left, right=new_right,
                        step_index=state.step_index + 1)
-
-
-def march(state: SpinorField, params: WalkParams, n_steps: int) -> SpinorField:
-    """Advance n_steps with `coin_shift`'s arithmetic, bit for bit.
-
-    The same operations in the same order run into preallocated buffers,
-    and the shifts are slice offsets of the last add instead of `np.roll`,
-    so no array is allocated per step.  The input state is not modified.
-    """
-    _check_state(state, params)
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    c = np.cos(params.coin_angle)
-    s = np.sin(params.coin_angle)
-    i_s, minus_i_s = 1j * s, -1j * s  # the scalars coin_shift multiplies by
-    left, right = state.left.copy(), state.right.copy()
-    c_left, is_right, mis_left, c_right = (np.empty_like(left) for _ in range(4))
-    for _ in range(n_steps):
-        np.multiply(c, left, out=c_left)
-        np.multiply(i_s, right, out=is_right)
-        np.multiply(minus_i_s, left, out=mis_left)
-        np.multiply(c, right, out=c_right)
-        # new left[n] = coined left[n+1]; new right[n] = coined right[n−1]
-        np.subtract(c_left[1:], is_right[1:], out=left[:-1])
-        np.subtract(c_left[:1], is_right[:1], out=left[-1:])
-        np.add(mis_left[:-1], c_right[:-1], out=right[1:])
-        np.add(mis_left[-1:], c_right[-1:], out=right[:1])
-    return SpinorField(left=left, right=right, step_index=state.step_index + n_steps)
 
 
 def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
@@ -219,26 +203,29 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
 
 def evolve(state: SpinorField, params: WalkParams, n_steps: int,
            cadence: int = 1) -> Trajectory:
-    """Run n_steps of the walk, recording snapshots every `cadence` steps."""
+    """Run n_steps of `step_walk`, keeping a copy of the input, every
+    `cadence`-th step and the last.  The input is not modified."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if cadence < 1:
         raise ValueError("cadence must be ≥ 1")
     snaps = [state.copy()]
-    done = 0
-    while done < n_steps:
-        chunk = min(cadence, n_steps - done)
-        snaps.append(march(snaps[-1], params, chunk))
-        done += chunk
+    cur = snaps[0]
+    for j in range(1, n_steps + 1):
+        cur = step_walk(cur, params)
+        if j % cadence == 0 or j == n_steps:
+            snaps.append(cur)
     return Trajectory(params=params, snapshots=snaps, cadence=cadence)
 
 
 def centered_window(traj: Trajectory, width: int) -> list[SpinorField]:
-    """The `width` snapshots (odd) centred on snapshot len // 2.
+    """The `width` snapshots (odd and positive) centred on snapshot len // 2.
 
     Raises ValueError unless the trajectory holds that many and they are
     consecutive steps (cadence 1), as centered time differences need.
     """
+    if width < 1 or width % 2 == 0:
+        raise ValueError(f"width must be odd and positive, got {width}")
     snaps = traj.snapshots
     if len(snaps) < width:
         raise ValueError(f"needs at least {width} snapshots, got {len(snaps)}")

@@ -9,6 +9,7 @@ from qwhydro.asymptotics import zone_labels
 from qwhydro.config import (EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, SimConfig,
                             parse_config, validate_config)
 from qwhydro.experiments import walk_steps
+from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
 from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
 FIG_STYLE = """
@@ -217,6 +218,13 @@ RUN_TIME_FAILURES = {
                           "q_max = 6.4\nmode = 1,100,0\n"),
     "u_max_underflow": ("experiment = dtqw_shock\nn_sites = 64\nmass = 1e308\n"
                         "q_max = 1e-308\nmode = 1,1,0\n"),
+    # |q̃| = |q|/m over ≈ 1.3e154 overflows the initial amplitudes' √(1 + q̃²)
+    "planewave_overflow": ("experiment = dtqw_planewave\nn_sites = 64\nmass = 1e-155\n"
+                           "q = 1\nn_steps = 10\n"),
+    "shock_overflow": ("experiment = dtqw_shock\nn_sites = 64\nmass = 1e-300\nq_max = 1\n"
+                       "t_final = 6\nmode = 1.0,1,0.0\n"),
+    "nonrel_overflow": ("experiment = nonrel_compare\nn_sites = 64\nmass = 1e-300\n"
+                        "q_max = 1\nt_final = 6\nmode = 1.0,1,0.0\n"),
 }
 
 
@@ -241,6 +249,11 @@ def _check_parse(text):
         last = cfg.n_steps if cfg.n_steps is not None else \
             steps_until(max(cfg.snapshot_times), params)
         assert 0 <= last < EXACT_STEPS
+        # and builds its initial amplitudes without overflow (a warning fails the test)
+        if "wave" in spec.needs:
+            plane_wave(params, cfg.q)
+        elif "modes" in spec.needs:
+            phase_modulated_state(params, ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass))
     # and so is every lattice and map window
     if cfg.n_sites is not None:
         assert 32 * cfg.n_sites <= STATE_BYTES
@@ -261,6 +274,9 @@ def _check_parse(text):
 @example(RUN_TIME_FAILURES["validation_n_sites"])
 @example(RUN_TIME_FAILURES["unresolvable_mode"])
 @example(RUN_TIME_FAILURES["u_max_underflow"])
+@example(RUN_TIME_FAILURES["planewave_overflow"])
+@example(RUN_TIME_FAILURES["shock_overflow"])
+@example(RUN_TIME_FAILURES["nonrel_overflow"])
 def test_any_text_parses_or_raises_config_error(text):
     _check_parse(text)
 

@@ -602,7 +602,7 @@ PLANEWAVE_CASES = {
 
 @pytest.mark.parametrize("text", PLANEWAVE_CASES.values(), ids=PLANEWAVE_CASES.keys())
 def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
-    # the run jumps with propagate; march steps the same walk independently
+    # the run jumps with propagate; evolve steps the same walk independently
     cfg = parse_config(text.format(out=tmp_path))
     assert run_experiment(cfg).ok
     data = np.loadtxt(tmp_path / "dtqw_planewave_density.csv", delimiter=",", skiprows=1)
@@ -610,7 +610,8 @@ def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
     params = wk.build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, cfg.q)
     assert np.array_equal(first, currents(state).j0)
-    assert np.max(np.abs(last - currents(wk.march(state, params, cfg.n_steps)).j0)) <= 1e-12
+    stepped = wk.evolve(state, params, cfg.n_steps, cadence=cfg.n_steps).snapshots[-1]
+    assert np.max(np.abs(last - currents(stepped).j0)) <= 1e-12
     # a plane wave's density stays uniform
     assert np.ptp(last) <= 1e-13
 
@@ -729,6 +730,37 @@ def test_cli_rejects_a_window_that_overflows(tmp_path, capsys, name, keys, field
     assert not (tmp_path / "out").exists()
 
 
+# Walks whose initial amplitudes overflow in √(1 + q̃²) once |q̃| = |q|/m passes
+# ≈ 1.3e154: the plane wave exited 1 (a Python-float OverflowError), the shock
+# wrote only nan and inf, and nonrel_compare exited 1
+STATE_OVERFLOWS = {
+    "planewave": ("experiment = dtqw_planewave\nn_sites = 64\nmass = 1e-155\nq = 1\n"
+                  "n_steps = 10\n", ("'q'", "'mass'")),
+    "shock": ("experiment = dtqw_shock\nn_sites = 64\nmass = 1e-300\nq_max = 1\n"
+              "t_final = 6\nmode = 1.0,1,0.0\n", ("'q_max'", "'mode'", "'mass'")),
+    "nonrel": ("experiment = nonrel_compare\nn_sites = 64\nmass = 1e-300\nq_max = 1\n"
+               "t_final = 6\nmode = 1.0,1,0.0\n", ("'q_max'", "'mode'", "'mass'")),
+}
+
+
+@pytest.mark.parametrize("text, fields", STATE_OVERFLOWS.values(), ids=STATE_OVERFLOWS.keys())
+def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text, fields):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
+    _exits_2_naming(cfg, capsys, *fields)
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_validate_accepts_a_rest_plane_wave_at_any_mass(tmp_path):
+    cfg = tmp_path / "rest.cfg"
+    cfg.write_text("experiment = dtqw_planewave\nn_sites = 64\nmass = 5e-324\nq = 0\n"
+                   "n_steps = 10\n")
+    assert main(["validate", str(cfg)]) == 0
+
+
 def test_cli_rejects_a_pearcey_map_over_its_quadrature_work(tmp_path, capsys):
     # near t = 0 one point's contour takes ~10¹⁵ nodes: the run used to exit 1,
     # unable to allocate them
@@ -800,7 +832,8 @@ def test_shipped_shock_csv_agrees_with_stepped_walk(tmp_path, name):
     density = data[:, 2].reshape(len(steps), cfg.n_sites)
     state = phase_modulated_state(params, spec)
     for j, row in zip(steps, density):
-        state = wk.march(state, params, j - state.step_index)
+        hop = j - state.step_index  # cadence = hop keeps only the last step of a hop
+        state = wk.evolve(state, params, hop, cadence=max(hop, 1)).snapshots[-1]
         assert np.max(np.abs(row - currents(state).j0)) <= 1e-11
 
 

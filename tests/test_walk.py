@@ -164,6 +164,14 @@ def test_centered_window_is_centred_on_the_middle_snapshot(width):
         wk.centered_window(wk.evolve(state, p, 2 * width, cadence=2), width)
 
 
+@pytest.mark.parametrize("width", [4, 2, 0, -1])
+def test_centered_window_refuses_a_width_that_is_not_odd_and_positive(width):
+    p = wk.build_walk(64, 4.0)
+    traj = wk.evolve(ini.plane_wave(p, 1.0), p, 8)
+    with pytest.raises(ValueError, match="odd"):
+        wk.centered_window(traj, width)
+
+
 def _exact_plane_wave_trajectory(p, q):
     snaps = []
     for j in range(3):
@@ -205,24 +213,45 @@ def _stepped(state, p, steps):
     return [kept[j] for j in steps]
 
 
-def test_march_is_bit_identical_to_repeated_step_walk(rng):
-    for n, m, steps in ((256, 16.0, 300), (4096, 512.0, 40), (16, 4.0, 25)):
-        p = wk.build_walk(n, m)
-        state = make_smooth_spinor(rng, n, k_max=min(4, n // 2 - 1))
-        state.step_index = 3
-        before = state.copy()
-        (ref,) = _stepped(state, p, [steps])
-        out = wk.march(state, p, steps)
-        assert np.array_equal(out.left, ref.left)
-        assert np.array_equal(out.right, ref.right)
-        assert out.step_index == 3 + steps
-        # the input is not modified, and zero steps is a copy
-        assert np.array_equal(state.left, before.left)
-        assert np.array_equal(state.right, before.right)
-    still = wk.march(state, p, 0)
+def _rolled_coin_shift(left, right, theta):
+    """Reference: the coined components, then np.roll for the shifts."""
+    c = np.cos(theta)
+    s = np.sin(theta)
+    coined_left = c * left - 1j * s * right
+    coined_right = -1j * s * left + c * right
+    return np.roll(coined_left, -1), np.roll(coined_right, +1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 64, 4096])
+@pytest.mark.parametrize("theta", [0.0, 1e-3, np.pi / 2, np.pi, 2.5])
+def test_sliced_coin_shift_is_bit_identical_to_the_rolled_one(rng, n, theta):
+    left = rng.normal(size=n) + 1j * rng.normal(size=n)
+    right = rng.normal(size=n) + 1j * rng.normal(size=n)
+    before = left.copy(), right.copy()
+    out = wk.coin_shift(left, right, theta)
+    for got, want in zip(out, _rolled_coin_shift(left, right, theta)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(left, before[0]) and np.array_equal(right, before[1])
+
+
+def test_evolve_leaves_its_input_and_checks_its_arguments(rng):
+    p = wk.build_walk(16, 4.0)
+    state = make_smooth_spinor(rng, 16, k_max=4)
+    state.step_index = 3
+    before = state.copy()
+    traj = wk.evolve(state, p, 25, cadence=25)
+    assert [s.step_index for s in traj.snapshots] == [3, 28]
+    assert np.array_equal(state.left, before.left)
+    assert np.array_equal(state.right, before.right)
+    # zero steps is a copy
+    (still,) = wk.evolve(state, p, 0).snapshots
     assert still.left is not state.left and np.array_equal(still.left, state.left)
-    with pytest.raises(ValueError):
-        wk.march(state, p, -1)
+    assert still.right is not state.right and np.array_equal(still.right, state.right)
+    with pytest.raises(ValueError, match="n_steps"):
+        wk.evolve(state, p, -1)
+    for cadence in (0, -1):
+        with pytest.raises(ValueError, match="cadence"):
+            wk.evolve(state, p, 4, cadence=cadence)
 
 
 def _smooth_unit(rng, n):
