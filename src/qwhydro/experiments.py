@@ -8,7 +8,9 @@ Identical configs produce byte-identical data files.
 
 Each `EXPERIMENTS` entry holds a compute function, returning data and
 diagnostics, and what it reads from its config; `run_experiment` writes the
-data, gates the entry's `tol.<name>` limits and writes the manifest.
+data, gates the entry's `tol.<name>` limits and writes the manifest.  A run
+that walks jumps its initial state with `_walk`, which also returns the walk
+diagnostics that every walking run records.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ def _gate(value: float, limit: float) -> dict:
 
 
 # Largest gap allowed between a spectral jump and one stepped step from the
-# jump before it (the norm_drift default).
+# jump before it, over the largest component modulus of the jump: a plane
+# wave's amplitudes grow like √(|q|/mass), so an absolute gap would gate its
+# scale, not the kernels' agreement.
 STEP_CONSISTENCY_LIMIT = 1e-10
 
 
@@ -129,29 +133,30 @@ def walk_steps(cfg: SimConfig) -> list[int]:
     return steps
 
 
-def _jump_walk(cfg: SimConfig, state: SpinorField, params):
-    """The walk states at `walk_steps`, jumped to exactly, and the check against the
-    stepped kernel, max |propagate(j) − step_walk(propagate(j − 1))| at the last j."""
+def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField], dict]:
+    """The walk from `state` at `walk_steps`, jumped to exactly, and the diagnostics
+    of every walking run: the initial norm, the largest relative norm drift over
+    the snapshots and the check against the stepped kernel, max |propagate(j) −
+    step_walk(propagate(j − 1))| at the last j over the largest modulus of propagate(j)."""
     steps = walk_steps(cfg)
     last = max(steps[-1], 1)  # a run that stops at step 0 checks step 1
     *snaps, before, after = propagate(state, params, [*steps, last - 1, last])
     stepped = step_walk(before, params)
-    gap = float(max(np.max(np.abs(after.left - stepped.left)),
-                    np.max(np.abs(after.right - stepped.right))))
-    return snaps, _gate(gap, STEP_CONSISTENCY_LIMIT)
+    gap = max(np.max(np.abs(after.left - stepped.left)),
+              np.max(np.abs(after.right - stepped.right)))
+    scale = max(np.max(np.abs(after.left)), np.max(np.abs(after.right)))
+    n0 = total_norm(state, params)
+    drift = max(abs(total_norm(s, params) - n0) / n0 for s in snaps)
+    return snaps, {"initial_norm": n0, "norm_drift": float(drift),
+                   "step_consistency": _gate(float(gap / scale), STEP_CONSISTENCY_LIMIT)}
 
 
-def _walk_shock_setup(cfg: SimConfig):
+def _shock_setup(cfg: SimConfig):
     return build_walk(cfg.n_sites, cfg.mass), ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass)
 
 
-def _shock_walk(cfg: SimConfig):
-    """The shock walk: parameters, spec, initial state, snapshots, gate, times."""
-    params, spec = _walk_shock_setup(cfg)
-    state = phase_modulated_state(params, spec)
-    snaps, consistency = _jump_walk(cfg, state, params)
-    times = (list(cfg.snapshot_times), [s.step_index * params.dt for s in snaps])
-    return params, spec, state, snaps, consistency, times
+def _times(cfg: SimConfig, params, snaps) -> tuple[list, list]:
+    return list(cfg.snapshot_times), [s.step_index * params.dt for s in snaps]
 
 
 # ---------------------------------------------------------------------------
@@ -159,41 +164,30 @@ def _shock_walk(cfg: SimConfig):
 # ---------------------------------------------------------------------------
 
 def _dtqw_shock(cfg: SimConfig) -> Computed:
-    params, _, state, snaps, consistency, times = _shock_walk(cfg)
-    n0 = total_norm(state, params)
+    params, spec = _shock_setup(cfg)
+    snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
+    times = _times(cfg, params, snaps)
     density = np.array([currents(s).j0 for s in snaps])
-    drift = float(abs(total_norm(snaps[-1], params) - n0) / n0)
     return Computed(
         files={"dtqw_shock_density.csv":
                SpacetimeGrid(x=params.x, t=np.array(times[1]), values=density)},
-        diagnostics={"norm_drift": drift, "initial_norm": float(n0),
-                     "step_consistency": consistency},
-        measured={"norm_drift": drift}, times=times)
-
-
-def _planewave_soak(cfg: SimConfig, q: float):
-    """A plane wave of momentum `q` jumped to `walk_steps`: the walk, the first and
-    last state, and the diagnostics, the largest relative norm drift and the gate."""
-    params = build_walk(cfg.n_sites, cfg.mass)
-    state = plane_wave(params, q)
-    n0 = total_norm(state, params)
-    snaps, consistency = _jump_walk(cfg, state, params)
-    drift = float(max(abs(total_norm(s, params) - n0) / n0 for s in snaps))
-    return params, state, snaps[-1], {"norm_drift": drift, "step_consistency": consistency}
+        diagnostics=walked, measured={"norm_drift": walked["norm_drift"]}, times=times)
 
 
 def _dtqw_planewave(cfg: SimConfig) -> Computed:
-    params, state, last, soak = _planewave_soak(cfg, cfg.q)
-    density = np.array([currents(state).j0, currents(last).j0])
+    params = build_walk(cfg.n_sites, cfg.mass)
+    state = plane_wave(params, cfg.q)
+    snaps, walked = _walk(cfg, state, params)
+    density = np.array([currents(state).j0, currents(snaps[-1]).j0])
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, cfg.n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
-                    diagnostics={**soak, "n_steps": cfg.n_steps},
-                    measured={"norm_drift": soak["norm_drift"]})
+                    diagnostics={**walked, "n_steps": cfg.n_steps},
+                    measured={"norm_drift": walked["norm_drift"]})
 
 
 def _schrodinger_shock(cfg: SimConfig) -> Computed:
-    params, spec = _walk_shock_setup(cfg)
+    params, spec = _shock_setup(cfg)
     psi0 = schrodinger_initial(params, spec)
     times = list(cfg.snapshot_times)
     densities, velocities = [], []
@@ -252,25 +246,23 @@ def _asymptotic_zones(cfg: SimConfig) -> Computed:
 
 
 def _nonrel_compare(cfg: SimConfig) -> Computed:
-    params, spec, _, snaps, consistency, times = _shock_walk(cfg)
-    psi0 = schrodinger_initial(params, spec)
-
-    def oracle(t: float):
-        return spectral_propagate(psi0, cfg.mass, t)
-
+    params, spec = _shock_setup(cfg)
+    snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
+    # the oracle maps a time to the Schrödinger state of the walk's initial phase
+    oracle = functools.partial(spectral_propagate, schrodinger_initial(params, spec), cfg.mass)
     records = nonrel_compare(Trajectory(params=params, snapshots=snaps), oracle, cfg.mass)
     final_err = float(records[-1]["density_l2"] if records else 0.0)
     return Computed(
         files={"nonrel_compare.json": records},
-        diagnostics={"final_density_l2": final_err, "records": len(records),
-                     "step_consistency": consistency},
-        measured={"density_l2": final_err}, times=times)
+        diagnostics={"final_density_l2": final_err, "records": len(records), **walked},
+        measured={"density_l2": final_err}, times=_times(cfg, params, snaps))
 
 
 def _validation(cfg: SimConfig) -> Computed:
     rng = np.random.default_rng(20260810)
 
-    soak = _planewave_soak(cfg, 0.0)[-1]  # unitarity
+    params = build_walk(cfg.n_sites, cfg.mass)  # unitarity of a jumped plane wave
+    soak = _walk(cfg, plane_wave(params, 0.0), params)[1]
 
     # Madelung roundtrip + current identity on randomized smooth states
     small = build_walk(256, 16.0)

@@ -14,6 +14,7 @@ pointwise from the same formula with the local momentum q(x) = m·∂_xφ
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,11 +95,13 @@ def phase_profile_derivative(spec: ShockInitSpec, x: np.ndarray) -> np.ndarray:
     return (spec.q_max / spec.mass) * dphi
 
 
-def _plane_wave_amplitudes(q_tilde: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+def _plane_wave_amplitudes(q_tilde: np.ndarray | float
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """√(1+q̃²), the frequency over m, and the amplitudes of Ψ_L and Ψ_R at q̃."""
     root = np.sqrt(1.0 + np.square(q_tilde))
     amp_l = np.sqrt(root - q_tilde) / np.sqrt(2.0)
     amp_r = np.sqrt(root + q_tilde) / np.sqrt(2.0)
-    return amp_l, amp_r
+    return root, amp_l, amp_r
 
 
 def plane_wave(params: WalkParams, q: float, t: float = 0.0) -> SpinorField:
@@ -111,10 +114,11 @@ def plane_wave(params: WalkParams, q: float, t: float = 0.0) -> SpinorField:
     q = float(round(q))
     m = params.mass
     q_tilde = q / m
-    omega = m * np.sqrt(1.0 + q_tilde ** 2)
-    x = params.x
-    phase = np.exp(1j * (q * x - omega * t))
-    amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
+    if not math.isfinite(q_tilde * q_tilde):
+        raise ValueError(f"'q' = {q:g} and 'mass' = {m:g} give a plane wave with "
+                         f"(q/mass)² out of the floats")
+    root, amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
+    phase = np.exp(1j * (q * params.x - m * root * t))
     return SpinorField(left=amp_l * phase, right=amp_r * phase)
 
 
@@ -138,7 +142,7 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
     q_tilde = spectral_derivative(phi)
     if not np.all(np.isfinite(q_tilde)):
         raise ValueError("velocity field is not finite")
-    amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
+    _, amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
     phase = np.exp(1j * params.mass * phi)
     return SpinorField(left=amp_l * phase, right=amp_r * phase)
 

@@ -55,9 +55,10 @@ def band_limit_fraction(values: np.ndarray) -> float:
     return float(top / total) if total > 0 else 0.0
 
 
-def strip_rest_phase(state: SpinorField, mass: float, c: float, t: float) -> SpinorField:
-    """Remove the rest-energy rotation: multiply both components by e^{+imc²t}."""
-    factor = np.exp(1j * mass * c * c * t)
+def strip_rest_phase(state: SpinorField, mass: float, t: float) -> SpinorField:
+    """Remove the rest-energy rotation of a walk state: multiply both components
+    by e^{+imt}, the e^{+imc²t} of the expansions in the walk's c = 1 units."""
+    factor = np.exp(1j * mass * t)
     return replace(state, left=state.left * factor, right=state.right * factor)
 
 
@@ -70,21 +71,22 @@ def component_relation_residual(psi_bar: SpinorField, fields: NRFields,
     """
     if order not in ("first", "second"):
         raise ValueError("order must be 'first' or 'second'")
-    m, c = fields.mass, fields.light_speed
     if band_limit_fraction(psi_bar.left) > 1e-6:
         raise ValueError("field is not band-limited enough for spectral derivatives")
     eps = TWO_PI / psi_bar.n_sites
-
-    def expansion(comp, sign):
-        d1 = spectral_derivative(comp)
-        out = comp + sign * d1 / (1j * m * c)
-        if order == "second":
-            out -= spectral_derivative(comp, order=2) / (2.0 * m * m * c * c)
-        return out
-
-    res_r = psi_bar.right - expansion(psi_bar.left, +1.0)
-    res_l = psi_bar.left - expansion(psi_bar.right, -1.0)
+    res_r = psi_bar.right - _expansion(psi_bar.left, +1.0, fields, order)
+    res_l = psi_bar.left - _expansion(psi_bar.right, -1.0, fields, order)
     return l2_norm(res_r, eps), l2_norm(res_l, eps)
+
+
+def _expansion(comp: np.ndarray, sign: float, fields: NRFields, order: str) -> np.ndarray:
+    """comp ± (1/imc)·∂_x comp, less (1/2m²c²)·∂_xx comp at second order: the
+    component relation's expansion of one component, + for Ψ̄_R from Ψ̄_L."""
+    m, c = fields.mass, fields.light_speed
+    out = comp + sign * spectral_derivative(comp) / (1j * m * c)
+    if order == "second":
+        out -= spectral_derivative(comp, order=2) / (2.0 * m * m * c * c)
+    return out
 
 
 def _derivatives(fields: NRFields):
@@ -170,12 +172,8 @@ def build_second_order_spinor(fields: NRFields) -> SpinorField:
     the measured mismatches of this pair then differ from the closed-form
     deltas only at O(ν³), which the order sweeps exploit.
     """
-    m, c = fields.mass, fields.light_speed
     left = fields.r * np.exp(1j * fields.phi)
-    d1 = spectral_derivative(left)
-    d2 = spectral_derivative(left, order=2)
-    right = left + d1 / (1j * m * c) - d2 / (2.0 * m * m * c * c)
-    return SpinorField(left=left, right=right)
+    return SpinorField(left=left, right=_expansion(left, +1.0, fields, "second"))
 
 
 def klein_gordon_residual(traj: Trajectory, params: WalkParams) -> tuple[float, float]:
@@ -208,7 +206,7 @@ def nonrel_compare(traj: Trajectory, oracle, mass: float) -> list[dict]:
     records = []
     for snap in traj.snapshots:
         t = snap.step_index * traj.params.dt
-        stripped = strip_rest_phase(snap, mass, 1.0, t)
+        stripped = strip_rest_phase(snap, mass, t)
         psi = 0.5 * (stripped.left + stripped.right)
         reference = oracle(t)
         if reference.n_sites != snap.n_sites:

@@ -4,10 +4,13 @@ import importlib.metadata
 import json
 import platform
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from qwhydro import asymptotics as asy
 from qwhydro import experiments
@@ -589,6 +592,65 @@ def test_step_consistency_over_its_limit_fails_the_planewave_run(tmp_path, monke
     manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
     assert manifest["diagnostics"]["step_consistency"]["margin"] < 0
     assert manifest["ok"] is False
+
+
+# A plane wave's amplitudes grow like √(|q|/mass): at these masses the two
+# kernels agreed to roundoff, yet an absolute gap read 2.8e-9 and 4e59.
+TINY_MASS_PLANEWAVE = "experiment = dtqw_planewave\nn_sites = 64\nq = 1\nn_steps = 10\n" \
+    "mass = {mass}\n"
+
+
+@pytest.mark.parametrize("mass", ["1e-14", "1e-150"])
+def test_cli_planewave_at_tiny_mass_gates_a_relative_step_consistency(tmp_path, mass):
+    cfg = tmp_path / "pw.cfg"
+    cfg.write_text(TINY_MASS_PLANEWAVE.format(mass=mass) + f"output_dir = {tmp_path}\n")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "dtqw_planewave_manifest.json").read_text())
+    assert manifest["diagnostics"]["step_consistency"]["value"] <= 1e-14
+
+
+WALKING = {"dtqw_shock": SHOCK, "dtqw_planewave": PLANEWAVE, "nonrel_compare": NONREL,
+           "validation": VALIDATION}
+
+
+@pytest.mark.parametrize("name", WALKING)
+def test_every_walking_run_records_the_walk_diagnostics(tmp_path, name):
+    assert set(WALKING) == {key for key, spec in EXPERIMENTS.items() if spec.walk}
+    assert _run_cfg(tmp_path, WALKING[name]).ok
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert 0.0 < diagnostics["initial_norm"] < np.inf
+    assert 0.0 <= diagnostics["norm_drift"] <= 1e-12
+    gate = diagnostics["step_consistency"]
+    assert set(gate) == {"value", "limit", "margin"}
+    assert gate["limit"] == 1e-10 and gate["margin"] == gate["limit"] - gate["value"] >= 0
+
+
+@st.composite
+def _small_walk_configs(draw):
+    """A dtqw_planewave or validation config on a small lattice, at any mass."""
+    experiment = draw(st.sampled_from(["dtqw_planewave", "validation"]))
+    n_sites = draw(st.sampled_from([4, 6, 8, 16, 64]))
+    text = (f"experiment = {experiment}\nn_sites = {n_sites}\n"
+            f"mass = {10.0 ** draw(st.floats(-300, 300))!r}\n"
+            f"n_steps = {draw(st.integers(0, 40))}\n")
+    if experiment == "dtqw_planewave":
+        text += f"q = {draw(st.integers(-(n_sites // 2), n_sites // 2))}\n"
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_walk_configs())
+@example(TINY_MASS_PLANEWAVE.format(mass="1e-14"))
+@example(TINY_MASS_PLANEWAVE.format(mass="1e-150"))
+def test_small_walk_config_that_validates_runs_ok(text):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            cfg = parse_config(text + f"output_dir = {out}\n")
+        except ConfigError:
+            reject()
+        assert run_experiment(cfg).ok
 
 
 PLANEWAVE_CASES = {

@@ -39,6 +39,18 @@ def test_plane_wave_rejects_noninteger_or_unresolvable():
         ini.plane_wave(p, 64.0)
 
 
+def test_plane_wave_refuses_a_momentum_whose_square_overflows():
+    # (q/mass)² = 1e310 is out of the floats: a ValueError naming both keys,
+    # with no OverflowError or RuntimeWarning on the way
+    with pytest.raises(ValueError, match="'q' = 1 and 'mass' = 1e-155"):
+        ini.plane_wave(wk.build_walk(64, 1e-155), 1.0)
+    # within the floats, the state and its frequency m·√(1+q̃²) ≈ |q| stay finite
+    st = ini.plane_wave(wk.build_walk(64, 1e-150), 1.0, t=0.5)
+    assert np.all(np.isfinite(st.left)) and np.all(np.isfinite(st.right))
+    np.testing.assert_allclose(st.right / ini.plane_wave(wk.build_walk(64, 1e-150), 1.0).right,
+                               np.exp(-0.5j), rtol=1e-14)
+
+
 def test_mode_spec_validation():
     with pytest.raises(ValueError):
         ini.ModeSpec(amplitude=1.0, wavenumber=0)

@@ -19,11 +19,11 @@ def test_strip_rest_phase_roundtrip():
     p = wk.build_walk(128, 8.0)
     st = ini.plane_wave(p, 2.0)
     t = 0.37
-    stripped = nr.strip_rest_phase(st, p.mass, 1.0, t)
-    back = nr.strip_rest_phase(stripped, p.mass, 1.0, -t)
+    stripped = nr.strip_rest_phase(st, p.mass, t)
+    back = nr.strip_rest_phase(stripped, p.mass, -t)
     np.testing.assert_allclose(back.left, st.left, atol=1e-15)
     np.testing.assert_allclose(back.right, st.right, atol=1e-15)
-    same = nr.strip_rest_phase(st, p.mass, 1.0, 0.0)
+    same = nr.strip_rest_phase(st, p.mass, 0.0)
     np.testing.assert_allclose(same.left, st.left, atol=1e-16)
 
 
@@ -35,7 +35,7 @@ def test_strip_rest_phase_slows_rest_state():
     raw_first, raw_last = traj.snapshots[0], traj.snapshots[-1]
     moved_raw = np.max(np.abs(raw_last.left - raw_first.left))
     t = raw_last.step_index * p.dt
-    stripped = nr.strip_rest_phase(raw_last, p.mass, 1.0, t)
+    stripped = nr.strip_rest_phase(raw_last, p.mass, t)
     moved_stripped = np.max(np.abs(stripped.left - raw_first.left))
     assert moved_stripped < 0.05 * moved_raw
 
