@@ -6,9 +6,18 @@ fields are unwrapped and linearly detrended first because they may wind
 around the circle an integer number of times.  The panel rule and the
 rounding unit of the array quadratures in `schrodinger` and `asymptotics`
 live here too.
+
+A grid's tables (its sites, its wavenumbers, the derivative multipliers
+(ik)^order and the free Schrödinger exponent −ik²) are built once, on first
+use, and kept in bounded caches of `TABLE_CACHE` entries each; they are
+returned read-only, so no caller can change what the next one gets.  Every
+FFT in the package goes through `fft` and `ifft`, which count their calls
+for the run manifests.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,28 +26,77 @@ GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 EPS = float(np.finfo(float).eps)
 
 
+# Entries kept per table kind: grid sizes, or (size, order) pairs for the
+# multipliers.  A run uses one or two grids; a complex table on 8192 sites
+# takes 128 KiB.
+TABLE_CACHE = 16
+
+_fft_calls = 0
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
 def grid(n_sites: int) -> np.ndarray:
-    """Site coordinates x_n = 2π n / N on the periodic domain [0, 2π)."""
-    return TWO_PI * np.arange(n_sites) / n_sites
+    """Site coordinates x_n = 2π n / N on the periodic domain [0, 2π), read-only."""
+    return _read_only(TWO_PI * np.arange(n_sites) / n_sites)
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE)
 def wavenumbers(n_sites: int) -> np.ndarray:
-    """Integer wavenumbers in FFT order (domain length 2π)."""
-    return np.fft.fftfreq(n_sites, d=1.0 / n_sites)
+    """Integer wavenumbers in FFT order (domain length 2π), read-only."""
+    return _read_only(np.fft.fftfreq(n_sites, d=1.0 / n_sites))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _derivative_multiplier(n_sites: int, order: int) -> np.ndarray:
+    """(ik)^order, with the Nyquist mode zeroed for odd orders (its
+    derivative has no symmetric representation on the grid)."""
+    k = wavenumbers(n_sites)
+    mult = (1j * k) ** order
+    if order % 2 == 1 and n_sites % 2 == 0:
+        mult[n_sites // 2] = 0.0
+    return _read_only(mult)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def schrodinger_exponent(n_sites: int) -> np.ndarray:
+    """−ik² per mode: the free propagator's e^{−ik²t/(2m)} is the exponential
+    of this table times t/(2m).  Read-only."""
+    return _read_only(-1j * wavenumbers(n_sites) ** 2)
+
+
+def fft(a: np.ndarray) -> np.ndarray:
+    """`np.fft.fft` along the last axis, counted in `fft_calls`."""
+    global _fft_calls
+    _fft_calls += 1
+    return np.fft.fft(a)
+
+
+def ifft(a: np.ndarray) -> np.ndarray:
+    """`np.fft.ifft` along the last axis, counted in `fft_calls`."""
+    global _fft_calls
+    _fft_calls += 1
+    return np.fft.ifft(a)
+
+
+def fft_calls() -> int:
+    """Calls to `fft` and `ifft` in this process so far, one per call
+    whatever the batch shape; a run records the difference across it."""
+    return _fft_calls
 
 
 def spectral_derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral d^order/dx^order of a periodic field.
+    """Spectral d^order/dx^order of a periodic field along its last axis.
 
-    The Nyquist mode is zeroed for odd orders (its derivative has no
-    symmetric representation on the grid).  Real input gives real output.
+    The Nyquist mode is zeroed for odd orders.  Real input gives real output.
     """
-    n = f.shape[-1]
-    k = wavenumbers(n)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        mult[n // 2] = 0.0
-    df = np.fft.ifft(np.fft.fft(f) * mult)
+    spectrum = fft(f)
+    spectrum *= _derivative_multiplier(f.shape[-1], order)
+    df = ifft(spectrum)
     if np.isrealobj(f):
         return df.real
     return df

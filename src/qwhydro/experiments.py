@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import __version__
+from ._spectral import fft_calls, ifft
 from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
@@ -273,7 +274,7 @@ def _validation(cfg: SimConfig) -> Computed:
             coeff = np.zeros(small.n_sites, dtype=complex)
             for k in range(-4, 5):
                 coeff[k % small.n_sites] = 0.4 * (rng.normal() + 1j * rng.normal())
-            comps.append(np.fft.ifft(coeff * small.n_sites) + 4.0)
+            comps.append(ifft(coeff * small.n_sites) + 4.0)
         st = SpinorField(comps[0], comps[1])
         rec = spinor_from_hydro(currents(st), phases(st))
         worst_rt = max(worst_rt,
@@ -399,13 +400,15 @@ def _versions() -> dict:
             "scipy": version("scipy")}
 
 
-def _telemetry(stages: dict[str, float]) -> dict:
+def _telemetry(stages: dict[str, float], ffts: int) -> dict:
     """The manifest's record of the run's costs: wall seconds per stage,
-    the process's peak resident set so far, and the library versions."""
+    the FFTs and inverse FFTs taken, the process's peak resident set so far,
+    and the library versions."""
     # ru_maxrss counts KiB on Linux and bytes on macOS
     rss_unit = 1 << (20 if sys.platform == "darwin" else 10)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * rss_unit / 2.0 ** 20
-    return {"stage_wall_s": stages, "peak_rss_mb": peak, "versions": _versions()}
+    return {"stage_wall_s": stages, "fft_calls": ffts, "peak_rss_mb": peak,
+            "versions": _versions()}
 
 
 def run_experiment(cfg: SimConfig) -> RunResult:
@@ -416,14 +419,15 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     declares as {value, limit, margin}, and writes the manifest.  The run
     is ok when every such record, in the verdicts or the diagnostics, has a
     nonnegative margin, every diagnostic is finite and `held` is true.  The
-    manifest's `telemetry` times the compute, emit and manifest stages; the
+    manifest's `telemetry` times the compute, emit and manifest stages (the
     last ends where the manifest is written, as a file cannot hold the time
-    of its own write.
+    of its own write) and counts the run's FFTs as `fft_calls`.
     """
     try:
         spec = EXPERIMENTS[cfg.experiment]
     except KeyError:
         raise ValueError(f"unknown experiment {cfg.experiment!r}") from None
+    ffts = fft_calls()
     started = time.perf_counter()
     done = spec.compute(cfg)
     computed = time.perf_counter()
@@ -459,6 +463,7 @@ def run_experiment(cfg: SimConfig) -> RunResult:
         doc["requested_times"], doc["realized_times"] = done.times
     doc["telemetry"] = _telemetry({"compute": computed - started,
                                    "emit": emitted - computed,
-                                   "manifest": time.perf_counter() - emitted})
+                                   "manifest": time.perf_counter() - emitted},
+                                  fft_calls() - ffts)
     paths.append(_write_json(doc, out / f"{cfg.experiment}_manifest.json"))
     return RunResult(paths=paths, diagnostics=done.diagnostics, ok=ok)

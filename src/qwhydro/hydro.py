@@ -245,9 +245,10 @@ def _madelung_residual_fields(state: SpinorField, params: WalkParams,
     dj0_dx = spectral_derivative(cur.j0)
     dj1_dx = spectral_derivative(cur.j1)
 
+    cos_minus = np.cos(ph.phi_minus)
     res4 = dj1_dt + dj0_dx - 2.0 * m * n * np.sin(ph.phi_minus)
-    res5_t = m * np.cos(ph.phi_minus) * cur.j0 + 0.5 * n * (dphi_plus_dt - dphi_minus_dx)
-    res5_x = m * np.cos(ph.phi_minus) * cur.j1 + 0.5 * n * (dphi_minus_dt - dphi_plus_dx)
+    res5_t = m * cos_minus * cur.j0 + 0.5 * n * (dphi_plus_dt - dphi_minus_dx)
+    res5_x = m * cos_minus * cur.j1 + 0.5 * n * (dphi_minus_dt - dphi_plus_dx)
     res6 = dj0_dt + dj1_dx
 
     mask = ph.valid

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spectral import TWO_PI, l2_norm, phase_gradient, spectral_derivative, wavenumbers
+from ._spectral import TWO_PI, fft, l2_norm, phase_gradient, spectral_derivative, wavenumbers
 from .schrodinger import Wavefunction, schrodinger_hydro
 from .walk import SpinorField, Trajectory, WalkParams, centered_window
 
@@ -47,7 +47,7 @@ class NRFields:
 
 def band_limit_fraction(values: np.ndarray) -> float:
     """Spectral energy fraction in the top third of the band (smoothness check)."""
-    spec = np.abs(np.fft.fft(values)) ** 2
+    spec = np.abs(fft(values)) ** 2
     n = len(spec)
     k = np.abs(wavenumbers(n))
     top = spec[k > n / 3.0].sum()

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI, grid, spectral_derivative, \
-    wavenumbers
+from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI, fft, grid, ifft, \
+    schrodinger_exponent, spectral_derivative, wavenumbers
 
 
 @dataclass
@@ -44,16 +44,14 @@ class Wavefunction:
 
 def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction:
     """Advance by t: multiply each Fourier mode by e^{−ik²t/(2m)}."""
-    n = psi.n_sites
-    k = wavenumbers(n)
-    modes = np.fft.fft(psi.values)
-    modes *= np.exp(-1j * k ** 2 * t / (2.0 * mass))
-    return Wavefunction(values=np.fft.ifft(modes))
+    modes = fft(psi.values)
+    modes *= np.exp(schrodinger_exponent(psi.n_sites) * t / (2.0 * mass))
+    return Wavefunction(values=ifft(modes))
 
 
 def _fourier_coefficients(values: np.ndarray):
     n = values.shape[0]
-    coeff = np.fft.fft(values) / n
+    coeff = fft(values) / n
     k = wavenumbers(n)
     keep = np.abs(coeff) > 1e-13 * np.abs(coeff).max()
     return coeff[keep], k[keep]
@@ -214,9 +212,10 @@ def schrodinger_hydro(psi: Wavefunction, mass: float) -> tuple[np.ndarray, np.nd
     with |ψ| at or below 1e−10·max(1, max|ψ|) are masked to v = 0.
     """
     values = psi.values
-    n = np.abs(values) ** 2
+    modulus = np.abs(values)
+    n = modulus ** 2
     dpsi = spectral_derivative(values)
-    valid = np.abs(values) > 1e-10 * max(float(np.abs(values).max()), 1.0)
+    valid = modulus > 1e-10 * max(float(modulus.max()), 1.0)
     safe = np.where(valid, n, 1.0)
     v = np.where(valid, np.imag(np.conj(values) * dpsi) / (mass * safe), 0.0)
     return n, v

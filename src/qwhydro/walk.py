@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._spectral import TWO_PI, centered_time_diff, grid, l2_norm, spectral_derivative, \
-    wavenumbers
+from ._spectral import TWO_PI, centered_time_diff, fft, grid, ifft, l2_norm, \
+    spectral_derivative, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     omega_hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
     omega_lo = omega - omega_hi
     shift = np.exp(1j * kappa)
-    left_k = np.fft.fft(state.left)
-    right_k = np.fft.fft(state.right)
+    left_k = fft(state.left)
+    right_k = fft(state.right)
     up_left = (0.5 + p_diag) * left_k + p_off * shift * right_k
     up_right = p_off * np.conj(shift) * left_k + (0.5 - p_diag) * right_k
     down_left, down_right = left_k - up_left, right_k - up_right
@@ -195,8 +195,8 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
             continue
         rise = np.exp(1j * (j * omega_hi)) * np.exp(1j * (j * omega_lo))
         fall = np.conj(rise)
-        out.append(SpinorField(left=np.fft.ifft(rise * up_left + fall * down_left),
-                               right=np.fft.ifft(rise * up_right + fall * down_right),
+        out.append(SpinorField(left=ifft(rise * up_left + fall * down_left),
+                               right=ifft(rise * up_right + fall * down_right),
                                step_index=state.step_index + j))
     return out
 

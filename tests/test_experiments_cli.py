@@ -682,7 +682,13 @@ def test_manifest_telemetry_records_stages_memory_and_versions(tmp_path):
     _run_cfg(tmp_path / "pw", PLANEWAVE)
     manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
     telemetry = manifest["telemetry"]
-    assert set(telemetry) == {"stage_wall_s", "peak_rss_mb", "versions"}
+    assert set(telemetry) == {"stage_wall_s", "fft_calls", "peak_rss_mb", "versions"}
+    # the jump takes one FFT per component and one inverse FFT per component
+    # and snapshot, so a walking run counts some, the same on every rerun
+    assert isinstance(telemetry["fft_calls"], int) and telemetry["fft_calls"] > 0
+    _run_cfg(tmp_path / "again", PLANEWAVE)
+    again = json.loads((tmp_path / "again" / "dtqw_planewave_manifest.json").read_text())
+    assert again["telemetry"]["fft_calls"] == telemetry["fft_calls"]
     assert set(telemetry["stage_wall_s"]) == {"compute", "emit", "manifest"}
     assert all(seconds >= 0.0 for seconds in telemetry["stage_wall_s"].values())
     assert telemetry["peak_rss_mb"] > 0.0

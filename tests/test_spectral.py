@@ -1,0 +1,130 @@
+"""The shared spectral layer: cached read-only grid tables, derivatives and
+the counted FFT pair.
+
+The references are the inline formulas these functions used before their
+tables were cached; the cached forms must give the same bits.
+"""
+
+import numpy as np
+import pytest
+
+from qwhydro import _spectral as sp
+from qwhydro import schrodinger as sch
+
+SIZES = (2, 3, 9, 64, 4096, 8192)
+
+
+def _reference_derivative(f, order=1):
+    n = f.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    mult = (1j * k) ** order
+    if order % 2 == 1 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    df = np.fft.ifft(np.fft.fft(f) * mult)
+    if np.isrealobj(f):
+        return df.real
+    return df
+
+
+def _reference_propagate(values, mass, t):
+    n = values.shape[0]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    modes = np.fft.fft(values)
+    modes *= np.exp(-1j * k ** 2 * t / (2.0 * mass))
+    return np.fft.ifft(modes)
+
+
+def _reference_hydro(values, mass):
+    n = np.abs(values) ** 2
+    dpsi = _reference_derivative(values)
+    valid = np.abs(values) > 1e-10 * max(float(np.abs(values).max()), 1.0)
+    safe = np.where(valid, n, 1.0)
+    v = np.where(valid, np.imag(np.conj(values) * dpsi) / (mass * safe), 0.0)
+    return n, v
+
+
+def _field(rng, shape, complex_valued):
+    f = rng.normal(size=shape)
+    if complex_valued:
+        f = f + 1j * rng.normal(size=shape)
+    return f
+
+
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("n", SIZES)
+def test_spectral_derivative_is_bit_identical_to_the_inline_formula(n, order, complex_valued):
+    f = _field(np.random.default_rng(n * 10 + order), n, complex_valued)
+    got = sp.spectral_derivative(f, order)
+    assert got.dtype == _reference_derivative(f, order).dtype
+    assert np.array_equal(got, _reference_derivative(f, order))
+    # a second call, served from the cache, gives the same bits again
+    assert np.array_equal(sp.spectral_derivative(f, order), got)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_spectral_derivative_of_a_batch_is_bit_identical(order):
+    f = _field(np.random.default_rng(order), (5, 64), complex_valued=True)
+    got = sp.spectral_derivative(f, order)
+    assert got.shape == (5, 64)
+    assert np.array_equal(got, _reference_derivative(f, order))
+    # each row is the derivative of that row alone
+    assert np.array_equal(got[2], sp.spectral_derivative(f[2], order))
+
+
+@pytest.mark.parametrize("n", [9, 64, 256, 8192])
+def test_spectral_propagate_is_bit_identical_to_the_inline_formula(n):
+    rng = np.random.default_rng(n)
+    values = _field(rng, n, complex_valued=True)
+    for mass, t in [(1.0, 0.3), (20.0, 0.8), (512.0, 1.7), (3.5, 0.0)]:
+        got = sch.spectral_propagate(sch.Wavefunction(values), mass, t).values
+        assert np.array_equal(got, _reference_propagate(values, mass, t))
+
+
+@pytest.mark.parametrize("n", [9, 64, 4096])
+def test_schrodinger_hydro_is_bit_identical_to_the_inline_formula(n):
+    rng = np.random.default_rng(n)
+    values = _field(rng, n, complex_valued=True)
+    values[n // 3] = 0.0  # one masked site
+    for mass in (1.0, 20.0):
+        got = sch.schrodinger_hydro(sch.Wavefunction(values), mass)
+        ref = _reference_hydro(values, mass)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def _tables(n):
+    return {"grid": sp.grid(n), "wavenumbers": sp.wavenumbers(n),
+            "schrodinger_exponent": sp.schrodinger_exponent(n),
+            **{f"multiplier_{order}": sp._derivative_multiplier(n, order)
+               for order in (1, 2, 3)}}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_grid_tables_have_their_values_and_are_read_only(n):
+    assert np.array_equal(sp.wavenumbers(n), np.fft.fftfreq(n, 1.0 / n))
+    assert np.array_equal(sp.grid(n), 2.0 * np.pi * np.arange(n) / n)
+    for name, table in _tables(n).items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+    # nothing written, so the next caller gets the same values
+    assert np.array_equal(sp.wavenumbers(n), np.fft.fftfreq(n, 1.0 / n))
+    assert np.array_equal(sp.grid(n), 2.0 * np.pi * np.arange(n) / n)
+
+
+def test_grid_tables_are_built_once_per_grid():
+    first, second = _tables(4096), _tables(4096)
+    assert all(first[name] is second[name] for name in first)
+    assert sp.wavenumbers(64) is not sp.wavenumbers(4096)
+
+
+def test_fft_pair_counts_every_call():
+    rng = np.random.default_rng(7)
+    f = _field(rng, (3, 64), complex_valued=True)
+    before = sp.fft_calls()
+    # one count per call, whatever the batch shape
+    assert np.array_equal(sp.ifft(sp.fft(f)), np.fft.ifft(np.fft.fft(f)))
+    sp.spectral_derivative(f[0], 2)
+    sch.spectral_propagate(sch.Wavefunction(f[1]), 2.0, 0.5)
+    assert sp.fft_calls() - before == 6
