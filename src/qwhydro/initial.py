@@ -97,10 +97,18 @@ def phase_profile_derivative(spec: ShockInitSpec, x: np.ndarray) -> np.ndarray:
 
 def _plane_wave_amplitudes(q_tilde: np.ndarray | float
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """√(1+q̃²), the frequency over m, and the amplitudes of Ψ_L and Ψ_R at q̃."""
+    """√(1+q̃²), the frequency over m, and the amplitudes of Ψ_L and Ψ_R at q̃.
+
+    The larger amplitude is √(√(1+q̃²) + |q̃|)/√2, the smaller 1/(2·larger)
+    (their product is 1/2), not √(√(1+q̃²) − |q̃|)/√2, which cancels: its
+    relative error grows like q̃², and it is 0 from |q̃| ≈ 1e8.  At q̃ = 0
+    both take the first form.
+    """
     root = np.sqrt(1.0 + np.square(q_tilde))
-    amp_l = np.sqrt(root - q_tilde) / np.sqrt(2.0)
-    amp_r = np.sqrt(root + q_tilde) / np.sqrt(2.0)
+    large = np.sqrt(root + np.abs(q_tilde)) / np.sqrt(2.0)
+    small = 0.5 / large
+    amp_l = np.where(q_tilde > 0, small, large)
+    amp_r = np.where(q_tilde < 0, small, large)
     return root, amp_l, amp_r
 
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -29,6 +30,24 @@ def test_plane_wave_unit_density():
     cur = hy.currents(st)
     n = np.sqrt(cur.j0 ** 2 - cur.j1 ** 2)
     np.testing.assert_allclose(n, 1.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("q_tilde", [sign * q for q in (1e2, 1e4, 1e6, 1e8, 1e12)
+                                     for sign in (1.0, -1.0)])
+def test_plane_wave_amplitudes_match_mpmath_at_large_momentum(q_tilde):
+    # 60 digits resolve √(1+q̃²) − |q̃| ≈ 1/(2|q̃|) up to |q̃| = 1e12
+    with mpmath.workdps(60):
+        q = mpmath.mpf(q_tilde)
+        root = mpmath.sqrt(1 + q * q)
+        reference = (mpmath.sqrt(root - q) / mpmath.sqrt(2),
+                     mpmath.sqrt(root + q) / mpmath.sqrt(2))
+    _, amp_l, amp_r = ini._plane_wave_amplitudes(np.float64(q_tilde))
+    # four correctly rounded operations: within 2 ulps of the true amplitudes
+    eps = np.finfo(float).eps
+    for got, ref in zip((amp_l, amp_r), reference):
+        assert abs(float(got) - float(ref)) <= 2 * eps * float(ref)
+    # so the plane wave keeps its unit density n² = 4·|Ψ_L|²·|Ψ_R|²
+    assert abs(4.0 * amp_l ** 2 * amp_r ** 2 - 1.0) <= 8 * eps
 
 
 def test_plane_wave_rejects_noninteger_or_unresolvable():
