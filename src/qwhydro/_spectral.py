@@ -27,8 +27,8 @@ EPS = float(np.finfo(float).eps)
 
 
 # Entries kept per table kind: grid sizes, or (size, order) pairs for the
-# multipliers.  A run uses one or two grids; a complex table on 8192 sites
-# takes 128 KiB.
+# multipliers.  A run touches a few grid sizes at most (validation five); a
+# complex table on 8192 sites takes 128 KiB.
 TABLE_CACHE = 16
 
 _fft_calls = 0
