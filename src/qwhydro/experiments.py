@@ -4,7 +4,12 @@ Every experiment writes long-format CSV (`t,x,value`, 17 significant
 digits, LF endings, t-major order) plus a JSON manifest
 carrying the config echo, conservation diagnostics, and the timestamp and
 telemetry of the run, the only values that change between reruns.
-Identical configs produce byte-identical data files.
+Identical configs produce byte-identical data files.  Every number in a CSV
+is printed as `format(v, ".17g")` prints it; `_csvfmt` writes those bytes
+with numpy in blocks of `_csvfmt.BLOCK` values, from digits rounded exactly
+by a double-double scaling, and hands what that cannot decide exactly (nan,
+±inf, |v| outside [1e-280, 1e290), near-ties of an inexact scaling), and
+grids too small or too short-printed to gain, to `format` itself.
 
 Each `EXPERIMENTS` entry holds a compute function, returning data and
 diagnostics, and what it reads from its config; `run_experiment` writes the
@@ -29,12 +34,13 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import __version__
+from ._csvfmt import write_grid
 from ._spectral import fft_calls, ifft
 from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
-from .schrodinger import schrodinger_hydro, spectral_propagate
+from .schrodinger import schrodinger_hydro, spectral_evolution
 from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, propagate, \
     step_walk, steps_until, total_norm
 
@@ -55,31 +61,29 @@ class SpacetimeGrid:
             raise ValueError("grid dimensions inconsistent")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
     """Write the real grid in long format, deterministically ordered.
 
-    The t and x strings are formatted once each; every t row is then one
-    `%`-format of a `{t},{x},%.17g` template, which prints the same digits
-    as `format(v, ".17g")` did per value.  Complex values are refused: a
-    cast to float would drop their imaginary parts.
+    Each line is "{t},{x},{v}", every number printed as
+    `format(float(v), ".17g")` prints it.  `_csvfmt.write_grid` writes whole
+    rows, `_csvfmt.BLOCK` = 8192 values at a time, which bounds its transient
+    arrays at about 3 MB.  It rounds each value to 17 digits from Dekker's
+    exact product of |v| and 10^k (with 10^k as a double-double where it is
+    no double) and lays out the `%g` text with numpy.  nan, ±inf, nonzero |v|
+    outside [1e-280, 1e290) and the values that a double-double 10^k leaves
+    within 2⁻³⁰ of a rounding tie go to `format` itself, as do whole grids of
+    fewer than `_csvfmt.CUTOFF` = 2048 values or of integers only.  Complex
+    values are refused: a cast to float would drop their imaginary parts.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("emit_spacetime_csv writes real values; got complex")
     path = Path(path)
-    rows = np.asarray(grid.values, dtype=np.float64)
-    # a row is t_str + t_str.join(sites): "{t},{x},%.17g\n" for every x
-    sites = [f",{_fmt(x)},%.17g\n" for x in grid.x]
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,x,value\n")
-        for t, row in zip(grid.t, rows):
-            if sites:
-                t_str = _fmt(t)
-                fh.write((t_str + t_str.join(sites)) % tuple(row.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"t,x,value\n")
+        write_grid(fh, np.asarray(grid.t, dtype=np.float64),
+                   np.asarray(grid.x, dtype=np.float64),
+                   np.asarray(grid.values, dtype=np.float64))
     return path
 
 
@@ -191,9 +195,10 @@ def _schrodinger_shock(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
     psi0 = schrodinger_initial(params, spec)
     times = list(cfg.snapshot_times)
+    evolve_psi = spectral_evolution(psi0, cfg.mass)
     densities, velocities = [], []
     for t in times:
-        psi_t = spectral_propagate(psi0, cfg.mass, t)
+        psi_t = evolve_psi(t)
         n, v = schrodinger_hydro(psi_t, cfg.mass)
         densities.append(n)
         velocities.append(v)
@@ -250,7 +255,7 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
     snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
     # the oracle maps a time to the Schrödinger state of the walk's initial phase
-    oracle = functools.partial(spectral_propagate, schrodinger_initial(params, spec), cfg.mass)
+    oracle = spectral_evolution(schrodinger_initial(params, spec), cfg.mass)
     records = nonrel_compare(Trajectory(params=params, snapshots=snaps), oracle, cfg.mass)
     final_err = float(records[-1]["density_l2"] if records else 0.0)
     return Computed(
@@ -400,15 +405,15 @@ def _versions() -> dict:
             "scipy": version("scipy")}
 
 
-def _telemetry(stages: dict[str, float], ffts: int) -> dict:
+def _telemetry(stages: dict[str, float], ffts: int, rows: int) -> dict:
     """The manifest's record of the run's costs: wall seconds per stage,
-    the FFTs and inverse FFTs taken, the process's peak resident set so far,
-    and the library versions."""
+    the FFTs and inverse FFTs taken, the rows written over the run's CSVs,
+    the process's peak resident set so far, and the library versions."""
     # ru_maxrss counts KiB on Linux and bytes on macOS
     rss_unit = 1 << (20 if sys.platform == "darwin" else 10)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * rss_unit / 2.0 ** 20
-    return {"stage_wall_s": stages, "fft_calls": ffts, "peak_rss_mb": peak,
-            "versions": _versions()}
+    return {"stage_wall_s": stages, "fft_calls": ffts, "csv_rows": rows,
+            "peak_rss_mb": peak, "versions": _versions()}
 
 
 def run_experiment(cfg: SimConfig) -> RunResult:
@@ -421,7 +426,8 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     nonnegative margin, every diagnostic is finite and `held` is true.  The
     manifest's `telemetry` times the compute, emit and manifest stages (the
     last ends where the manifest is written, as a file cannot hold the time
-    of its own write) and counts the run's FFTs as `fft_calls`.
+    of its own write), counts the run's FFTs as `fft_calls` and the rows of
+    its CSVs as `csv_rows`, so that emit seconds per row can be read off.
     """
     try:
         spec = EXPERIMENTS[cfg.experiment]
@@ -434,6 +440,8 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     out = Path(cfg.output_dir)
     paths = [emit_spacetime_csv(data, out / name) if isinstance(data, SpacetimeGrid)
              else _write_json(data, out / name) for name, data in done.files.items()]
+    rows = sum(data.values.size for data in done.files.values()
+               if isinstance(data, SpacetimeGrid))
     emitted = time.perf_counter()
 
     verdicts = {}
@@ -464,6 +472,6 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     doc["telemetry"] = _telemetry({"compute": computed - started,
                                    "emit": emitted - computed,
                                    "manifest": time.perf_counter() - emitted},
-                                  fft_calls() - ffts)
+                                  fft_calls() - ffts, rows)
     paths.append(_write_json(doc, out / f"{cfg.experiment}_manifest.json"))
     return RunResult(paths=paths, diagnostics=done.diagnostics, ok=ok)

@@ -3,7 +3,8 @@
 This is the Galilean-limit oracle for the walk.  Three independent routes
 are provided and cross-checked in the tests:
 
-  * spectral_propagate: exact mode-by-mode phase factors e^{-ik²t/2m};
+  * spectral_propagate: exact mode-by-mode phase factors e^{-ik²t/2m}
+    (`spectral_evolution` takes ψ₀'s spectrum once for many times);
   * greens_propagate:   real-space convolution against the free kernel
     √(m/2iπt)·e^{im(x−y)²/2t}, one tapered integral per Fourier mode of ψ₀
     by composite Gauss–Legendre, each point checked against its error
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,11 +44,21 @@ class Wavefunction:
         return self.values.shape[0]
 
 
+def spectral_evolution(psi: Wavefunction, mass: float) -> Callable[[float], Wavefunction]:
+    """t ↦ ψ advanced by t: ψ's spectrum is taken once, and each call
+    multiplies it by e^{−ik²t/(2m)} and transforms back."""
+    modes = fft(psi.values)
+    exponent = schrodinger_exponent(psi.n_sites)
+
+    def at(t: float) -> Wavefunction:
+        return Wavefunction(values=ifft(modes * np.exp(exponent * t / (2.0 * mass))))
+
+    return at
+
+
 def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction:
     """Advance by t: multiply each Fourier mode by e^{−ik²t/(2m)}."""
-    modes = fft(psi.values)
-    modes *= np.exp(schrodinger_exponent(psi.n_sites) * t / (2.0 * mass))
-    return Wavefunction(values=ifft(modes))
+    return spectral_evolution(psi, mass)(t)
 
 
 def _fourier_coefficients(values: np.ndarray):

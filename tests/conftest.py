@@ -27,6 +27,19 @@ def make_smooth_spinor(rng, n_sites, offset=4.0, amp=0.4, k_max=4):
     return SpinorField(left=component(), right=component())
 
 
+def emit_reference(t, x, values) -> bytes:
+    """The long-format CSV of a grid by one `format(float(v), ".17g")` call
+    per number: the loop that the numpy emitter must match byte for byte."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    lines = ["t,x,value"]
+    for i, ti in enumerate(t):
+        for j, xj in enumerate(x):
+            lines.append(f"{fmt(ti)},{fmt(xj)},{fmt(values[i, j])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -21,7 +21,7 @@ from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experimen
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
 
-from conftest import pearcey_mp, scipy_modules_loaded_by
+from conftest import emit_reference, pearcey_mp, scipy_modules_loaded_by
 
 
 def test_emit_csv_small_grid(tmp_path):
@@ -54,15 +54,7 @@ def test_emit_csv_17_digits(tmp_path):
 
 
 def _emit_reference(grid) -> bytes:
-    """The per-value formatting loop that emit_spacetime_csv replaced."""
-    def fmt(v):
-        return format(float(v), ".17g")
-
-    lines = ["t,x,value"]
-    for i, t in enumerate(grid.t):
-        for j, x in enumerate(grid.x):
-            lines.append(f"{fmt(t)},{fmt(x)},{fmt(grid.values[i, j])}")
-    return ("\n".join(lines) + "\n").encode()
+    return emit_reference(grid.t, grid.x, grid.values)
 
 
 SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.nan, np.inf,
@@ -537,7 +529,7 @@ def test_cli_run_rejects_nonfinite_window(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["planewave", "schrodinger_shock", "pearcey_map",
-                                  "zones_map"])
+                                  "zones_map", "shock_multimode", "shock_single_mode"])
 def test_emit_csv_matches_reference_loop_on_shipped_grids(tmp_path, monkeypatch, name):
     emitted = []
 
@@ -682,7 +674,11 @@ def test_manifest_telemetry_records_stages_memory_and_versions(tmp_path):
     _run_cfg(tmp_path / "pw", PLANEWAVE)
     manifest = json.loads((tmp_path / "pw" / "dtqw_planewave_manifest.json").read_text())
     telemetry = manifest["telemetry"]
-    assert set(telemetry) == {"stage_wall_s", "fft_calls", "peak_rss_mb", "versions"}
+    assert set(telemetry) == {"stage_wall_s", "fft_calls", "csv_rows", "peak_rss_mb",
+                              "versions"}
+    # the density CSV's rows: the sites at the first and the last step
+    rows = (tmp_path / "pw" / "dtqw_planewave_density.csv").read_text().count("\n") - 1
+    assert telemetry["csv_rows"] == rows == 2 * 512
     # the jump takes one FFT per component and one inverse FFT per component
     # and snapshot, so a walking run counts some, the same on every rerun
     assert isinstance(telemetry["fft_calls"], int) and telemetry["fft_calls"] > 0

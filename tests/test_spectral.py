@@ -81,6 +81,19 @@ def test_spectral_propagate_is_bit_identical_to_the_inline_formula(n):
         assert np.array_equal(got, _reference_propagate(values, mass, t))
 
 
+@pytest.mark.parametrize("n", [9, 64, 8192])
+def test_spectral_evolution_takes_one_spectrum_for_every_time(n):
+    rng = np.random.default_rng(n)
+    values = _field(rng, n, complex_valued=True)
+    times = [0.0, 0.3, 0.8, 1.7]
+    before = sp.fft_calls()
+    evolve = sch.spectral_evolution(sch.Wavefunction(values), 20.0)
+    got = [evolve(t).values for t in times]
+    assert sp.fft_calls() - before == 1 + len(times)
+    for t, values_t in zip(times, got):
+        assert np.array_equal(values_t, _reference_propagate(values, 20.0, t))
+
+
 @pytest.mark.parametrize("n", [9, 64, 4096])
 def test_schrodinger_hydro_is_bit_identical_to_the_inline_formula(n):
     rng = np.random.default_rng(n)
