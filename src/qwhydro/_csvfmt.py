@@ -30,8 +30,12 @@ exponent, newline) by a mask that depends only on its sign, exponent and
 digit count, so one compress of a block's rows gives its lines.  The tables
 are built on first use, so importing the module costs nothing.
 
-Grids of fewer than `CUTOFF` values, and grids of integers, whose texts are
-short, are written by the reference alone: there the blocks do not pay.
+Blocks.  A block is as many whole rows as fit in `BLOCK` values, or `BLOCK`
+sites of one row, and its transient arrays take about 400 bytes a value.  The
+t and ",x," texts are printed by the reference once each and kept with their
+masks for the whole grid, at most 64 bytes a t or x value.  Grids of fewer
+than `CUTOFF` values, and grids of integers, whose texts are short, are
+written by the reference alone: there the blocks do not pay.
 """
 
 from __future__ import annotations
@@ -44,10 +48,13 @@ import numpy as np
 # Values per block: bounds the transient arrays of one write at about 400
 # bytes a value.  A 4096-site row is half a block.
 BLOCK = 8192
-# Grids of fewer values, and grids of integers, are written by the reference:
-# the blocks' fixed costs outweigh their gain on a grid of 31 × 51 doubles
-# (about 1.9 ms against 1.7 ms), and a short text such as "2" takes `format`
-# 0.3 µs against the blocks' 0.5 µs a value at any size.
+# Grids of fewer values, and grids of integers, are written by the reference.
+# Warm and interleaved, the blocks first win on doubles between 512 and 1024
+# values (0.66 against 0.58 ms, then 0.95 against 1.10 ms) and win at 2048
+# and 4096 (1.6 against 1.9 ms, 2.8 against 3.7 ms).  The cutoff sits above
+# that crossover, so that a small grid also skips the first call's table
+# build (about 6 ms).  On the 61 × 81 zone labels of zones_map ("2" and the
+# like) the blocks take 2.9 ms against the reference's 1.5 ms.
 CUTOFF = 2048
 # Distance from ½ below which the fraction of an inexact X is left to the
 # reference: more than 10⁵ times the 2⁻¹⁰⁴·X < 5e-15 bound on its error.
@@ -241,16 +248,15 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
     np.take(tables.masks, key, axis=0, out=mask, mode="clip")
 
 
-def _texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The texts of `values` left-aligned in a (len(values), width) uint8
-    array, padded with NULs, and their lengths."""
-    rows, mask = _rows(values.size)
-    _layout(values, rows, mask)
-    mask[:, _NEWLINE] = 0
-    lengths = mask.sum(axis=1)
-    out = np.zeros((values.size, int(lengths.max(initial=0))), dtype=np.uint8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = rows[mask.view(bool)]
-    return out, lengths
+def _packed(pattern: str, values: np.ndarray) -> np.ndarray:
+    """`pattern % v` of each value as a row of NUL-padded bytes, as wide
+    as the longest, printed `BLOCK` values at a time: 32 bytes a value."""
+    texts = np.zeros(values.size, dtype="S32")  # "-d.dddddddddddddddde-XXX" is 24
+    for i in range(0, values.size, BLOCK):
+        texts[i:i + BLOCK] = [pattern % v for v in values[i:i + BLOCK].tolist()]
+    rows = texts.view(np.uint8).reshape(values.size, -1)
+    # texts are left-aligned: the widest fills every column with a nonzero byte
+    return rows[:, :np.count_nonzero(rows.max(axis=0))]
 
 
 def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
@@ -277,22 +283,14 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
 def _write_blocks(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     """`write_grid` by blocks: as many whole rows as fit in `BLOCK` values, or
     `BLOCK` sites of one row.  A block's lines are rows of the t text, the
-    ",x," text and the value's candidate bytes, compressed by one mask."""
+    ",x," text and the value's candidate bytes, compressed by one mask.  The
+    t and ",x," texts are printed by the reference, once each."""
     nt, nx = values.shape
-    texts, lengths = _texts(np.concatenate([t, x]))
-    t_len, x_len = lengths[:nt], lengths[nt:]
-    t_text, x_text = texts[:nt, :t_len.max()], texts[nt:, :x_len.max()]
-    wt, ws = t_text.shape[1], x_text.shape[1] + 2
-    site = np.zeros((nx, ws), dtype=np.uint8)
-    site[:, 0] = ord(",")
-    site[:, 1:-1] = x_text
-    site[np.arange(nx), x_len + 1] = ord(",")
-    t_mask = np.arange(wt) < t_len[:, None]
-    site_mask = np.arange(ws) < x_len[:, None] + 2
-    lead = wt + ws
+    t_text, site = _packed("%.17g", t), _packed(",%.17g,", x)
+    t_mask, site_mask = t_text != 0, site != 0
+    wt, lead = t_text.shape[1], t_text.shape[1] + site.shape[1]
     block_rows, block_sites = min(nt, max(1, BLOCK // nx)), min(nx, BLOCK)
     lines, chosen = _rows(block_rows * block_sites, lead)
-    sites_in = None  # the block shape and site range whose texts the buffers hold
     for r0 in range(0, nt, block_rows):
         r1 = min(r0 + block_rows, nt)
         for s0 in range(0, nx, block_sites):
@@ -300,11 +298,9 @@ def _write_blocks(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
             count = (r1 - r0) * (s1 - s0)
             text, mask = lines[:count], chosen[:count]
             shape = (r1 - r0, s1 - s0, lead + _WIDTH)
-            if sites_in != (r1 - r0, s0, s1):
-                text.reshape(shape)[:, :, wt:lead] = site[s0:s1]
-                mask.reshape(shape)[:, :, wt:lead] = site_mask[s0:s1]
-                sites_in = (r1 - r0, s0, s1)
             text.reshape(shape)[:, :, :wt] = t_text[r0:r1, None]
             mask.reshape(shape)[:, :, :wt] = t_mask[r0:r1, None]
+            text.reshape(shape)[:, :, wt:lead] = site[s0:s1]
+            mask.reshape(shape)[:, :, wt:lead] = site_mask[s0:s1]
             _layout(values[r0:r1, s0:s1].ravel(), text[:, lead:], mask[:, lead:])
             fh.write(text[mask.view(bool)])

@@ -66,8 +66,10 @@ def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
 
     Each line is "{t},{x},{v}", every number printed as
     `format(float(v), ".17g")` prints it.  `_csvfmt.write_grid` writes whole
-    rows, `_csvfmt.BLOCK` = 8192 values at a time, which bounds its transient
-    arrays at about 3 MB.  It rounds each value to 17 digits from Dekker's
+    rows, `_csvfmt.BLOCK` = 8192 values at a time, with about 3 MB of
+    transient arrays a block; the t and x texts, printed once each by
+    `format`, are kept with their masks at most 64 bytes a t or x value.
+    It rounds each value to 17 digits from Dekker's
     exact product of |v| and 10^k (with 10^k as a double-double where it is
     no double) and lays out the `%g` text with numpy.  nan, ±inf, nonzero |v|
     outside [1e-280, 1e290) and the values that a double-double 10^k leaves

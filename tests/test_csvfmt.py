@@ -3,6 +3,7 @@
 import io
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,41 @@ def test_grids_of_many_blocks_match_the_reference_loop(monkeypatch, block, shape
     buf.write(b"t,x,value\n")
     _csvfmt._write_blocks(buf, t, x, values)
     assert buf.getvalue() == emit_reference(t, x, values)
+
+
+def test_t_and_x_of_every_length_match_the_reference_loop():
+    # the longest texts (24 bytes, 26 with the commas around x), specials,
+    # ±0 and subnormals as t and as x
+    edges = [-1.2345678901234567e-100, 1.2345678901234567e+100, np.nan, -np.inf, np.inf,
+             -0.0, 0.0, -5e-324, 2.5]
+    t, x = np.array(edges), np.array(edges[::-1] + [1.0])
+    values = np.random.default_rng(8).standard_normal((t.size, x.size))
+    buf = io.BytesIO()
+    buf.write(b"t,x,value\n")
+    _csvfmt._write_blocks(buf, t, x, values)
+    assert buf.getvalue() == emit_reference(t, x, values)
+
+
+class Discard:
+    def write(self, data):
+        pass
+
+
+@pytest.mark.parametrize("shape", [(1, 1 << 17), (4, 1 << 15), (1 << 15, 4)])
+def test_blocks_keep_the_documented_memory_bound(shape):
+    # about 400 bytes a value of one block, and at most 64 bytes a t or x value
+    # for their texts and masks, whatever the grid's shape; the lines written
+    # are dropped, not counted
+    values = np.random.default_rng(9).standard_normal(shape)
+    t, x = np.linspace(0.0, 1.5, shape[0]), np.linspace(-np.pi, np.pi, shape[1])
+    _csvfmt._tables()
+    tracemalloc.start()
+    try:
+        _csvfmt._write_blocks(Discard(), t, x, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * _csvfmt.BLOCK + 64 * sum(shape)
 
 
 @pytest.mark.parametrize("shape, integral, blocks", [
