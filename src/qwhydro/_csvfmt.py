@@ -33,9 +33,9 @@ are built on first use, so importing the module costs nothing.
 Blocks.  A block is as many whole rows as fit in `BLOCK` values, or `BLOCK`
 sites of one row, and its transient arrays take about 400 bytes a value.  The
 t and ",x," texts are printed by the reference once each and kept with their
-masks for the whole grid, at most 64 bytes a t or x value.  Grids of fewer
-than `CUTOFF` values, and grids of integers, whose texts are short, are
-written by the reference alone: there the blocks do not pay.
+masks for the whole grid, at most 64 bytes a t or x value.  Every grid, however
+small, is written by blocks, so a process's first grid pays for building the
+tables (about 5 ms in a fresh interpreter).
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ import numpy as np
 # Values per block: bounds the transient arrays of one write at about 400
 # bytes a value.  A 4096-site row is half a block.
 BLOCK = 8192
-# Grids of fewer values, and grids of integers, are written by the reference.
-# Warm and interleaved, the blocks first win on doubles between 512 and 1024
-# values (0.66 against 0.58 ms, then 0.95 against 1.10 ms) and win at 2048
-# and 4096 (1.6 against 1.9 ms, 2.8 against 3.7 ms).  The cutoff sits above
-# that crossover, so that a small grid also skips the first call's table
-# build (about 6 ms).  On the 61 × 81 zone labels of zones_map ("2" and the
-# like) the blocks take 2.9 ms against the reference's 1.5 ms.
-CUTOFF = 2048
 # Distance from ½ below which the fraction of an inexact X is left to the
 # reference: more than 10⁵ times the 2⁻¹⁰⁴·X < 5e-15 bound on its error.
 MARGIN = 2.0 ** -30
@@ -76,16 +68,17 @@ _REST = _POINT + 1              # the digits after the point
 _EXP = _REST + _DIGITS          # "e±XX" or "e±XXX"
 _NEWLINE = _EXP + 5
 _WIDTH = _NEWLINE + 1
-# A reference string (at most 24 bytes) lies in the digits after the point and
-# the exponent, so the sign, point and newline columns never change.
-_LONGEST = _NEWLINE - _REST
+# A reference string, at most 24 bytes ("-1.2345678901234567e-300"), lies in
+# the digits after the point and the exponent, so the sign, point and newline
+# columns never change.
+_LONGEST = 24
 
 # Mask rows: fixed notation by (e + 4, digits − 1), then d.ddde±XX by
-# (digits − 1, three-digit exponent), then reference strings by length; the
-# same again with the minus sign.
+# (digits − 1, three-digit exponent); the same again with the minus sign; then
+# reference strings, which carry their own sign, by length.
 _FIXED = 21 * 17
 _SCI = _FIXED + 17 * 2
-_KEYS = _SCI + _LONGEST
+_KEYS = 2 * _SCI + _LONGEST
 
 
 class _Tables(NamedTuple):
@@ -94,7 +87,7 @@ class _Tables(NamedTuple):
     leads: np.ndarray       # "0000".."0009" as uint32
     trailing: np.ndarray    # trailing zeros of a 4-digit group, 4 for 0
     exponents: np.ndarray   # "e-283".."e+291" by e − _E_MIN, 5 bytes each
-    masks: np.ndarray       # (2·_KEYS, _WIDTH) uint8 mask rows
+    masks: np.ndarray       # (_KEYS, _WIDTH) uint8 mask rows
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,28 +107,28 @@ def _power(k: int) -> tuple[float, float]:
     return hi, (den - num * 10 ** -k) / (den * 10 ** -k)
 
 
-def _mask_row(key: int) -> np.ndarray:
-    row = np.zeros(_WIDTH, dtype=np.uint8)
-    row[_NEWLINE] = 1
-    if key < _FIXED:
-        e, sig = divmod(key, 17)
-        e, sig = e - 4, sig + 1
-        if e >= 0:
-            row[_FIRST + 3:_FIRST + 4 + e] = 1
-        else:
-            row[_FIRST + 2] = 1
-        rest = range(4 + e, 3 + sig)
-    elif key < _SCI:
-        sig, wide = divmod(key - _FIXED, 2)
-        row[_FIRST + 3] = 1
-        rest = range(4, 4 + sig)
-        row[_EXP:_EXP + 4 + wide] = 1
-    else:
-        row[_REST:_REST + key - _SCI + 1] = 1
-        return row
-    row[_POINT] = len(rest) > 0
-    row[_REST + rest.start:_REST + max(rest.start, rest.stop)] = 1
-    return row
+def _masks() -> np.ndarray:
+    """The (_KEYS, _WIDTH) mask rows, each key's exponent, digit count or
+    length broadcast against the columns."""
+    col = np.arange(_WIDTH)
+    digits = np.arange(1, 18)
+
+    def span(start, stop):
+        return (col >= start) & (col < stop)
+
+    # fixed by (e, digits): the integer part, or the "0" before the point, then
+    # the digit copy from column 4 + e on, which starts with zeros below 1
+    e, sig = np.arange(-4, 17)[:, None, None], digits[:, None]
+    fixed = (np.where(e >= 0, span(_FIRST + 3, _FIRST + 4 + e), col == _FIRST + 2)
+             | span(_REST + 4 + e, _REST + 3 + sig) | (col == _POINT) & (3 + sig > 4 + e))
+    # d.ddde±XX by (digits, three-digit exponent)
+    sig, wide = digits[:, None, None], np.arange(2)[:, None]
+    sci = ((col == _FIRST + 3) | span(_REST + 4, _REST + 3 + sig)
+           | (col == _POINT) & (sig > 1) | span(_EXP, _EXP + 4 + wide))
+    values = np.concatenate([fixed.reshape(_FIXED, _WIDTH), sci.reshape(-1, _WIDTH)])
+    reference = span(_REST, _REST + np.arange(1, _LONGEST + 1)[:, None])
+    masks = np.concatenate([values, values | (col == _SIGN), reference]) | (col == _NEWLINE)
+    return masks.astype(np.uint8)
 
 
 @functools.cache
@@ -148,14 +141,11 @@ def _tables() -> _Tables:
     exponents = np.frombuffer(b"".join(b"%-5s" % (b"e%+03d" % e)
                                        for e in range(_E_MIN, _E_MAX + 1)),
                               dtype=np.uint8).reshape(-1, 5)
-    masks = np.array([_mask_row(key) for key in range(_KEYS)])
-    signed = masks.copy()
-    signed[:_SCI, _SIGN] = 1  # a reference string carries its own sign
     return _Tables(powers=(hi, lo, *_split(hi)),
                    groups=chars.astype(np.uint8).view(np.uint32).ravel(),
                    leads=chars[:10].astype(np.uint8).view(np.uint32).ravel(),
                    trailing=trailing, exponents=exponents,
-                   masks=np.concatenate([masks, signed]))
+                   masks=_masks())
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -240,11 +230,11 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
     if sci.size:
         rows[sci, _EXP:_NEWLINE] = tables.exponents.take(e[sci] - _E_MIN, axis=0)
         key[sci] = _FIXED + (sig[sci] - 1) * 2 + (np.abs(e[sci]) >= 100)
-    key += np.signbit(v) * _KEYS
+    key += np.signbit(v) * _SCI
     for i in np.flatnonzero(~(fast | zero)):
         text = format(float(v[i]), ".17g").encode()
         rows[i, _REST:_REST + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        key[i] = _SCI + len(text) - 1
+        key[i] = 2 * _SCI + len(text) - 1
     np.take(tables.masks, key, axis=0, out=mask, mode="clip")
 
 
@@ -263,29 +253,14 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     """Write the line "{t},{x},{v}" of every value of the (len(t), len(x))
     float64 grid to the binary file fh, t-major, each ended by a newline.
 
-    A grid of fewer than `CUTOFF` values, or of integers only, is written by
-    the reference, one `%.17g` a number; any other in blocks.
+    The grid goes by blocks: as many whole rows as fit in `BLOCK` values, or
+    `BLOCK` sites of one row.  A block's lines are rows of the t text, the
+    ",x," text and the value's candidate bytes, compressed by one mask.  The
+    t and ",x," texts are printed by the reference, once each.
     """
     nt, nx = values.shape
     if nt == 0 or nx == 0:
         return
-    rows = max(1, BLOCK // nx)
-    blocks = (values[i:i + rows] for i in range(0, nt, rows))
-    if values.size < CUTOFF or all(np.array_equal(b, np.rint(b)) for b in blocks):
-        sites = [f",{format(v, '.17g')},%.17g\n" for v in x.tolist()]
-        for t_value, row in zip(t.tolist(), values):
-            t_text = format(t_value, ".17g")
-            fh.write(((t_text + t_text.join(sites)) % tuple(row.tolist())).encode())
-    else:
-        _write_blocks(fh, t, x, values)
-
-
-def _write_blocks(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
-    """`write_grid` by blocks: as many whole rows as fit in `BLOCK` values, or
-    `BLOCK` sites of one row.  A block's lines are rows of the t text, the
-    ",x," text and the value's candidate bytes, compressed by one mask.  The
-    t and ",x," texts are printed by the reference, once each."""
-    nt, nx = values.shape
     t_text, site = _packed("%.17g", t), _packed(",%.17g,", x)
     t_mask, site_mask = t_text != 0, site != 0
     wt, lead = t_text.shape[1], t_text.shape[1] + site.shape[1]

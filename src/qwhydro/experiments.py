@@ -8,8 +8,8 @@ Identical configs produce byte-identical data files.  Every number in a CSV
 is printed as `format(v, ".17g")` prints it; `_csvfmt` writes those bytes
 with numpy in blocks of `_csvfmt.BLOCK` values, from digits rounded exactly
 by a double-double scaling, and hands what that cannot decide exactly (nan,
-±inf, |v| outside [1e-280, 1e290), near-ties of an inexact scaling), and
-grids too small or too short-printed to gain, to `format` itself.
+±inf, |v| outside [1e-280, 1e290), near-ties of an inexact scaling) to
+`format` itself.
 
 Each `EXPERIMENTS` entry holds a compute function, returning data and
 diagnostics, and what it reads from its config; `run_experiment` writes the
@@ -41,8 +41,8 @@ from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_evolution
-from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, propagate, \
-    step_walk, steps_until, total_norm
+from .walk import SpinorField, Trajectory, build_walk, dirac_residual, propagate, step_walk, \
+    steps_until, total_norm
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -73,9 +73,10 @@ def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
     exact product of |v| and 10^k (with 10^k as a double-double where it is
     no double) and lays out the `%g` text with numpy.  nan, ±inf, nonzero |v|
     outside [1e-280, 1e290) and the values that a double-double 10^k leaves
-    within 2⁻³⁰ of a rounding tie go to `format` itself, as do whole grids of
-    fewer than `_csvfmt.CUTOFF` = 2048 values or of integers only.  Complex
-    values are refused: a cast to float would drop their imaginary parts.
+    within 2⁻³⁰ of a rounding tie go to `format` itself.  A process's first
+    CSV builds the formatter's tables (about 5 ms in a fresh interpreter).
+    Complex values are refused: a cast to float would drop their imaginary
+    parts.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("emit_spacetime_csv writes real values; got complex")
@@ -289,13 +290,14 @@ def _validation(cfg: SimConfig) -> Computed:
                                     + np.abs(rec.right - st.right))))
         worst_id = max(worst_id, current_identity_gap(st))
 
-    # Dirac residual refinement with walk data (fixed mass, plane wave q=1)
+    # Dirac residual refinement with walk data (fixed mass, plane wave q=1),
+    # centred on step 2
     refine_res = []
     refine_eps = []
     for n in (512, 1024, 2048):
         p = build_walk(n, 16.0)
-        traj = evolve(plane_wave(p, 1.0), p, 4, cadence=1)
-        refine_res.append(dirac_residual(traj, p))
+        snaps = propagate(plane_wave(p, 1.0), p, [1, 2, 3])
+        refine_res.append(dirac_residual(Trajectory(params=p, snapshots=snaps), p))
         refine_eps.append(p.spacing)
     dirac_monotone = all(b < a for a, b in zip(refine_res, refine_res[1:]))
 

@@ -1,9 +1,11 @@
 """The numpy CSV emitter against `format(float(v), ".17g")`, value by value."""
 
 import io
+import itertools
 import math
 import struct
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ def printed(values) -> list[str]:
     """The value field of each line that the blocks write for one row."""
     values = np.asarray(values, dtype=np.float64)
     buf = io.BytesIO()
-    _csvfmt._write_blocks(buf, np.zeros(1), np.zeros(values.size), values[None, :])
+    _csvfmt.write_grid(buf, np.zeros(1), np.zeros(values.size), values[None, :])
     return [line.rsplit(b",", 1)[1].decode() for line in buf.getvalue().splitlines()]
 
 
@@ -138,7 +140,8 @@ def test_exponents_where_ten_to_the_k_is_no_double_print_like_format(monkeypatch
     assert_prints_like_format(values)
 
 
-def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
+def _counted_format(monkeypatch) -> list:
+    """The values that `_csvfmt` hands `format` from here on."""
     calls = []
 
     def counted(value, spec):
@@ -146,13 +149,88 @@ def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
         return format(value, spec)
 
     monkeypatch.setattr(_csvfmt, "format", counted, raising=False)
+    return calls
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, *_near_ties(30, 5)]
+
+
+def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
+    calls = _counted_format(monkeypatch)
     rng = np.random.default_rng(5)
     ordinary = rng.standard_normal(20_000) * 10.0 ** rng.integers(-270, 280, size=20_000)
     powers = [_nearest(k) for k in range(-279, 289)]
     ordinary = np.concatenate([ordinary, powers, np.nextafter(powers, 0), [0.0, -0.0]])
-    specials = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, *_near_ties(30, 5)]
-    assert_prints_like_format(np.concatenate([ordinary, specials]))
+    assert_prints_like_format(np.concatenate([ordinary, SPECIALS]))
+    assert len(calls) == len(SPECIALS)
+
+
+@pytest.mark.parametrize("shape, labels", [
+    ((1, 1), False), ((2, 2), False), ((25, 41), False), ((31, 51), False), ((61, 81), True)])
+def test_small_grids_and_zone_labels_reach_the_reference_only_for_specials(
+        monkeypatch, shape, labels):
+    # the shapes of pearcey_map's and caustic_window's double grids and of
+    # zones_map's labels 1..3, with as many specials as half the grid holds
+    rng = np.random.default_rng(shape[0])
+    if labels:
+        values = rng.integers(1, 4, size=shape) * 1.0
+    else:
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 20, size=shape)
+    specials = SPECIALS[:values.size // 2]
+    values.ravel()[rng.permutation(values.size)[:len(specials)]] = specials
+    t, x = np.linspace(0.6, 1.8, shape[0]), np.linspace(-1.0, 1.0, shape[1])
+    calls = _counted_format(monkeypatch)
+    buf = io.BytesIO()
+    buf.write(b"t,x,value\n")
+    _csvfmt.write_grid(buf, t, x, values)
     assert len(calls) == len(specials)
+    assert buf.getvalue() == emit_reference(t, x, values)
+
+
+def _shape(text: str) -> tuple[int, int, int]:
+    """The sign bit, decimal exponent and significant digits of a number's text."""
+    sign, digits, exponent = Decimal(text).as_tuple()
+    return sign, len(digits) + exponent - 1, len("".join(map(str, digits)).rstrip("0"))
+
+
+def _key(text: str) -> int:
+    """The mask row of a value that the blocks print as `text`, read off the
+    text: fixed notation by (e, digits), else by (digits, three-digit
+    exponent), with or without the minus sign."""
+    sign, e, sig = _shape(text)
+    key = (e + 4) * 17 + sig - 1 if -4 <= e < 17 else \
+        _csvfmt._FIXED + (sig - 1) * 2 + (abs(e) >= 100)
+    return key + sign * _csvfmt._SCI
+
+
+def _printed_as(exponents, sig: int) -> float:
+    """A double that `%.17g` prints with `sig` significant digits at the
+    first of the exponents where one does."""
+    low, start = 10 ** (sig - 1), int("12345678912345678"[:sig])
+    for e in exponents:
+        for m in itertools.chain(range(start, 10 * low), range(low, start)):
+            v = float(Fraction(m) * Fraction(10) ** (e - sig + 1))
+            if _shape(format(v, ".17g"))[1:] == (e, sig):
+                return v
+    raise AssertionError(f"no double prints with {sig} digits at exponents {exponents}")
+
+
+def test_every_mask_row_prints_like_format(monkeypatch):
+    # every fixed (e, digits) row and every d.ddde±XX (digits, two- or
+    # three-digit exponent) row, of either sign, then every reference length
+    values = [_printed_as([e], sig) for e in range(-4, 17) for sig in range(1, 18)]
+    values += [_printed_as(exponents, sig) for sig in range(1, 18)
+               for exponents in ([-5, -6, 17, 18, -99, 99], [-100, 100, -280, 289])]
+    values += [-v for v in values]
+    keys = {_key(format(v, ".17g")) for v in values}
+    assert keys == set(range(2 * _csvfmt._SCI))
+    assert_prints_like_format(values)
+    # with no value in the blocks' range, every nonzero one goes to the reference
+    monkeypatch.setattr(_csvfmt, "_LOWEST", math.inf)
+    references = values + [np.nan, np.inf, -np.inf]
+    assert {len(format(v, ".17g")) for v in references} == set(range(1, _csvfmt._LONGEST + 1))
+    assert _csvfmt._KEYS == 2 * _csvfmt._SCI + _csvfmt._LONGEST
+    assert_prints_like_format(references)
 
 
 def test_integers_near_two_to_the_53_and_the_carry_to_a_new_decade():
@@ -186,7 +264,7 @@ def test_grids_of_many_blocks_match_the_reference_loop(monkeypatch, block, shape
     values[0, 0] = -0.0
     buf = io.BytesIO()
     buf.write(b"t,x,value\n")
-    _csvfmt._write_blocks(buf, t, x, values)
+    _csvfmt.write_grid(buf, t, x, values)
     assert buf.getvalue() == emit_reference(t, x, values)
 
 
@@ -199,7 +277,7 @@ def test_t_and_x_of_every_length_match_the_reference_loop():
     values = np.random.default_rng(8).standard_normal((t.size, x.size))
     buf = io.BytesIO()
     buf.write(b"t,x,value\n")
-    _csvfmt._write_blocks(buf, t, x, values)
+    _csvfmt.write_grid(buf, t, x, values)
     assert buf.getvalue() == emit_reference(t, x, values)
 
 
@@ -218,28 +296,8 @@ def test_blocks_keep_the_documented_memory_bound(shape):
     _csvfmt._tables()
     tracemalloc.start()
     try:
-        _csvfmt._write_blocks(Discard(), t, x, values)
+        _csvfmt.write_grid(Discard(), t, x, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 400 * _csvfmt.BLOCK + 64 * sum(shape)
-
-
-@pytest.mark.parametrize("shape, integral, blocks", [
-    ((31, 51), False, False), ((2, 4096), True, False), ((2, 4096), False, True),
-    ((1, _csvfmt.CUTOFF), False, True)])
-def test_write_grid_leaves_small_and_integral_grids_to_the_reference(
-        monkeypatch, shape, integral, blocks):
-    written, blocks_of = [], _csvfmt._write_blocks
-    monkeypatch.setattr(_csvfmt, "_write_blocks",
-                        lambda *args: written.append(blocks_of(*args)))
-    rng = np.random.default_rng(6)
-    values = rng.integers(-3, 4, size=shape) * 1.0
-    if not integral:
-        values[-1, -1] += 0.5  # one value off the integers sends the grid to the blocks
-    t, x = np.linspace(0.6, 1.8, shape[0]), np.linspace(-1.0, 1.0, shape[1])
-    buf = io.BytesIO()
-    buf.write(b"t,x,value\n")
-    _csvfmt.write_grid(buf, t, x, values)
-    assert buf.getvalue() == emit_reference(t, x, values)
-    assert len(written) == blocks
