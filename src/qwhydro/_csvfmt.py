@@ -6,22 +6,20 @@ value, fixed notation for −4 ≤ e < 17 and d.ddde±XX otherwise, trailing
 zeros dropped and a bare point with them.  This module writes those bytes
 without a Python call per value.
 
-Digits.  For 1e-280 ≤ |v| < 1e290, e is first estimated as ⌊log10 |v|⌋ and
-X = |v|·10^k, k = 16 − e, is formed as a double-double hi + lo: Dekker's exact
-product (Veltkamp's split) of |v| with P = fl(10^k), plus |v| times the
-double nearest the remainder 10^k − P.  Where X falls outside
-[1e16, 1e17 + ¼), compared on hi and lo exactly, e moves by one and X is
-formed again.  hi is then an even integer, so N = hi + rint(lo) is X rounded
-half to even, and N = 10^17 carries to 10^16 at e + 1.  For 0 ≤ k ≤ 22, 10^k
-is a double, the remainder is 0 and hi + lo is X exactly, ties included.  For
-other k, hi + lo misses X by at most 2⁻¹⁰⁴·X < 5e-15: the remainder's own
-rounding and that of |v| times it add at most 2⁻¹⁰⁶·X each, and the sum of
-that product with the exact product's error term at most 2⁻¹⁰⁵·X.  A value
-whose X has a fraction within `MARGIN` of ½ there is left to the reference.
+Digits.  Only the values whose exact decimal exponent e lies in −6 ≤ e ≤ 16,
+that is 10⁻⁶ ≤ |v| < 10¹⁷, are printed by numpy: for these k = 16 − e runs
+from 0 to 22, so 10^k is a double P, and Dekker's exact product (Veltkamp's
+split) of |v| and P gives X = |v|·10^k exactly as hi + lo, hi = fl(X).  e is
+first estimated as the floating-point ⌊log10 |v|⌋, which is at most one off;
+where X falls outside [1e16, 1e17), compared on hi and lo exactly, e moves by
+one and X is formed again.  hi is then an even integer, so N = hi + rint(lo)
+is X rounded half to even.  N is below 10^17 and keeps e: the largest double
+below each 10^(e + 1) has an X more than 8 below 10^17.  The double nearest
+1e-6 lies below 10⁻⁶, so it is left to the reference; so is 1e17.
 
-Reference.  `format(float(v), ".17g")` prints nan, ±inf, every nonzero |v|
-outside [1e-280, 1e290) (the subnormals among them) and those near-ties; the
-tests compare every path against it.
+Reference.  `format(float(v), ".17g")` prints nan, ±inf and every nonzero
+value outside the range (the subnormals among them); the tests compare every
+path against it.
 
 Layout.  N is cut into a leading digit and four 4-digit groups, looked up in
 a table of 10 000 four-byte strings.  Each value's text is then chosen from a
@@ -35,7 +33,7 @@ sites of one row, and its transient arrays take about 400 bytes a value.  The
 t and ",x," texts are printed by the reference once each and kept with their
 masks for the whole grid, at most 64 bytes a t or x value.  Every grid, however
 small, is written by blocks, so a process's first grid pays for building the
-tables (about 5 ms in a fresh interpreter).
+tables (about 2 ms in a fresh interpreter).
 """
 
 from __future__ import annotations
@@ -48,15 +46,10 @@ import numpy as np
 # Values per block: bounds the transient arrays of one write at about 400
 # bytes a value.  A 4096-site row is half a block.
 BLOCK = 8192
-# Distance from ½ below which the fraction of an inexact X is left to the
-# reference: more than 10⁵ times the 2⁻¹⁰⁴·X < 5e-15 bound on its error.
-MARGIN = 2.0 ** -30
 
-_LOWEST, _HIGHEST = 1e-280, 1e290
-# Exponents the tables cover: ⌊log10⌋ of [1e-280, 1e290) and two corrections.
-_E_MIN, _E_MAX = -283, 291
+# The decimal exponents printed by numpy: 10^(16 − e) is a double for these.
+_E_MIN, _E_MAX = -6, 16
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split of a double
-_EXACT_K = 22  # 10^k is a double for 0 <= k <= 22
 
 # Columns of a value's candidate row.  A digit copy is "000" and the 17 digits,
 # so fixed notation below 1 can take up to three zeros from it.
@@ -65,28 +58,28 @@ _SIGN = 0
 _FIRST = 1                      # the integer part, or the leading digit
 _POINT = _FIRST + _DIGITS
 _REST = _POINT + 1              # the digits after the point
-_EXP = _REST + _DIGITS          # "e±XX" or "e±XXX"
-_NEWLINE = _EXP + 5
+_EXP = _REST + _DIGITS          # "e-06" or "e-05"
+_NEWLINE = _EXP + 4
 _WIDTH = _NEWLINE + 1
 # A reference string, at most 24 bytes ("-1.2345678901234567e-300"), lies in
 # the digits after the point and the exponent, so the sign, point and newline
 # columns never change.
 _LONGEST = 24
 
-# Mask rows: fixed notation by (e + 4, digits − 1), then d.ddde±XX by
-# (digits − 1, three-digit exponent); the same again with the minus sign; then
-# reference strings, which carry their own sign, by length.
+# Mask rows: fixed notation by (e + 4, digits − 1), then d.ddde-0X by
+# digits − 1; the same again with the minus sign; then reference strings,
+# which carry their own sign, by length.
 _FIXED = 21 * 17
-_SCI = _FIXED + 17 * 2
+_SCI = _FIXED + 17
 _KEYS = 2 * _SCI + _LONGEST
 
 
 class _Tables(NamedTuple):
-    powers: tuple[np.ndarray, ...]  # 10^(16 − e) by e − _E_MIN: hi, lo, hi's split
+    powers: tuple[np.ndarray, ...]  # 10^(16 − e) by e − _E_MIN and its split
     groups: np.ndarray      # "0000".."9999" as uint32
     leads: np.ndarray       # "0000".."0009" as uint32
     trailing: np.ndarray    # trailing zeros of a 4-digit group, 4 for 0
-    exponents: np.ndarray   # "e-283".."e+291" by e − _E_MIN, 5 bytes each
+    exponents: np.ndarray   # "e-06" and "e-05" by e − _E_MIN, 4 bytes each
     masks: np.ndarray       # (_KEYS, _WIDTH) uint8 mask rows
 
 
@@ -95,16 +88,6 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = _SPLITTER * a
     hi = c - (c - a)
     return hi, a - hi
-
-
-def _power(k: int) -> tuple[float, float]:
-    """The double nearest 10^k and the double nearest what it misses by."""
-    if k >= 0:
-        hi = float(10 ** k)
-        return hi, float(10 ** k - int(hi))
-    hi = 1 / 10 ** -k
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * 10 ** -k) / (den * 10 ** -k)
 
 
 def _masks() -> np.ndarray:
@@ -121,11 +104,11 @@ def _masks() -> np.ndarray:
     e, sig = np.arange(-4, 17)[:, None, None], digits[:, None]
     fixed = (np.where(e >= 0, span(_FIRST + 3, _FIRST + 4 + e), col == _FIRST + 2)
              | span(_REST + 4 + e, _REST + 3 + sig) | (col == _POINT) & (3 + sig > 4 + e))
-    # d.ddde±XX by (digits, three-digit exponent)
-    sig, wide = digits[:, None, None], np.arange(2)[:, None]
+    # d.ddde-0X by digits
+    sig = digits[:, None]
     sci = ((col == _FIRST + 3) | span(_REST + 4, _REST + 3 + sig)
-           | (col == _POINT) & (sig > 1) | span(_EXP, _EXP + 4 + wide))
-    values = np.concatenate([fixed.reshape(_FIXED, _WIDTH), sci.reshape(-1, _WIDTH)])
+           | (col == _POINT) & (sig > 1) | span(_EXP, _NEWLINE))
+    values = np.concatenate([fixed.reshape(_FIXED, _WIDTH), sci])
     reference = span(_REST, _REST + np.arange(1, _LONGEST + 1)[:, None])
     masks = np.concatenate([values, values | (col == _SIGN), reference]) | (col == _NEWLINE)
     return masks.astype(np.uint8)
@@ -133,15 +116,14 @@ def _masks() -> np.ndarray:
 
 @functools.cache
 def _tables() -> _Tables:
-    hi, lo = np.array([_power(16 - e) for e in range(_E_MIN, _E_MAX + 1)]).T
+    powers = np.array([float(10 ** (16 - e)) for e in range(_E_MIN, _E_MAX + 1)])
     group = np.arange(10000)
     chars = 48 + np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], 1)
     trailing = ((group % 10 == 0).astype(np.int64) + (group % 100 == 0)
                 + (group % 1000 == 0) + (group == 0))
-    exponents = np.frombuffer(b"".join(b"%-5s" % (b"e%+03d" % e)
-                                       for e in range(_E_MIN, _E_MAX + 1)),
-                              dtype=np.uint8).reshape(-1, 5)
-    return _Tables(powers=(hi, lo, *_split(hi)),
+    exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in range(_E_MIN, -4)),
+                              dtype=np.uint8).reshape(-1, 4)
+    return _Tables(powers=(powers, *_split(powers)),
                    groups=chars.astype(np.uint8).view(np.uint32).ravel(),
                    leads=chars[:10].astype(np.uint8).view(np.uint32).ravel(),
                    trailing=trailing, exponents=exponents,
@@ -149,23 +131,17 @@ def _tables() -> _Tables:
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
-    """a·10^(16 − e) as the double-double hi + lo, |lo| ≤ ulp(hi)/2."""
-    p_hi, p_lo, b_hi, b_lo = (table.take(e - _E_MIN) for table in powers)
-    p = a * p_hi
+    """a·10^(16 − e) exactly, as hi = fl(a·10^(16 − e)) and its error lo."""
+    p, b_hi, b_lo = (table.take(e - _E_MIN) for table in powers)
+    hi = a * p
     a_hi, a_lo = _split(a)
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    t = err + a * p_lo
-    hi = p + t
-    return hi, t - (hi - p)
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _out_of_decade(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """−1 where hi + lo < 1e16, +1 where hi + lo ≥ 1e17 + ¼, else 0.  An X in
-    [1e17, 1e17 + ¼) rounds to 10^17 and carries, as X/10 would round to 10^16:
-    so an X of 10^16·10^j that the double-double puts just below 1e16 at e
-    and just above 1e17 at e − 1 settles at e − 1 instead of at neither."""
+    """−1 where hi + lo < 1e16, +1 where hi + lo ≥ 1e17, else 0."""
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
-    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.25))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
     return above.astype(np.int64) - below
 
 
@@ -185,27 +161,22 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
     compressed by its mask is `format(float(v[i]), ".17g")` and a newline."""
     tables = _tables()
     a = np.abs(v)
-    fast = (a >= _LOWEST) & (a < _HIGHEST)
     zero = a == 0.0
+    e = np.floor(np.log10(np.where(zero, 1.0, a)))
+    # ⌊log10⌋ is at most one off, so only values within a decade of the range
+    # are scaled, at the nearest exponent in it; nan and ±inf compare false
+    fast = ~zero & (e >= _E_MIN - 1) & (e <= _E_MAX + 1)
     a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.clip(np.where(fast, e, 0.0), _E_MIN, _E_MAX).astype(np.int64)
     hi, lo = _scaled(a, e, tables.powers)
-    for _ in range(2):
-        move = _out_of_decade(hi, lo)
-        off = np.flatnonzero(move)
-        if off.size == 0:
-            break
-        e[off] = np.clip(e[off] + move[off], _E_MIN, _E_MAX)
-        hi[off], lo[off] = _scaled(a[off], e[off], tables.powers)
-    else:
-        fast &= _out_of_decade(hi, lo) == 0
-    inexact = (e > 16) | (e < 16 - _EXACT_K)
-    fast &= ~(inexact & (np.abs(lo - np.floor(lo) - 0.5) < MARGIN))
+    move = _out_of_decade(hi, lo)
+    e += move
+    fast &= (e >= _E_MIN) & (e <= _E_MAX)
+    off = np.flatnonzero(fast & (move != 0))
+    hi[off], lo[off] = _scaled(a[off], e[off], tables.powers)
     # 0 (and every value left to the reference) as the digits 0 at e = 0
     n = np.where(fast, hi.astype(np.int64) + np.rint(lo).astype(np.int64), 0)
-    carry = n == 10 ** 17
-    n[carry] = 10 ** 16
-    e = np.where(fast, e + carry, 0)
+    e = np.where(fast, e, 0)
 
     lead = n // 10 ** 16
     rest = n - lead * 10 ** 16
@@ -226,10 +197,10 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
         sig[empty] -= tables.trailing.take(groups[i].take(empty))
 
     key = (e + 4) * 17 + sig - 1
-    sci = np.flatnonzero((e < -4) | (e > 16))
+    sci = np.flatnonzero(e < -4)
     if sci.size:
         rows[sci, _EXP:_NEWLINE] = tables.exponents.take(e[sci] - _E_MIN, axis=0)
-        key[sci] = _FIXED + (sig[sci] - 1) * 2 + (np.abs(e[sci]) >= 100)
+        key[sci] = _FIXED + sig[sci] - 1
     key += np.signbit(v) * _SCI
     for i in np.flatnonzero(~(fast | zero)):
         text = format(float(v[i]), ".17g").encode()

@@ -6,10 +6,8 @@ carrying the config echo, conservation diagnostics, and the timestamp and
 telemetry of the run, the only values that change between reruns.
 Identical configs produce byte-identical data files.  Every number in a CSV
 is printed as `format(v, ".17g")` prints it; `_csvfmt` writes those bytes
-with numpy in blocks of `_csvfmt.BLOCK` values, from digits rounded exactly
-by a double-double scaling, and hands what that cannot decide exactly (nan,
-±inf, |v| outside [1e-280, 1e290), near-ties of an inexact scaling) to
-`format` itself.
+with numpy in blocks of `_csvfmt.BLOCK` values, and its docstring says which
+values it hands to `format` itself.
 
 Each `EXPERIMENTS` entry holds a compute function, returning data and
 diagnostics, and what it reads from its config; `run_experiment` writes the
@@ -66,17 +64,10 @@ def emit_spacetime_csv(grid: SpacetimeGrid, path: Path | str) -> Path:
 
     Each line is "{t},{x},{v}", every number printed as
     `format(float(v), ".17g")` prints it.  `_csvfmt.write_grid` writes whole
-    rows, `_csvfmt.BLOCK` = 8192 values at a time, with about 3 MB of
-    transient arrays a block; the t and x texts, printed once each by
-    `format`, are kept with their masks at most 64 bytes a t or x value.
-    It rounds each value to 17 digits from Dekker's
-    exact product of |v| and 10^k (with 10^k as a double-double where it is
-    no double) and lays out the `%g` text with numpy.  nan, ±inf, nonzero |v|
-    outside [1e-280, 1e290) and the values that a double-double 10^k leaves
-    within 2⁻³⁰ of a rounding tie go to `format` itself.  A process's first
-    CSV builds the formatter's tables (about 5 ms in a fresh interpreter).
-    Complex values are refused: a cast to float would drop their imaginary
-    parts.
+    rows, `_csvfmt.BLOCK` = 8192 values at a time; its module docstring says
+    which values numpy prints, which go to `format`, and what the blocks and
+    the first call's tables cost.  Complex values are refused: a cast to
+    float would drop their imaginary parts.
     """
     if np.iscomplexobj(grid.values):
         raise ValueError("emit_spacetime_csv writes real values; got complex")
@@ -144,8 +135,9 @@ def walk_steps(cfg: SimConfig) -> list[int]:
 def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField], dict]:
     """The walk from `state` at `walk_steps`, jumped to exactly, and the diagnostics
     of every walking run: the initial norm, the largest relative norm drift over
-    the snapshots and the check against the stepped kernel, max |propagate(j) −
-    step_walk(propagate(j − 1))| at the last j over the largest modulus of propagate(j)."""
+    the snapshots, the last step the walk reaches (`last_step`) and the check
+    against the stepped kernel, max |propagate(j) − step_walk(propagate(j − 1))|
+    at that last j over the largest modulus of propagate(j)."""
     steps = walk_steps(cfg)
     last = max(steps[-1], 1)  # a run that stops at step 0 checks step 1
     *snaps, before, after = propagate(state, params, [*steps, last - 1, last])
@@ -155,7 +147,7 @@ def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField]
     scale = max(np.max(np.abs(after.left)), np.max(np.abs(after.right)))
     n0 = total_norm(state, params)
     drift = max(abs(total_norm(s, params) - n0) / n0 for s in snaps)
-    return snaps, {"initial_norm": n0, "norm_drift": float(drift),
+    return snaps, {"initial_norm": n0, "norm_drift": float(drift), "last_step": last,
                    "step_consistency": _gate(float(gap / scale), STEP_CONSISTENCY_LIMIT)}
 
 
@@ -291,12 +283,14 @@ def _validation(cfg: SimConfig) -> Computed:
         worst_id = max(worst_id, current_identity_gap(st))
 
     # Dirac residual refinement with walk data (fixed mass, plane wave q=1),
-    # centred on step 2
+    # stepped from step 0 and centred on step 2
     refine_res = []
     refine_eps = []
     for n in (512, 1024, 2048):
         p = build_walk(n, 16.0)
-        snaps = propagate(plane_wave(p, 1.0), p, [1, 2, 3])
+        snaps = [plane_wave(p, 1.0)]
+        for _ in range(3):
+            snaps.append(step_walk(snaps[-1], p))
         refine_res.append(dirac_residual(Trajectory(params=p, snapshots=snaps), p))
         refine_eps.append(p.spacing)
     dirac_monotone = all(b < a for a, b in zip(refine_res, refine_res[1:]))

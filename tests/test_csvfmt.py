@@ -120,19 +120,16 @@ def _near_ties(e: int, count: int) -> list[float]:
 
 @pytest.mark.parametrize("e", [-12, -11, -10, -9, -8, -7, 29, 30, 33, 36, 38])
 def test_near_ties_of_inexact_scalings_print_like_format(e):
-    # where 10^(16−e) is no double, within 2⁻³⁰ of a tie and often within the
-    # double-double's error of it (at e = −12 one of these 60 rounds the wrong
-    # way without the margin); these are left to the reference
+    # where 10^(16−e) is no double, within 2⁻³⁰ of a tie: these are left to
+    # the reference
     ties = _near_ties(e, 60)
     assert len(ties) == 60
     assert_prints_like_format(ties + [-v for v in ties])
 
 
-@pytest.mark.parametrize("margin", [_csvfmt.MARGIN, 0.5])
-def test_exponents_where_ten_to_the_k_is_no_double_print_like_format(monkeypatch, margin):
-    # N + ½ rounded to a double at every 7th such exponent; with a margin of ½
-    # every one of them is left to the reference, which must print the same
-    monkeypatch.setattr(_csvfmt, "MARGIN", margin)
+def test_exponents_where_ten_to_the_k_is_no_double_print_like_format():
+    # N + ½ rounded to a double at every 7th such exponent, each left to the
+    # reference
     rng = np.random.default_rng(4)
     values = [float((Fraction(int(n)) + Fraction(1, 2)) * Fraction(10) ** (e - 16))
               for e in [*range(-280, -6, 7), *range(17, 290, 7)]
@@ -155,6 +152,15 @@ def _counted_format(monkeypatch) -> list:
 SPECIALS = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, *_near_ties(30, 5)]
 
 
+def _outside(values) -> np.ndarray:
+    """Whether each value is nan, ±inf or nonzero with |v| outside
+    [10⁻⁶, 10¹⁷), where `_csvfmt` hands it to `format`."""
+    # the double nearest 1e-6 lies below 10⁻⁶, the next one above it
+    assert Fraction(1e-6) < Fraction(1, 10 ** 6) < Fraction(math.nextafter(1e-6, 1.0))
+    a = np.abs(np.asarray(values, dtype=np.float64))
+    return (a != 0.0) & ~((a > 1e-6) & (a < 1e17))
+
+
 def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
     calls = _counted_format(monkeypatch)
     rng = np.random.default_rng(5)
@@ -162,7 +168,9 @@ def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
     powers = [_nearest(k) for k in range(-279, 289)]
     ordinary = np.concatenate([ordinary, powers, np.nextafter(powers, 0), [0.0, -0.0]])
     assert_prints_like_format(np.concatenate([ordinary, SPECIALS]))
-    assert len(calls) == len(SPECIALS)
+    # the specials are all outside the range
+    assert np.all(_outside(SPECIALS))
+    assert len(calls) == len(SPECIALS) + np.count_nonzero(_outside(ordinary))
 
 
 @pytest.mark.parametrize("shape, labels", [
@@ -183,8 +191,46 @@ def test_small_grids_and_zone_labels_reach_the_reference_only_for_specials(
     buf = io.BytesIO()
     buf.write(b"t,x,value\n")
     _csvfmt.write_grid(buf, t, x, values)
-    assert len(calls) == len(specials)
+    assert len(calls) == np.count_nonzero(_outside(values))
     assert buf.getvalue() == emit_reference(t, x, values)
+
+
+def _doubles_from(v: float, toward: float, count: int) -> list[float]:
+    """v and the next count − 1 doubles from it toward `toward`."""
+    values = [v]
+    while len(values) < count:
+        values.append(math.nextafter(values[-1], toward))
+    return values
+
+
+def test_the_ends_of_the_range_print_like_format_and_route_exactly(monkeypatch):
+    # the nextafter neighbours of 1e-6 and 1e17, of either sign: 1e-6 itself
+    # lies below 10⁻⁶ and goes to format with what is under it, and so does
+    # 1e17 with what is over it
+    inside = (_doubles_from(math.nextafter(1e-6, 1.0), math.inf, 4)
+              + _doubles_from(math.nextafter(1e17, 0.0), 0.0, 4))
+    outside = _doubles_from(1e-6, 0.0, 4) + _doubles_from(1e17, math.inf, 4)
+    inside += [-v for v in inside]
+    outside += [-v for v in outside]
+    assert not np.any(_outside(inside)) and np.all(_outside(outside))
+    calls = _counted_format(monkeypatch)
+    assert_prints_like_format(inside)
+    assert calls == []
+    assert_prints_like_format(outside)
+    assert len(calls) == len(outside)
+
+
+def test_no_double_in_the_range_rounds_up_to_a_new_decade():
+    # the largest double below each 10^(e + 1), −6 ≤ e ≤ 16, has an X =
+    # v·10^(16 − e) more than ½ below 10^17, so its 17 digits never carry; the
+    # largest below 1e17 prints as itself
+    for e in range(-6, 17):
+        power = Fraction(10) ** (e + 1)
+        below = _nearest(e + 1) if _nearest(e + 1) < power else \
+            math.nextafter(_nearest(e + 1), 0.0)
+        assert (power - Fraction(below)) * Fraction(10) ** (16 - e) > Fraction(1, 2)
+        assert _shape(format(below, ".17g"))[1] == e
+    assert printed([math.nextafter(1e17, 0.0)]) == ["99999999999999984"]
 
 
 def _shape(text: str) -> tuple[int, int, int]:
@@ -195,11 +241,16 @@ def _shape(text: str) -> tuple[int, int, int]:
 
 def _key(text: str) -> int:
     """The mask row of a value that the blocks print as `text`, read off the
-    text: fixed notation by (e, digits), else by (digits, three-digit
-    exponent), with or without the minus sign."""
+    text: fixed notation by (e, digits), d.ddde-0X at e = −6 and −5 by
+    digits, with or without the minus sign; any other text, which the
+    reference prints, by its length."""
     sign, e, sig = _shape(text)
-    key = (e + 4) * 17 + sig - 1 if -4 <= e < 17 else \
-        _csvfmt._FIXED + (sig - 1) * 2 + (abs(e) >= 100)
+    if -4 <= e < 17:
+        key = (e + 4) * 17 + sig - 1
+    elif e in (-6, -5):
+        key = _csvfmt._FIXED + sig - 1
+    else:
+        return 2 * _csvfmt._SCI + len(text) - 1
     return key + sign * _csvfmt._SCI
 
 
@@ -216,17 +267,23 @@ def _printed_as(exponents, sig: int) -> float:
 
 
 def test_every_mask_row_prints_like_format(monkeypatch):
-    # every fixed (e, digits) row and every d.ddde±XX (digits, two- or
-    # three-digit exponent) row, of either sign, then every reference length
+    # every fixed (e, digits) row and every d.ddde-0X digits row, of either
+    # sign, besides values at |e| ≥ 99 that the reference prints; then every
+    # reference length
     values = [_printed_as([e], sig) for e in range(-4, 17) for sig in range(1, 18)]
     values += [_printed_as(exponents, sig) for sig in range(1, 18)
                for exponents in ([-5, -6, 17, 18, -99, 99], [-100, 100, -280, 289])]
     values += [-v for v in values]
     keys = {_key(format(v, ".17g")) for v in values}
-    assert keys == set(range(2 * _csvfmt._SCI))
+    # no double at e = −6 or −5 prints with one digit: the one-digit
+    # d.ddde-0X rows are never chosen
+    one_digit = {_csvfmt._FIXED, _csvfmt._SCI + _csvfmt._FIXED}
+    rows = set(range(2 * _csvfmt._SCI)) - one_digit
+    assert rows <= keys <= set(range(_csvfmt._KEYS)) - one_digit
     assert_prints_like_format(values)
-    # with no value in the blocks' range, every nonzero one goes to the reference
-    monkeypatch.setattr(_csvfmt, "_LOWEST", math.inf)
+    # with ⌊log10⌋ read as nan, no value is in the blocks' range and every
+    # nonzero one goes to the reference
+    monkeypatch.setattr(np, "log10", lambda a: np.full(np.shape(a), np.nan))
     references = values + [np.nan, np.inf, -np.inf]
     assert {len(format(v, ".17g")) for v in references} == set(range(1, _csvfmt._LONGEST + 1))
     assert _csvfmt._KEYS == 2 * _csvfmt._SCI + _csvfmt._LONGEST

@@ -619,6 +619,19 @@ def test_every_walking_run_records_the_walk_diagnostics(tmp_path, name):
     assert gate["limit"] == 1e-10 and gate["margin"] == gate["limit"] - gate["value"] >= 0
 
 
+@pytest.mark.parametrize("name, last", [("dtqw_shock", 40), ("dtqw_planewave", 2000),
+                                        ("nonrel_compare", 81), ("validation", 1500)])
+def test_every_walking_run_records_its_last_step(tmp_path, name, last):
+    # the step of the last snapshot, where step_consistency is checked
+    cfg = parse_config(WALKING[name].format(out=tmp_path))
+    assert run_experiment(cfg).ok
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert manifest["diagnostics"]["last_step"] == last == experiments.walk_steps(cfg)[-1]
+    assert type(manifest["diagnostics"]["last_step"]) is int
+    if "realized_times" in manifest:
+        assert manifest["realized_times"][-1] == last * wk.build_walk(cfg.n_sites, cfg.mass).dt
+
+
 @st.composite
 def _small_walk_configs(draw):
     """A dtqw_planewave or validation config on a small lattice, at any mass."""
