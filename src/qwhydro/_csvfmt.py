@@ -6,25 +6,26 @@ value, fixed notation for −4 ≤ e < 17 and d.ddde±XX otherwise, trailing
 zeros dropped and a bare point with them.  This module writes those bytes
 without a Python call per value.
 
-Digits.  Only the values whose exact decimal exponent e lies in −6 ≤ e ≤ 16,
-that is 10⁻⁶ ≤ |v| < 10¹⁷, are printed by numpy: for these k = 16 − e runs
-from 0 to 22, so 10^k is a double P, and Dekker's exact product (Veltkamp's
-split) of |v| and P gives X = |v|·10^k exactly as hi + lo, hi = fl(X).  e is
-first estimated as the floating-point ⌊log10 |v|⌋, which is at most one off;
-where X falls outside [1e16, 1e17), compared on hi and lo exactly, e moves by
-one and X is formed again.  hi is then an even integer, so N = hi + rint(lo)
-is X rounded half to even.  N is below 10^17 and keeps e: the largest double
-below each 10^(e + 1) has an X more than 8 below 10^17.  The double nearest
-1e-6 lies below 10⁻⁶, so it is left to the reference; so is 1e17.
+Digits.  Numpy prints exactly the values that `%g` prints in fixed
+notation: those whose exact decimal exponent e lies in −4 ≤ e ≤ 16, that is
+10⁻⁴ ≤ |v| < 10¹⁷.  For these k = 16 − e runs from 0 to 20, so 10^k is a
+double P, and Dekker's exact product (Veltkamp's split) of |v| and P gives
+X = |v|·10^k exactly as hi + lo, hi = fl(X).  e is first estimated as the
+floating-point ⌊log10 |v|⌋, which is at most one off; where X falls outside
+[1e16, 1e17), compared on hi and lo exactly, e moves by one and X is formed
+again.  hi is then an even integer, so N = hi + rint(lo) is X rounded half
+to even.  N is below 10^17 and keeps e: the largest double below each
+10^(e + 1) has an X more than 8 below 10^17.  The double nearest 1e-4 lies
+above 10⁻⁴, so it is printed by numpy; 1e17 is left to the reference.
 
 Reference.  `format(float(v), ".17g")` prints nan, ±inf and every nonzero
-value outside the range (the subnormals among them); the tests compare every
-path against it.
+value outside the range, every d.ddde±XX text among them; the tests
+compare every path against it.
 
 Layout.  N is cut into a leading digit and four 4-digit groups, looked up in
 a table of 10 000 four-byte strings.  Each value's text is then chosen from a
 fixed row of candidate bytes (sign, two copies of "000" and the digits, point,
-exponent, newline) by a mask that depends only on its sign, exponent and
+newline) by a mask that depends only on its sign, exponent and
 digit count, so one compress of a block's rows gives its lines.  The tables
 are built on first use, so importing the module costs nothing.
 
@@ -47,8 +48,8 @@ import numpy as np
 # bytes a value.  A 4096-site row is half a block.
 BLOCK = 8192
 
-# The decimal exponents printed by numpy: 10^(16 − e) is a double for these.
-_E_MIN, _E_MAX = -6, 16
+# The decimal exponents printed by numpy, those of %g's fixed notation.
+_E_MIN, _E_MAX = -4, 16
 _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's split of a double
 
 # Columns of a value's candidate row.  A digit copy is "000" and the 17 digits,
@@ -58,20 +59,17 @@ _SIGN = 0
 _FIRST = 1                      # the integer part, or the leading digit
 _POINT = _FIRST + _DIGITS
 _REST = _POINT + 1              # the digits after the point
-_EXP = _REST + _DIGITS          # "e-06" or "e-05"
-_NEWLINE = _EXP + 4
-_WIDTH = _NEWLINE + 1
-# A reference string, at most 24 bytes ("-1.2345678901234567e-300"), lies in
-# the digits after the point and the exponent, so the sign, point and newline
-# columns never change.
+# A reference string, at most 24 bytes ("-1.2345678901234567e-300"), lies
+# from the digits after the point on, so the sign, point and newline columns
+# never change.
 _LONGEST = 24
+_NEWLINE = _REST + _LONGEST
+_WIDTH = _NEWLINE + 1
 
-# Mask rows: fixed notation by (e + 4, digits − 1), then d.ddde-0X by
-# digits − 1; the same again with the minus sign; then reference strings,
-# which carry their own sign, by length.
+# Mask rows: fixed notation by (e + 4, digits − 1); the same again with the
+# minus sign; then reference strings, which carry their own sign, by length.
 _FIXED = 21 * 17
-_SCI = _FIXED + 17
-_KEYS = 2 * _SCI + _LONGEST
+_KEYS = 2 * _FIXED + _LONGEST
 
 
 class _Tables(NamedTuple):
@@ -79,7 +77,6 @@ class _Tables(NamedTuple):
     groups: np.ndarray      # "0000".."9999" as uint32
     leads: np.ndarray       # "0000".."0009" as uint32
     trailing: np.ndarray    # trailing zeros of a 4-digit group, 4 for 0
-    exponents: np.ndarray   # "e-06" and "e-05" by e − _E_MIN, 4 bytes each
     masks: np.ndarray       # (_KEYS, _WIDTH) uint8 mask rows
 
 
@@ -104,11 +101,7 @@ def _masks() -> np.ndarray:
     e, sig = np.arange(-4, 17)[:, None, None], digits[:, None]
     fixed = (np.where(e >= 0, span(_FIRST + 3, _FIRST + 4 + e), col == _FIRST + 2)
              | span(_REST + 4 + e, _REST + 3 + sig) | (col == _POINT) & (3 + sig > 4 + e))
-    # d.ddde-0X by digits
-    sig = digits[:, None]
-    sci = ((col == _FIRST + 3) | span(_REST + 4, _REST + 3 + sig)
-           | (col == _POINT) & (sig > 1) | span(_EXP, _NEWLINE))
-    values = np.concatenate([fixed.reshape(_FIXED, _WIDTH), sci])
+    values = fixed.reshape(_FIXED, _WIDTH)
     reference = span(_REST, _REST + np.arange(1, _LONGEST + 1)[:, None])
     masks = np.concatenate([values, values | (col == _SIGN), reference]) | (col == _NEWLINE)
     return masks.astype(np.uint8)
@@ -121,13 +114,10 @@ def _tables() -> _Tables:
     chars = 48 + np.stack([group // 1000, group // 100 % 10, group // 10 % 10, group % 10], 1)
     trailing = ((group % 10 == 0).astype(np.int64) + (group % 100 == 0)
                 + (group % 1000 == 0) + (group == 0))
-    exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in range(_E_MIN, -4)),
-                              dtype=np.uint8).reshape(-1, 4)
     return _Tables(powers=(powers, *_split(powers)),
                    groups=chars.astype(np.uint8).view(np.uint32).ravel(),
                    leads=chars[:10].astype(np.uint8).view(np.uint32).ravel(),
-                   trailing=trailing, exponents=exponents,
-                   masks=_masks())
+                   trailing=trailing, masks=_masks())
 
 
 def _scaled(a: np.ndarray, e: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +146,7 @@ def _rows(count: int, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
-    """Write the digits and exponents of the values v into the candidate rows
+    """Write the digits of the values v into the candidate rows
     (len(v), _WIDTH) made by `_rows`, and their choice into mask: row i
     compressed by its mask is `format(float(v[i]), ".17g")` and a newline."""
     tables = _tables()
@@ -189,23 +179,18 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
         words[:, i + 1] = tables.groups.take(group)
     digits = words.view(np.uint8)
     rows[:, _FIRST:_POINT] = digits
-    rows[:, _REST:_EXP] = digits
+    rows[:, _REST:_REST + _DIGITS] = digits
     # the significant digits: 17 less the trailing zeros of the last nonzero group
     sig = 17 - tables.trailing.take(groups[3])
     for i in (2, 1, 0):
         empty = np.flatnonzero(sig == 13 - 4 * (2 - i))  # groups i + 1.. are zeros
         sig[empty] -= tables.trailing.take(groups[i].take(empty))
 
-    key = (e + 4) * 17 + sig - 1
-    sci = np.flatnonzero(e < -4)
-    if sci.size:
-        rows[sci, _EXP:_NEWLINE] = tables.exponents.take(e[sci] - _E_MIN, axis=0)
-        key[sci] = _FIXED + sig[sci] - 1
-    key += np.signbit(v) * _SCI
+    key = (e + 4) * 17 + sig - 1 + np.signbit(v) * _FIXED
     for i in np.flatnonzero(~(fast | zero)):
         text = format(float(v[i]), ".17g").encode()
         rows[i, _REST:_REST + len(text)] = np.frombuffer(text, dtype=np.uint8)
-        key[i] = 2 * _SCI + len(text) - 1
+        key[i] = 2 * _FIXED + len(text) - 1
     np.take(tables.masks, key, axis=0, out=mask, mode="clip")
 
 

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import ShockChart, check_pearcey_tol, discriminant, pearcey_panels
+from .asymptotics import (ShockChart, check_pearcey_tol, discriminant, pearcey_array,
+                          pearcey_panels)
 from .experiments import EXPERIMENTS, _window, walk_steps
 from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_wavenumber
 from .walk import EXACT_STEPS, WalkParams, steps_until
@@ -290,4 +291,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError(f"'x_min', 'x_max', 't_min', 't_max' and 'mass' give {nodes:.3g} "
                               f"nodes a point (budget {POINT_NODES}), on 'nx' · 'nt' = {cfg.nx} "
                               f"· {cfg.nt} points (budget {MAP_NODES:.0e} nodes in all)")
+        try:  # the rotated integrand, and so |A·I_P|² and its error, peak at a corner
+            with np.errstate(over="raise", invalid="raise"):
+                values, errors = pearcey_array(-T, X)
+                chart.prefactor_intensity(ts[:, None]) * (np.abs(values) + errors) ** 2
+        except FloatingPointError as exc:
+            raise ConfigError(f"'mass', 'x_min', 'x_max', 't_min' and 't_max' give the "
+                              f"window a Pearcey intensity out of the floats ({exc})") from None
     return resolved

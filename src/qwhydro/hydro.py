@@ -15,16 +15,20 @@ whose orientation is pinned by requiring the equations of motion to hold
 identically on Dirac solutions (see madelung_residuals); the sign-definite
 statements are spelled out componentwise at each use.  Spatial derivatives
 are spectral (fields are smooth and periodic); time derivatives come from
-centered differences over consecutive snapshots.
+centered differences over consecutive snapshots.  A snapshot's phase
+gradients ∂ₓφ± are taken once per PhaseField, on first read, and every
+fluid diagnostic of that snapshot reads them there.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._spectral import (
+    _read_only,
     centered_time_diff,
     l2_norm,
     phase_gradient,
@@ -45,19 +49,29 @@ class CurrentField:
     j1: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseField:
     """Phase sum φ₊ = φ_L + φ_R and difference φ₋ = φ_L − φ_R.
 
     Component phases are principal values in (−π, π]; their sums and
     differences therefore live in (−2π, 2π], which keeps the half-angles
     φ±/2 principal and makes the spinor reconstruction exact.  `valid` is
-    False where either component modulus is below the floor.
+    False where either component modulus is below the floor.  The
+    gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋ are taken on first
+    read and then kept, read-only, for every diagnostic that reads them.
     """
 
     phi_plus: np.ndarray
     phi_minus: np.ndarray
     valid: np.ndarray
+
+    @functools.cached_property
+    def d_plus(self) -> np.ndarray:
+        return _read_only(phase_gradient(self.phi_plus))
+
+    @functools.cached_property
+    def d_minus(self) -> np.ndarray:
+        return _read_only(phase_gradient(self.phi_minus))
 
 
 @dataclass
@@ -169,27 +183,19 @@ def stress_energy_spinor(state: SpinorField, params: WalkParams,
     return TensorField(t00=t00, t01=t01, t10=t10, t11=t11)
 
 
-def _dphi_minus_dt_onshell(h: HydroField, dphi_plus_dx: np.ndarray) -> np.ndarray:
-    # Equation of motion trades the time derivative of φ₋ for spatial data:
-    # ∂_tφ₋ = ∂_xφ₊ − 2(w/n)u¹ (valid wherever the fluid chart is).
-    safe_n = np.where(h.valid_mask, np.where(h.n > 0, h.n, 1.0), 1.0)
-    return dphi_plus_dx - 2.0 * (h.w / safe_n) * h.u1
-
-
 def stress_energy_hydro(h: HydroField, ph: PhaseField, params: WalkParams) -> TensorField:
     """Hydrodynamic stress-energy w·u^μu^ν plus quantum-pressure gradients.
 
     T^{μν} = w u^μ u^ν + (n/2)(ε^{μα}u_α ∂^ν φ₋ + u^μ ε^{να} ∂_α φ₋), with
     the antisymmetric-symbol orientation fixed so that this form equals the
     spinor bilinear tensor on solutions (ε⁰¹u_1 = +u¹, ε¹⁰u_0 = +u⁰).
-    ∂_tφ₋ is eliminated on-shell (see _dphi_minus_dt_onshell), so only
-    spatial data enters.  Components at invalid (null) sites are zeroed.
+    The equation of motion eliminates ∂_tφ₋ = ∂_xφ₊ − 2(w/n)u¹ wherever
+    the chart is valid, so only spatial data enters.  Components at
+    invalid (null) sites are zeroed.
     """
-    dphi_minus_dx = phase_gradient(ph.phi_minus)
-    dphi_plus_dx = phase_gradient(ph.phi_plus)
-    dphi_minus_dt = _dphi_minus_dt_onshell(h, dphi_plus_dx)
-
     n, u0, u1, w = h.n, h.u0, h.u1, h.w
+    dphi_minus_dx = ph.d_minus
+    dphi_minus_dt = ph.d_plus - 2.0 * (w / np.where(h.valid_mask, n, 1.0)) * u1
     t00 = w * u0 * u0 + 0.5 * n * (u1 * dphi_minus_dt - u0 * dphi_minus_dx)
     t01 = w * u0 * u1 + 0.5 * n * (-u1 * dphi_minus_dx + u0 * dphi_minus_dt)
     t11 = w * u1 * u1 + 0.5 * n * (-u0 * dphi_minus_dx + u1 * dphi_minus_dt)
@@ -211,10 +217,9 @@ def velocity_from_phase_gradient(ph: PhaseField, h: HydroField,
     From the potential-flow relation m·cosφ₋·u¹ = (∂_xφ₊ − ∂_tφ₋)/2; the
     agreement with j¹/n is a built-in redundancy check of the chart.
     """
-    dphi_plus_dx = phase_gradient(ph.phi_plus)
     cos_minus = np.cos(ph.phi_minus)
     safe = np.where(np.abs(cos_minus) > 1e-12, cos_minus, 1.0)
-    u1 = (dphi_plus_dx - dphi_minus_dt) / (2.0 * params.mass * safe)
+    u1 = (ph.d_plus - dphi_minus_dt) / (2.0 * params.mass * safe)
     return np.where(np.abs(cos_minus) > 1e-12, u1, 0.0)
 
 
@@ -234,21 +239,19 @@ def _madelung_residual_fields(state: SpinorField, params: WalkParams,
     m = params.mass
     cur = currents(state)
     ph = phases(state)
-    n = np.sqrt(np.clip(cur.j0 ** 2 - cur.j1 ** 2, 0.0, None))
+    n = hydro_vars(cur, ph, m).n
 
     rate_l = _component_phase_rate(state.left, dt_l)
     rate_r = _component_phase_rate(state.right, dt_r)
     dphi_plus_dt = rate_l + rate_r
     dphi_minus_dt = rate_l - rate_r
-    dphi_plus_dx = phase_gradient(ph.phi_plus)
-    dphi_minus_dx = phase_gradient(ph.phi_minus)
     dj0_dx = spectral_derivative(cur.j0)
     dj1_dx = spectral_derivative(cur.j1)
 
     cos_minus = np.cos(ph.phi_minus)
     res4 = dj1_dt + dj0_dx - 2.0 * m * n * np.sin(ph.phi_minus)
-    res5_t = m * cos_minus * cur.j0 + 0.5 * n * (dphi_plus_dt - dphi_minus_dx)
-    res5_x = m * cos_minus * cur.j1 + 0.5 * n * (dphi_minus_dt - dphi_plus_dx)
+    res5_t = m * cos_minus * cur.j0 + 0.5 * n * (dphi_plus_dt - ph.d_minus)
+    res5_x = m * cos_minus * cur.j1 + 0.5 * n * (dphi_minus_dt - ph.d_plus)
     res6 = dj0_dt + dj1_dx
 
     mask = ph.valid
@@ -324,17 +327,14 @@ def quantum_pressure_gradient(h: HydroField, ph: PhaseField,
     (w = ±mn), and those sites (within MASK_TOL) are masked.
     """
     m = params.mass
-    direct = phase_gradient(ph.phi_minus)
-
-    safe_n = np.where(h.valid_mask & (h.n > 0), h.n, 1.0)
-    ratio = h.w / (m * safe_n)          # = cosφ₋ on valid sites
+    ratio = h.w / (m * np.where(h.valid_mask, h.n, 1.0))  # = cosφ₋ on valid sites
     one_minus = 1.0 - ratio ** 2
     valid = h.valid_mask & (np.abs(one_minus) > MASK_TOL)
 
     dratio_dx = spectral_derivative(ratio)
     denom = np.sqrt(np.clip(one_minus, MASK_TOL, None))
     from_enthalpy = np.where(valid, -np.sign(np.sin(ph.phi_minus)) * dratio_dx / denom, 0.0)
-    direct_masked = np.where(valid, direct, 0.0)
+    direct_masked = np.where(valid, ph.d_minus, 0.0)
     return EnthalpyGradientCheck(
         direct=direct_masked,
         from_enthalpy=from_enthalpy,

@@ -219,6 +219,15 @@ def test_pearcey_loads_no_scipy():
     assert scipy_modules_loaded_by(code) == "[]"
 
 
+def test_validating_a_pearcey_map_loads_no_numpy_ma():
+    # validation runs pearcey_array at the window's corners: np.unique there
+    # imported numpy.ma, about 15 ms of every fresh process that parses a map
+    code = ("from qwhydro.config import parse_config\n"
+            f"parse_config(open({str(CONFIGS / 'pearcey_map.cfg')!r}).read())\n"
+            "import sys\nprint('numpy.ma' in sys.modules)")
+    assert scipy_modules_loaded_by(code).splitlines()[0] == "False"
+
+
 def test_pearcey_array_origin_and_symmetry():
     values, errors = asy.pearcey_array([0.0], [0.0])
     assert abs(values[0] - PEARCEY_00) < 1e-14

@@ -154,11 +154,11 @@ SPECIALS = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, *_near_ties(30, 5)]
 
 def _outside(values) -> np.ndarray:
     """Whether each value is nan, ±inf or nonzero with |v| outside
-    [10⁻⁶, 10¹⁷), where `_csvfmt` hands it to `format`."""
-    # the double nearest 1e-6 lies below 10⁻⁶, the next one above it
-    assert Fraction(1e-6) < Fraction(1, 10 ** 6) < Fraction(math.nextafter(1e-6, 1.0))
+    [10⁻⁴, 10¹⁷), where `_csvfmt` hands it to `format`."""
+    # the double nearest 1e-4 lies above 10⁻⁴, the one before it below
+    assert Fraction(math.nextafter(1e-4, 0.0)) < Fraction(1, 10 ** 4) < Fraction(1e-4)
     a = np.abs(np.asarray(values, dtype=np.float64))
-    return (a != 0.0) & ~((a > 1e-6) & (a < 1e17))
+    return (a != 0.0) & ~((a >= 1e-4) & (a < 1e17))
 
 
 def test_only_specials_and_near_ties_reach_the_reference(monkeypatch):
@@ -204,12 +204,11 @@ def _doubles_from(v: float, toward: float, count: int) -> list[float]:
 
 
 def test_the_ends_of_the_range_print_like_format_and_route_exactly(monkeypatch):
-    # the nextafter neighbours of 1e-6 and 1e17, of either sign: 1e-6 itself
-    # lies below 10⁻⁶ and goes to format with what is under it, and so does
-    # 1e17 with what is over it
-    inside = (_doubles_from(math.nextafter(1e-6, 1.0), math.inf, 4)
-              + _doubles_from(math.nextafter(1e17, 0.0), 0.0, 4))
-    outside = _doubles_from(1e-6, 0.0, 4) + _doubles_from(1e17, math.inf, 4)
+    # the nextafter neighbours of 1e-4 and 1e17, of either sign: 1e-4 itself
+    # lies above 10⁻⁴ and is printed by numpy with what is over it, while
+    # 1e17 goes to format with what is over it
+    inside = _doubles_from(1e-4, math.inf, 4) + _doubles_from(math.nextafter(1e17, 0.0), 0.0, 4)
+    outside = _doubles_from(math.nextafter(1e-4, 0.0), 0.0, 4) + _doubles_from(1e17, math.inf, 4)
     inside += [-v for v in inside]
     outside += [-v for v in outside]
     assert not np.any(_outside(inside)) and np.all(_outside(outside))
@@ -241,17 +240,12 @@ def _shape(text: str) -> tuple[int, int, int]:
 
 def _key(text: str) -> int:
     """The mask row of a value that the blocks print as `text`, read off the
-    text: fixed notation by (e, digits), d.ddde-0X at e = −6 and −5 by
-    digits, with or without the minus sign; any other text, which the
-    reference prints, by its length."""
+    text: fixed notation by (e, digits), with or without the minus sign; any
+    other text, which the reference prints, by its length."""
     sign, e, sig = _shape(text)
-    if -4 <= e < 17:
-        key = (e + 4) * 17 + sig - 1
-    elif e in (-6, -5):
-        key = _csvfmt._FIXED + sig - 1
-    else:
-        return 2 * _csvfmt._SCI + len(text) - 1
-    return key + sign * _csvfmt._SCI
+    if not -4 <= e < 17:
+        return 2 * _csvfmt._FIXED + len(text) - 1
+    return (e + 4) * 17 + sig - 1 + sign * _csvfmt._FIXED
 
 
 def _printed_as(exponents, sig: int) -> float:
@@ -267,26 +261,22 @@ def _printed_as(exponents, sig: int) -> float:
 
 
 def test_every_mask_row_prints_like_format(monkeypatch):
-    # every fixed (e, digits) row and every d.ddde-0X digits row, of either
-    # sign, besides values at |e| ≥ 99 that the reference prints; then every
+    # every fixed (e, digits) row, of either sign, besides d.ddde±XX values
+    # next to the range and at |e| ≥ 99 that the reference prints; then every
     # reference length
     values = [_printed_as([e], sig) for e in range(-4, 17) for sig in range(1, 18)]
     values += [_printed_as(exponents, sig) for sig in range(1, 18)
                for exponents in ([-5, -6, 17, 18, -99, 99], [-100, 100, -280, 289])]
     values += [-v for v in values]
     keys = {_key(format(v, ".17g")) for v in values}
-    # no double at e = −6 or −5 prints with one digit: the one-digit
-    # d.ddde-0X rows are never chosen
-    one_digit = {_csvfmt._FIXED, _csvfmt._SCI + _csvfmt._FIXED}
-    rows = set(range(2 * _csvfmt._SCI)) - one_digit
-    assert rows <= keys <= set(range(_csvfmt._KEYS)) - one_digit
+    assert set(range(2 * _csvfmt._FIXED)) <= keys <= set(range(_csvfmt._KEYS))
     assert_prints_like_format(values)
     # with ⌊log10⌋ read as nan, no value is in the blocks' range and every
     # nonzero one goes to the reference
     monkeypatch.setattr(np, "log10", lambda a: np.full(np.shape(a), np.nan))
     references = values + [np.nan, np.inf, -np.inf]
     assert {len(format(v, ".17g")) for v in references} == set(range(1, _csvfmt._LONGEST + 1))
-    assert _csvfmt._KEYS == 2 * _csvfmt._SCI + _csvfmt._LONGEST
+    assert _csvfmt._KEYS == 2 * _csvfmt._FIXED + _csvfmt._LONGEST
     assert_prints_like_format(references)
 
 

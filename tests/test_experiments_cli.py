@@ -861,6 +861,51 @@ def test_cli_validate_bounds_a_pearcey_map_by_its_nodes_not_its_points(tmp_path,
     _exits_2_naming(cfg, capsys, "'nx'", "'nt'", "'mass'")
 
 
+# Windows whose rotated Pearcey integrand leaves the floats: the runs wrote inf
+# and nan into pearcey_map.csv and exited 2 naming no field, or 1 under
+# PYTHONWARNINGS=error::RuntimeWarning
+PEARCEY_OVERFLOWS = {
+    "integrand": {"mass": "4", "x_min": "4", "x_max": "64", "nt": "64"},
+    "intensity": {"mass": "1024", "nx": "7", "t_max": "3.0"},
+}
+
+
+@pytest.mark.parametrize("keys", PEARCEY_OVERFLOWS.values(), ids=PEARCEY_OVERFLOWS.keys())
+def test_cli_rejects_a_pearcey_map_whose_values_overflow(tmp_path, capsys, keys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(_with("pearcey_map", output_dir=tmp_path / "out", **keys))
+    _exits_2_naming(cfg, capsys, "'mass'", "'x_min'", "'x_max'", "'t_min'", "'t_max'")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_pearcey_map_windows_that_validate_run_without_a_warning(tmp_path):
+    # random small windows, near and far from the cusp at masses 1 to 2000: a
+    # RuntimeWarning fails the test, and every value written is finite
+    rng = np.random.default_rng(22)
+    ran = refused = 0
+    for i in range(200):
+        t_min = 10 ** rng.uniform(-1.5, 0.5)
+        x_min = rng.uniform(-80, 80)
+        text = (f"experiment = pearcey_map\nmass = {10 ** rng.uniform(0, 3.3)!r}\n"
+                f"x_min = {x_min!r}\nx_max = {x_min + 10 ** rng.uniform(-2, 2)!r}\n"
+                f"t_min = {t_min!r}\nt_max = {t_min + 10 ** rng.uniform(-2, 0.7)!r}\n"
+                f"nx = {rng.integers(2, 10)}\nnt = {rng.integers(2, 10)}\n"
+                f"output_dir = {tmp_path / str(i)}\n")
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            refused += "Pearcey intensity" in str(exc)
+            continue
+        run_experiment(cfg)
+        rows = np.loadtxt(tmp_path / str(i) / "pearcey_map.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows))
+        ran += 1
+    assert ran >= 10 and refused >= 50
+
+
 SHARED_STEP = {
     # the default schedule puts nine times in t_final = 0.2, about two steps
     "default_schedule": ("experiment = dtqw_shock\nn_sites = 64\nmass = 4\nq_max = 0.4\n"

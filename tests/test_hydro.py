@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qwhydro import hydro as hy
 from qwhydro import initial as ini
 from qwhydro import walk as wk
+from qwhydro._spectral import fft_calls, phase_gradient
 
 from conftest import make_smooth_spinor
 
@@ -144,6 +147,30 @@ def test_velocity_redundancy_from_phase_gradient(rng):
     h = hy.hydro_vars(hy.currents(st), ph, p.mass)
     u1_alt = hy.velocity_from_phase_gradient(ph, h, p, rate_l - rate_r)
     np.testing.assert_allclose(u1_alt, h.u1, atol=1e-10)
+
+
+def test_phase_field_takes_each_gradient_once(rng):
+    # the diagnostics read ∂ₓφ± from the PhaseField: 4 FFTs for the two
+    # gradients and 2 for the enthalpy route's ∂ₓ(w/mn), where each taking its
+    # own gradients took 10
+    p = wk.build_walk(512, 16.0)
+    st = make_smooth_spinor(rng, 512, offset=8.0, amp=0.4)
+    ph = hy.phases(st)
+    h = hy.hydro_vars(hy.currents(st), ph, p.mass)
+    before = fft_calls()
+    hy.stress_energy_hydro(h, ph, p)
+    hy.quantum_pressure_gradient(h, ph, p)
+    hy.velocity_from_phase_gradient(ph, h, p)
+    assert fft_calls() - before == 6
+    before = fft_calls()
+    d_minus = ph.d_minus
+    assert fft_calls() == before
+    assert np.array_equal(d_minus, phase_gradient(ph.phi_minus))
+    assert np.array_equal(ph.d_plus, phase_gradient(ph.phi_plus))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ph.phi_minus = ph.phi_plus
+    with pytest.raises(ValueError):
+        d_minus[0] = 0.0
 
 
 def _onshell_setup(rng, n=256, mass=16.0):
