@@ -212,7 +212,9 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     The grid goes by blocks: as many whole rows as fit in `BLOCK` values, or
     `BLOCK` sites of one row.  A block's lines are rows of the t text, the
     ",x," text and the value's candidate bytes, compressed by one mask.  The
-    t and ",x," texts are printed by the reference, once each.
+    t and ",x," texts are printed by the reference, once each; where blocks
+    span whole rows, the ",x," columns are laid into the block buffer once
+    for the grid, and only the t columns are copied per block.
     """
     nt, nx = values.shape
     if nt == 0 or nx == 0:
@@ -222,6 +224,11 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     wt, lead = t_text.shape[1], t_text.shape[1] + site.shape[1]
     block_rows, block_sites = min(nt, max(1, BLOCK // nx)), min(nx, BLOCK)
     lines, chosen = _rows(block_rows * block_sites, lead)
+    whole_rows = block_sites == nx
+    if whole_rows:  # every block holds the same ",x," columns: write them once
+        shape = (block_rows, nx, lead + _WIDTH)
+        lines.reshape(shape)[:, :, wt:lead] = site
+        chosen.reshape(shape)[:, :, wt:lead] = site_mask
     for r0 in range(0, nt, block_rows):
         r1 = min(r0 + block_rows, nt)
         for s0 in range(0, nx, block_sites):
@@ -231,7 +238,8 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
             shape = (r1 - r0, s1 - s0, lead + _WIDTH)
             text.reshape(shape)[:, :, :wt] = t_text[r0:r1, None]
             mask.reshape(shape)[:, :, :wt] = t_mask[r0:r1, None]
-            text.reshape(shape)[:, :, wt:lead] = site[s0:s1]
-            mask.reshape(shape)[:, :, wt:lead] = site_mask[s0:s1]
+            if not whole_rows:
+                text.reshape(shape)[:, :, wt:lead] = site[s0:s1]
+                mask.reshape(shape)[:, :, wt:lead] = site_mask[s0:s1]
             _layout(values[r0:r1, s0:s1].ravel(), text[:, lead:], mask[:, lead:])
             fh.write(text[mask.view(bool)])

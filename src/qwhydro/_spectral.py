@@ -10,7 +10,8 @@ live here too.
 A grid's tables (its sites, its wavenumbers, the derivative multipliers
 (ik)^order and the free Schrödinger exponent −ik²) are built once, on first
 use, and kept in bounded caches of `TABLE_CACHE` entries each; they are
-returned read-only, so no caller can change what the next one gets.  Every
+returned read-only, so no caller can change what the next one gets.  The
+Gauss–Legendre rules are built on first use too.  Every
 FFT in the package goes through `fft` and `ifft`, which count their calls
 for the run manifests.
 """
@@ -22,7 +23,6 @@ import functools
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-GL16_NODES, GL16_WEIGHTS = np.polynomial.legendre.leggauss(16)
 EPS = float(np.finfo(float).eps)
 
 
@@ -67,6 +67,21 @@ def schrodinger_exponent(n_sites: int) -> np.ndarray:
     """−ik² per mode: the free propagator's e^{−ik²t/(2m)} is the exponential
     of this table times t/(2m).  Read-only."""
     return _read_only(-1j * wavenumbers(n_sites) ** 2)
+
+
+def even_table(half: np.ndarray, n_sites: int) -> np.ndarray:
+    """The FFT-order table of a function even in k, from its values `half`
+    on the first n_sites // 2 + 1 modes (k = 0, 1, … and, for even n_sites,
+    the Nyquist mode): the modes −k take the values of k."""
+    return np.concatenate((half, half[(n_sites - 1) // 2:0:-1]))
+
+
+@functools.cache
+def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss–Legendre rule on [−1, 1],
+    read-only, built on first use: `numpy.polynomial` is imported then, not
+    with the package."""
+    return tuple(_read_only(table) for table in np.polynomial.legendre.leggauss(n_nodes))
 
 
 def fft(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI
+from ._spectral import EPS, TWO_PI, gauss_legendre
 
 # ---------------------------------------------------------------------------
 # Airy function (scipy.special.airy).
@@ -192,9 +192,9 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray, n_panels: in
     Every point is reduced along its own row, so its value does not depend
     on which other points share the call.
     """
-    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + GL16_NODES) / n_panels
-         - 1.0).ravel()
-    w = np.tile(GL16_WEIGHTS, n_panels) / n_panels
+    nodes, weights = gauss_legendre(16)
+    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
+    w = np.tile(weights, n_panels) / n_panels
     s = length[:, None] * u
     s2 = s * s
     s4 = s2 * s2
@@ -246,7 +246,7 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     ordered = np.sort(panels)
     for n in ordered[np.diff(ordered, prepend=-1.0) > 0].astype(int):
         idx = np.flatnonzero(panels == n)
-        step = max(1, _BLOCK_NODES // (2 * n * len(GL16_NODES)))
+        step = max(1, _BLOCK_NODES // (2 * n * 16))  # Q(2n): 2n panels of 16 nodes
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
             args = (t_flat[block], x_flat[block], length[block])
             coarse, _ = _composite_gl(*args, n)
@@ -275,9 +275,6 @@ def pearcey(T: float, X: float, tol: float = 1e-8) -> complex:
     return complex(value)
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
 def pearcey_direct(T: float, X: float) -> complex:
     """Windowed quadrature of the Pearcey integrand on the real axis.
 
@@ -300,8 +297,9 @@ def pearcey_direct(T: float, X: float) -> complex:
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)[:, None]
     half = 0.5 * (hi - lo)[:, None]
-    y = (mid + half * _GL_NODES[None, :]).ravel()
-    wts = (half * _GL_WEIGHTS[None, :]).ravel()
+    nodes, weights = gauss_legendre(10)
+    y = (mid + half * nodes[None, :]).ravel()
+    wts = (half * weights[None, :]).ravel()
 
     def half_line(sign: float) -> complex:
         ys = sign * y

@@ -38,7 +38,7 @@ from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
-from .schrodinger import schrodinger_hydro, spectral_evolution
+from .schrodinger import schrodinger_hydro, spectral_propagate
 from .walk import SpinorField, Trajectory, build_walk, dirac_residual, propagate, step_walk, \
     steps_until, total_norm
 
@@ -190,10 +190,9 @@ def _schrodinger_shock(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
     psi0 = schrodinger_initial(params, spec)
     times = list(cfg.snapshot_times)
-    evolve_psi = spectral_evolution(psi0, cfg.mass)
     densities, velocities = [], []
     for t in times:
-        psi_t = evolve_psi(t)
+        psi_t = spectral_propagate(psi0, cfg.mass, t)
         n, v = schrodinger_hydro(psi_t, cfg.mass)
         densities.append(n)
         velocities.append(v)
@@ -250,7 +249,7 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
     snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
     # the oracle maps a time to the Schrödinger state of the walk's initial phase
-    oracle = spectral_evolution(schrodinger_initial(params, spec), cfg.mass)
+    oracle = functools.partial(spectral_propagate, schrodinger_initial(params, spec), cfg.mass)
     records = nonrel_compare(Trajectory(params=params, snapshots=snaps), oracle, cfg.mass)
     final_err = float(records[-1]["density_l2"] if records else 0.0)
     return Computed(

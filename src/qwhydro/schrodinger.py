@@ -4,7 +4,8 @@ This is the Galilean-limit oracle for the walk.  Three independent routes
 are provided and cross-checked in the tests:
 
   * spectral_propagate: exact mode-by-mode phase factors e^{-ik²t/2m}
-    (`spectral_evolution` takes ψ₀'s spectrum once for many times);
+    (a `Wavefunction` keeps its spectrum, so ψ₀'s is taken once however
+    many times it is propagated to);
   * greens_propagate:   real-space convolution against the free kernel
     √(m/2iπt)·e^{im(x−y)²/2t}, one tapered integral per Fourier mode of ψ₀
     by composite Gauss–Legendre, each point checked against its error
@@ -18,24 +19,25 @@ it costs most of the start-up time of a run that never needs it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._spectral import EPS, GL16_NODES, GL16_WEIGHTS, TWO_PI, fft, grid, ifft, \
-    schrodinger_exponent, spectral_derivative, wavenumbers
+from ._spectral import EPS, TWO_PI, _read_only, even_table, fft, gauss_legendre, grid, \
+    ifft, schrodinger_exponent, spectral_derivative, wavenumbers
 
 
-@dataclass
+@dataclass(frozen=True)
 class Wavefunction:
-    """Complex field on N periodic sites."""
+    """Complex field on N periodic sites.  Its spectrum `modes` = fft(values)
+    is taken on first read and then kept, read-only."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.complex128))
         if not np.all(np.isfinite(self.values)):
             raise ValueError("wavefunction must be finite")
 
@@ -43,22 +45,21 @@ class Wavefunction:
     def n_sites(self) -> int:
         return self.values.shape[0]
 
-
-def spectral_evolution(psi: Wavefunction, mass: float) -> Callable[[float], Wavefunction]:
-    """t ↦ ψ advanced by t: ψ's spectrum is taken once, and each call
-    multiplies it by e^{−ik²t/(2m)} and transforms back."""
-    modes = fft(psi.values)
-    exponent = schrodinger_exponent(psi.n_sites)
-
-    def at(t: float) -> Wavefunction:
-        return Wavefunction(values=ifft(modes * np.exp(exponent * t / (2.0 * mass))))
-
-    return at
+    @functools.cached_property
+    def modes(self) -> np.ndarray:
+        return _read_only(fft(self.values))
 
 
 def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction:
-    """Advance by t: multiply each Fourier mode by e^{−ik²t/(2m)}."""
-    return spectral_evolution(psi, mass)(t)
+    """Advance by t: multiply each Fourier mode by e^{−ik²t/(2m)}.
+
+    ψ's spectrum is `psi.modes`, taken once per Wavefunction.  The factor
+    is even in k, so it is exponentiated on the n // 2 + 1 modes k ≥ 0
+    only and mirrored onto the rest.
+    """
+    n = psi.n_sites
+    half = np.exp(schrodinger_exponent(n)[:n // 2 + 1] * t / (2.0 * mass))
+    return Wavefunction(values=ifft(psi.modes * even_table(half, n)))
 
 
 def _fourier_coefficients(values: np.ndarray):
@@ -94,6 +95,7 @@ def _kernel_integrals(kv: np.ndarray, mass: float, t: float, flat: float,
     the rule's values and a bound on their rounding: the phases m u²/2t and
     k·u are rounded to an ulp of their size, and so is every e^{iφ}.
     """
+    nodes, weights = gauss_legendre(16)
     window = flat + taper
     edges = (-window, -flat, flat, window)
     total = np.zeros(kv.shape, dtype=complex)
@@ -101,11 +103,11 @@ def _kernel_integrals(kv: np.ndarray, mass: float, t: float, flat: float,
     for lo, hi, n in zip(edges[:-1], edges[1:], panels):
         half = (hi - lo) / (2 * n)
         mids = lo + half * (2.0 * np.arange(n) + 1.0)
-        u = mids[:, None] + half * GL16_NODES
+        u = mids[:, None] + half * nodes
         ramp = np.clip((np.abs(u) - flat) / taper, 0.0, 1.0)
-        weight = (half * GL16_WEIGHTS) * np.cos(0.5 * np.pi * ramp) ** 2
+        weight = (half * weights) * np.cos(0.5 * np.pi * ramp) ** 2
         phase = mass * u * u / (2.0 * t)
-        offsets = np.exp(1j * np.outer(kv, half * GL16_NODES))
+        offsets = np.exp(1j * np.outer(kv, half * nodes))
         # einsum, not a threaded BLAS product: with another core busy, `@`
         # made a solve 3-10 times slower
         inner = np.einsum("kj,pj->kp", offsets, weight * np.exp(1j * phase))

@@ -14,17 +14,21 @@ Dirac equation iγ^μ∂_μψ = mψ in 1+1 dimensions (γ⁰ = σ₁, γ¹ = iσ
 Two routes advance a state: `step_walk` applies one step (the stepped
 kernel, `coin_shift`), and `propagate` jumps to any step exactly in Fourier
 space through the walk's dispersion relation cos ω = cos θ·cos κ (Strauch,
-PRA 73, 054302 (2006)).
+PRA 73, 054302 (2006)).  The tables that relation gives a lattice, the
+projector onto the e^{iω} eigenvector and the frequency ω, are built once
+per (N, m) by `_spectrum`, on first use, and kept read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._spectral import TWO_PI, centered_time_diff, fft, grid, ifft, l2_norm, \
-    spectral_derivative, wavenumbers
+from ._spectral import TABLE_CACHE, TWO_PI, _read_only, centered_time_diff, even_table, \
+    fft, grid, ifft, l2_norm, spectral_derivative, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,48 @@ def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
                        step_index=state.step_index + 1)
 
 
+class _Spectrum(NamedTuple):
+    """One lattice's step operator in Fourier space (see `propagate`)."""
+
+    p_ll: np.ndarray        # ½ + c sin κ/(2 sin ω), in FFT order
+    p_lr: np.ndarray        # −s e^{iκ}/(2 sin ω)
+    p_rl: np.ndarray        # −s e^{−iκ}/(2 sin ω)
+    p_rr: np.ndarray        # ½ − c sin κ/(2 sin ω)
+    omega_hi: np.ndarray    # ω's leading 26 bits on the first N/2 + 1 modes
+    omega_lo: np.ndarray    # ω − ω_hi on the same modes
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE)
+def _spectrum(n_sites: int, mass: float) -> _Spectrum:
+    """The projector P's entries and the split frequency ω of the walk on
+    `build_walk(n_sites, mass)`, built on first use and kept read-only.
+
+    ω is even in κ, so only its values on the first N/2 + 1 modes in FFT
+    order are kept (0 ≤ κ < π and the Nyquist mode, `_spectral.even_table`
+    restores the rest); P's entries are not even and are kept on all N.
+    """
+    params = build_walk(n_sites, mass)
+    c = np.cos(params.coin_angle)
+    s = np.sin(params.coin_angle)
+    kappa = wavenumbers(n_sites) * params.spacing
+    c_sin = c * np.sin(kappa)
+    sin_w = np.hypot(s, c_sin)
+    omega = np.arctan2(sin_w, c * np.cos(kappa))[:n_sites // 2 + 1]
+    # where sin ω = 0, s = c sin κ = 0 too, and P comes out as I/2
+    inv2 = 0.5 / np.where(sin_w == 0.0, 1.0, sin_w)
+    p_diag = c_sin * inv2
+    p_off = -s * inv2
+    shift = np.exp(1j * kappa)
+    # j·ω would round to an ulp of its own size, an error growing with j;
+    # ω_hi keeps 26 significant bits, so j·ω_hi is exact for j < 2^27, and
+    # the rounding of j·ω_lo is 2^-26 times smaller
+    mantissa, exponent = np.frexp(omega)
+    omega_hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
+    tables = (0.5 + p_diag, p_off * shift, p_off * np.conj(shift), 0.5 - p_diag,
+              omega_hi, omega - omega_hi)
+    return _Spectrum(*(_read_only(table) for table in tables))
+
+
 def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
     """The exact states `steps` steps after `state`, one per entry of `steps`.
 
@@ -155,45 +201,43 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     accurate; where sin ω = 0, U = ±I and P = I/2 gives the same U^j.
     e^{ijω} is formed as e^{ijω_hi}·e^{ijω_lo} with j·ω_hi exact, so the
     gap to one stepped step stays at roundoff for every j below
-    `EXACT_STEPS` = 2^27; beyond it the gap grows (6e-8 at 2^30).  The
-    input takes one FFT and each snapshot one inverse FFT; step 0 returns
-    a copy of the input.
+    `EXACT_STEPS` = 2^27; beyond it the gap grows (6e-8 at 2^30).
+
+    P's entries and ω_hi, ω_lo come from `_spectrum`, built once per
+    lattice.  ω is even in κ, so each snapshot exponentiates only the
+    first N/2 + 1 modes, into buffers allocated once per call, and mirrors
+    them onto the rest: a snapshot costs two complex exponentials of
+    N/2 + 1 values and two inverse FFTs, the input two FFTs.  Step 0
+    returns a copy of the input.
     """
     _check_state(state, params)
     steps = [int(j) for j in steps]
     if any(j < 0 for j in steps):
         raise ValueError("steps must be nonnegative")
-    c = np.cos(params.coin_angle)
-    s = np.sin(params.coin_angle)
-    kappa = wavenumbers(params.n_sites) * params.spacing
-    c_sin = c * np.sin(kappa)
-    sin_w = np.hypot(s, c_sin)
-    omega = np.arctan2(sin_w, c * np.cos(kappa))
-    # where sin ω = 0, s = c sin κ = 0 too, and P comes out as I/2
-    inv2 = 0.5 / np.where(sin_w == 0.0, 1.0, sin_w)
-    # P = [[½ + c sin κ/(2 sin ω), −s e^{iκ}/(2 sin ω)],
-    #      [−s e^{−iκ}/(2 sin ω), ½ − c sin κ/(2 sin ω)]]
-    p_diag = c_sin * inv2
-    p_off = -s * inv2
-    # j·ω would round to an ulp of its own size, an error growing with j;
-    # ω_hi keeps 26 significant bits, so j·ω_hi is exact for j < 2^27, and
-    # the rounding of j·ω_lo is 2^-26 times smaller
-    mantissa, exponent = np.frexp(omega)
-    omega_hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
-    omega_lo = omega - omega_hi
-    shift = np.exp(1j * kappa)
+    spec = _spectrum(params.n_sites, params.mass)
     left_k = fft(state.left)
     right_k = fft(state.right)
-    up_left = (0.5 + p_diag) * left_k + p_off * shift * right_k
-    up_right = p_off * np.conj(shift) * left_k + (0.5 - p_diag) * right_k
+    up_left = spec.p_ll * left_k + spec.p_lr * right_k
+    up_right = spec.p_rl * left_k + spec.p_rr * right_k
     down_left, down_right = left_k - up_left, right_k - up_right
 
+    # half-size buffers, filled in place for every snapshot: allocating them
+    # per snapshot fragmented the heap and raised a long run's peak RSS
+    angle = np.empty(spec.omega_hi.shape)
+    phase = np.empty(spec.omega_hi.shape, complex)
+    rise_hi = np.empty(spec.omega_hi.shape, complex)
+    rise_lo = np.empty(spec.omega_hi.shape, complex)
     out = []
     for j in steps:
         if j == 0:
             out.append(state.copy())
             continue
-        rise = np.exp(1j * (j * omega_hi)) * np.exp(1j * (j * omega_lo))
+        for omega, rise_half in ((spec.omega_hi, rise_hi), (spec.omega_lo, rise_lo)):
+            np.multiply(j, omega, out=angle)
+            np.multiply(1j, angle, out=phase)
+            np.exp(phase, out=rise_half)
+        np.multiply(rise_hi, rise_lo, out=rise_hi)
+        rise = even_table(rise_hi, params.n_sites)
         fall = np.conj(rise)
         out.append(SpinorField(left=ifft(rise * up_left + fall * down_left),
                                right=ifft(rise * up_right + fall * down_right),

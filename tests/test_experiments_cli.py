@@ -201,6 +201,25 @@ output_dir = {out}
 ZONES_MAP_SHA256 = "27fdd849b7da55fac1528d426dc7927657ac38030fb720da40ff3006f40064cb"
 
 
+# sha256 of the walk data files of three shipped configs before the walk's
+# spectrum was cached and its phase factors taken on half the modes
+WALK_CSV_SHA256 = {
+    "shock_multimode": ("dtqw_shock_density.csv",
+                        "a1d8b0b43b242e3eb0210740d13d808ba0e9919518770dac2e2d9cd3656ea4fd"),
+    "shock_single_mode": ("dtqw_shock_density.csv",
+                          "6f1abec767eb9b990a201c75b7377efa709163bd34c88d4e1bffafb2546a86a1"),
+    "planewave": ("dtqw_planewave_density.csv",
+                  "d7b8fae4c677be1f0d9108c3525db121145b6e969b22188e3f3f397f53d56a86"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_CSV_SHA256))
+def test_walk_configs_write_their_pinned_bytes(tmp_path, name):
+    assert _run_cfg(tmp_path, _shipped(name, tmp_path)).ok
+    csv, digest = WALK_CSV_SHA256[name]
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
+
+
 def test_zones_map_labels_match_scalar_classification(tmp_path):
     _run_cfg(tmp_path, _shipped("zones_map", tmp_path))
     path = tmp_path / "asymptotic_zones.csv"
@@ -972,6 +991,15 @@ def test_cli_rejects_snapshot_times_not_increasing(tmp_path, capsys, times):
 
 def test_importing_the_cli_does_not_load_scipy():
     assert scipy_modules_loaded_by("import qwhydro.cli") == "[]"
+
+
+def test_importing_the_cli_builds_no_tables():
+    # numpy.polynomial (the Gauss–Legendre rules) and the walk's spectrum
+    # are loaded and built on first use, not with the package
+    code = ("import qwhydro.cli\nfrom qwhydro import walk\n"
+            "print('numpy.polynomial' in sys.modules, walk._spectrum.cache_info().currsize)")
+    out = scipy_modules_loaded_by("import sys\n" + code)
+    assert out.splitlines()[0] == "False 0"
 
 
 @pytest.mark.parametrize("name", ["shock_single_mode", "schrodinger_shock"])

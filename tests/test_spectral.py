@@ -82,16 +82,22 @@ def test_spectral_propagate_is_bit_identical_to_the_inline_formula(n):
 
 
 @pytest.mark.parametrize("n", [9, 64, 8192])
-def test_spectral_evolution_takes_one_spectrum_for_every_time(n):
+def test_spectral_propagate_takes_one_spectrum_for_every_time(n):
     rng = np.random.default_rng(n)
     values = _field(rng, n, complex_valued=True)
     times = [0.0, 0.3, 0.8, 1.7]
     before = sp.fft_calls()
-    evolve = sch.spectral_evolution(sch.Wavefunction(values), 20.0)
-    got = [evolve(t).values for t in times]
+    psi = sch.Wavefunction(values)
+    got = [sch.spectral_propagate(psi, 20.0, t).values for t in times]
     assert sp.fft_calls() - before == 1 + len(times)
     for t, values_t in zip(times, got):
         assert np.array_equal(values_t, _reference_propagate(values, 20.0, t))
+    # the kept spectrum is read-only and the record frozen
+    assert np.array_equal(psi.modes, np.fft.fft(values))
+    with pytest.raises(ValueError, match="read-only"):
+        psi.modes[0] = 1.0
+    with pytest.raises(AttributeError):
+        psi.values = values
 
 
 @pytest.mark.parametrize("n", [9, 64, 4096])
@@ -141,3 +147,19 @@ def test_fft_pair_counts_every_call():
     sp.spectral_derivative(f[0], 2)
     sch.spectral_propagate(sch.Wavefunction(f[1]), 2.0, 0.5)
     assert sp.fft_calls() - before == 6
+
+
+@pytest.mark.parametrize("n_nodes", [10, 16])
+def test_gauss_legendre_rules_are_numpys_and_read_only(n_nodes):
+    nodes, weights = sp.gauss_legendre(n_nodes)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n_nodes)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    assert sp.gauss_legendre(n_nodes)[0] is nodes
+    with pytest.raises(ValueError, match="read-only"):
+        nodes[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+def test_even_table_mirrors_the_first_half_onto_the_negative_modes(n):
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    assert np.array_equal(sp.even_table(np.abs(k[:n // 2 + 1]), n), np.abs(k))

@@ -308,3 +308,96 @@ def test_propagate_step_indices_and_step_zero(rng):
         wk.propagate(state, p, [3, -1])
     with pytest.raises(ValueError):
         wk.propagate(wk.SpinorField(np.zeros(32, complex), np.zeros(32, complex)), p, [1])
+
+
+def _reference_omega(n, mass):
+    """Reference: ω on every mode in FFT order, and its hi/lo split, inline
+    as `propagate` formed them before the walk's spectrum was cached."""
+    p = wk.build_walk(n, mass)
+    c, s = np.cos(p.coin_angle), np.sin(p.coin_angle)
+    kappa = np.fft.fftfreq(n, d=1.0 / n) * p.spacing
+    c_sin = c * np.sin(kappa)
+    sin_w = np.hypot(s, c_sin)
+    omega = np.arctan2(sin_w, c * np.cos(kappa))
+    mantissa, exponent = np.frexp(omega)
+    omega_hi = np.ldexp(np.trunc(np.ldexp(mantissa, 26)), exponent - 26)
+    return kappa, c_sin, sin_w, omega_hi, omega - omega_hi
+
+
+def _reference_propagate(state, p, steps):
+    """Reference: `propagate` as it was before the walk's spectrum was
+    cached, every table rebuilt and both exponentials taken on all modes."""
+    kappa, c_sin, sin_w, omega_hi, omega_lo = _reference_omega(p.n_sites, p.mass)
+    s = np.sin(p.coin_angle)
+    inv2 = 0.5 / np.where(sin_w == 0.0, 1.0, sin_w)
+    p_diag = c_sin * inv2
+    p_off = -s * inv2
+    shift = np.exp(1j * kappa)
+    left_k = np.fft.fft(state.left)
+    right_k = np.fft.fft(state.right)
+    up_left = (0.5 + p_diag) * left_k + p_off * shift * right_k
+    up_right = p_off * np.conj(shift) * left_k + (0.5 - p_diag) * right_k
+    down_left, down_right = left_k - up_left, right_k - up_right
+    out = []
+    for j in steps:
+        if j == 0:
+            out.append((state.left, state.right))
+            continue
+        rise = np.exp(1j * (j * omega_hi)) * np.exp(1j * (j * omega_lo))
+        fall = np.conj(rise)
+        out.append((np.fft.ifft(rise * up_left + fall * down_left),
+                    np.fft.ifft(rise * up_right + fall * down_right)))
+    return out
+
+
+# masses by coin angle: θ = π/2, θ a factor 1 − 2^-20 below π, a generic θ,
+# and a tiny θ.  On N ≥ 16 the tiny mass makes θ = εm underflow to 0, so
+# sin ω = 0 at κ = 0; on N = 4 and 6 it would leave θ one subnormal, whose
+# 1/(2 sin ω) overflows, so there θ is 1e-150·ε.
+def _masses(n):
+    return {"half_pi": n / 4, "near_pi": n / 2 * (1 - 2 ** -20), "generic": n / 7,
+            "tiny": 5e-324 if n >= 16 else 1e-150}
+
+
+STEPS = [0, 1, 2, 10 ** 4, 2 ** 26 + 3]
+
+
+@pytest.mark.parametrize("theta", ["half_pi", "near_pi", "generic", "tiny"])
+@pytest.mark.parametrize("n", [4, 6, 512, 4096])
+def test_propagate_is_bit_identical_to_the_uncached_formula(n, theta):
+    p = wk.build_walk(n, _masses(n)[theta])
+    if theta == "tiny" and n >= 16:
+        assert p.coin_angle == 0.0 and _reference_omega(n, p.mass)[2][0] == 0.0
+    rng = np.random.default_rng(n)
+    state = wk.SpinorField(rng.normal(size=n) + 1j * rng.normal(size=n),
+                           rng.normal(size=n) + 1j * rng.normal(size=n))
+    got = wk.propagate(state, p, STEPS)
+    for j, snap, (left, right) in zip(STEPS, got, _reference_propagate(state, p, STEPS)):
+        assert snap.step_index == j
+        assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
+
+
+@pytest.mark.parametrize("theta", ["half_pi", "near_pi", "generic", "tiny"])
+@pytest.mark.parametrize("n", [4, 6, 512, 4096])
+def test_walk_frequency_is_even_in_kappa_to_the_bit(n, theta):
+    mass = _masses(n)[theta]
+    spec = wk._spectrum(n, mass)
+    for full, half in zip(_reference_omega(n, mass)[3:], (spec.omega_hi, spec.omega_lo)):
+        # mode i holds κ and mode n − i holds −κ
+        assert np.array_equal(full[1:], full[:0:-1])
+        assert half.shape == (n // 2 + 1,) and np.array_equal(half, full[:n // 2 + 1])
+
+
+def test_walk_spectrum_is_read_only_and_built_once_per_lattice(rng):
+    p = wk.build_walk(256, 32.0)
+    state = _smooth_unit(rng, 256)
+    wk.propagate(state, p, [1])
+    before = wk._spectrum.cache_info()
+    wk.propagate(state, p, [3, 5])
+    after = wk._spectrum.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    spec = wk._spectrum(p.n_sites, p.mass)
+    for table in spec:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+    assert len(spec.p_ll) == 256 and len(spec.omega_hi) == 129
