@@ -221,8 +221,9 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
     up_right = spec.p_rl * left_k + spec.p_rr * right_k
     down_left, down_right = left_k - up_left, right_k - up_right
 
-    # half-size buffers, filled in place for every snapshot: allocating them
-    # per snapshot fragmented the heap and raised a long run's peak RSS
+    # half-size buffers, filled in place for every snapshot, so a snapshot
+    # allocates only full-size arrays: half-size temporaries interleaved with
+    # them can fragment the heap and raise a long run's peak RSS
     angle = np.empty(spec.omega_hi.shape)
     phase = np.empty(spec.omega_hi.shape, complex)
     rise_hi = np.empty(spec.omega_hi.shape, complex)
