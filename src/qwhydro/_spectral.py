@@ -3,7 +3,10 @@
 All fields live on N equispaced sites x_n = n·(2π/N).  Spatial derivatives
 of smooth periodic data are spectral (FFT, integer wavenumbers); phase
 fields are unwrapped and linearly detrended first because they may wind
-around the circle an integer number of times.  The panel rule and the
+around the circle an integer number of times.  `unwrap` and the winding
+count reduce a jump modulo 2π only where its modulus is not below π, the
+few sites where the phase wraps; every other jump keeps a zero correction,
+as in `np.unwrap`, whose bits `unwrap` gives.  The panel rule and the
 rounding unit of the array quadratures in `schrodinger` and `asymptotics`
 live here too.
 
@@ -35,7 +38,7 @@ _fft_calls = 0
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
+    table.setflags(write=False)
     return table
 
 
@@ -117,11 +120,43 @@ def spectral_derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
     return df
 
 
+def _wraps(jumps: np.ndarray) -> np.ndarray:
+    """Indices of the jumps that are not below π in modulus (nan included):
+    the only ones `np.unwrap` and the winding count reduce."""
+    return np.flatnonzero(~(np.abs(jumps) < np.pi))
+
+
 def winding_number(phase: np.ndarray) -> int:
-    """Net number of 2π turns of a phase field around the ring."""
-    closed = np.concatenate([phase, phase[:1]])
-    jumps = principal_value(np.diff(closed))
+    """Net number of 2π turns of a phase field around the ring.
+
+    The jumps around the closed ring are summed with each jump of modulus
+    π or more replaced by its principal value; the jumps below π are summed
+    as they are, so only the wrapping sites pay for the reduction.
+    """
+    jumps = np.diff(np.concatenate([phase, phase[:1]]))
+    wraps = _wraps(jumps)
+    jumps[wraps] = principal_value(jumps[wraps])
     return int(np.rint(jumps.sum() / TWO_PI))
+
+
+def unwrap(phase: np.ndarray) -> np.ndarray:
+    """`np.unwrap(phase)` of a 1-D phase, with the same bits.
+
+    `np.unwrap` reduces every jump modulo 2π and then zeroes the correction
+    wherever |Δφ| < π; here the `mod` is taken only at the other jumps, the
+    ones where the phase wraps, and the rest keep a zero correction.
+    """
+    jumps = np.diff(phase)
+    wraps = _wraps(jumps)
+    big = jumps[wraps]
+    reduced = np.mod(big + np.pi, TWO_PI) - np.pi
+    # a jump of exactly +π reduces to −π; np.unwrap keeps it at +π
+    reduced[(reduced == -np.pi) & (big > 0)] = np.pi
+    correction = np.zeros_like(jumps)
+    correction[wraps] = reduced - big
+    out = phase.copy()
+    out[1:] += np.cumsum(correction)
+    return out
 
 
 def unwrap_detrended(phase: np.ndarray) -> tuple[np.ndarray, int]:
@@ -134,7 +169,7 @@ def unwrap_detrended(phase: np.ndarray) -> tuple[np.ndarray, int]:
     w = winding_number(phase)
     n = phase.shape[0]
     x = grid(n)
-    residual = np.unwrap(phase - w * x)
+    residual = unwrap(phase - w * x)
     return residual, w
 
 

@@ -199,6 +199,14 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         if 32 * n_sites > STATE_BYTES:
             raise ConfigError(f"'n_sites' = {n_sites} needs {32 * n_sites} B per walk "
                               f"state (32 B a site), over the budget of {STATE_BYTES} B")
+        # the walk's coin needs a finite θ and a sin θ that is 0 or normal: a
+        # subnormal one overflows 1/(2 sin ω) at κ = 0 and every state turns nan
+        # (θ = 0, where a still smaller mass rounds, walks freely)
+        theta, tiny = params.coin_angle, np.finfo(float).tiny
+        if spec.walk and (not math.isfinite(theta) or 0.0 < abs(math.sin(theta)) < tiny):
+            raise ConfigError(f"'mass' = {cfg.mass:g} and 'n_sites' = {n_sites} give the "
+                              f"coin angle θ = 2π·mass/n_sites = {theta:g}, whose sine "
+                              f"is not finite or is subnormal (below {tiny:g})")
     if "wave" in spec.needs:
         _owned(check_wavenumber, "'q'", cfg.q, n_sites)
     t_final = cfg.t_final

@@ -146,7 +146,8 @@ def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField]
               np.max(np.abs(after.right - stepped.right)))
     scale = max(np.max(np.abs(after.left)), np.max(np.abs(after.right)))
     n0 = total_norm(state, params)
-    drift = max(abs(total_norm(s, params) - n0) / n0 for s in snaps)
+    # np.max, not max: a nan drift must reach the manifest, not lose every comparison
+    drift = np.max([abs(total_norm(s, params) - n0) / n0 for s in snaps])
     return snaps, {"initial_norm": n0, "norm_drift": float(drift), "last_step": last,
                    "step_consistency": _gate(float(gap / scale), STEP_CONSISTENCY_LIMIT)}
 

@@ -18,6 +18,16 @@ are spectral (fields are smooth and periodic); time derivatives come from
 centered differences over consecutive snapshots.  A snapshot's phase
 gradients ∂ₓφ± are taken once per PhaseField, on first read, and every
 fluid diagnostic of that snapshot reads them there.
+
+The chart of a snapshot is shared while a caller holds it: `currents(s)`
+and `phases(s)` return the same read-only CurrentField and PhaseField
+for the same snapshot for as long as any caller keeps a reference, so a
+diagnostic handed only the snapshot (`madelung_residuals`) reads the
+caller's chart and its gradients instead of deriving them again.  The
+snapshot holds its chart only weakly (`SpinorField.derived`): the chart
+is freed with its last holder, and a snapshot kept for long keeps none
+of its arrays alive.  Snapshots and shared fields are immutable, so a
+shared chart cannot go stale.
 """
 
 from __future__ import annotations
@@ -41,9 +51,9 @@ NULL_FRACTION = 1e-10      # n below this fraction of max(n) counts as null
 MASK_TOL = 1e-10           # |1 − (w/mn)²| at or below this is masked by the enthalpy route
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurrentField:
-    """Particle density j⁰ and flux j¹ per unit length."""
+    """Particle density j⁰ and flux j¹ per unit length, read-only."""
 
     j0: np.ndarray
     j1: np.ndarray
@@ -56,9 +66,10 @@ class PhaseField:
     Component phases are principal values in (−π, π]; their sums and
     differences therefore live in (−2π, 2π], which keeps the half-angles
     φ±/2 principal and makes the spinor reconstruction exact.  `valid` is
-    False where either component modulus is below the floor.  The
-    gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋ are taken on first
-    read and then kept, read-only, for every diagnostic that reads them.
+    False where either component modulus is below the floor.  The arrays
+    are read-only; the gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋
+    are taken on first read and then kept, read-only, for every diagnostic
+    that reads them.
     """
 
     phi_plus: np.ndarray
@@ -95,19 +106,35 @@ class TensorField:
     t11: np.ndarray
 
 
-def currents(state: SpinorField) -> CurrentField:
-    """Bilinear current: j⁰ = |Ψ_R|² + |Ψ_L|², j¹ = |Ψ_R|² − |Ψ_L|²."""
+def _current_field(state: SpinorField) -> CurrentField:
     rho_l = np.abs(state.left) ** 2
     rho_r = np.abs(state.right) ** 2
-    return CurrentField(j0=rho_r + rho_l, j1=rho_r - rho_l)
+    return CurrentField(j0=_read_only(rho_r + rho_l), j1=_read_only(rho_r - rho_l))
 
 
-def phases(state: SpinorField) -> PhaseField:
-    """Phase sum/difference of the two components, flagged where degenerate."""
+def _phase_field(state: SpinorField) -> PhaseField:
     phi_l = np.angle(state.left)
     phi_r = np.angle(state.right)
     valid = (np.abs(state.left) > PHASE_FLOOR) & (np.abs(state.right) > PHASE_FLOOR)
-    return PhaseField(phi_plus=phi_l + phi_r, phi_minus=phi_l - phi_r, valid=valid)
+    return PhaseField(phi_plus=_read_only(phi_l + phi_r), phi_minus=_read_only(phi_l - phi_r),
+                      valid=_read_only(valid))
+
+
+def currents(state: SpinorField) -> CurrentField:
+    """Bilinear current: j⁰ = |Ψ_R|² + |Ψ_L|², j¹ = |Ψ_R|² − |Ψ_L|².
+
+    The same object for every caller while one holds it (`SpinorField.derived`).
+    """
+    return state.derived(_current_field)
+
+
+def phases(state: SpinorField) -> PhaseField:
+    """Phase sum/difference of the two components, flagged where degenerate.
+
+    The same object, with its gradients once taken, for every caller while
+    one holds it (`SpinorField.derived`).
+    """
+    return state.derived(_phase_field)
 
 
 def hydro_vars(cur: CurrentField, ph: PhaseField, mass: float) -> HydroField:

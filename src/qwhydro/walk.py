@@ -22,6 +22,7 @@ per (N, m) by `_spectrum`, on first use, and kept read-only.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -75,22 +76,47 @@ def steps_until(t: float, params: WalkParams) -> int:
     return int(np.floor(t / params.dt + 1e-9))
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class SpinorField:
-    """Two-component walk state (Ψ_L, Ψ_R) at discrete step j."""
+    """Two-component walk state (Ψ_L, Ψ_R) at discrete step j.
+
+    A snapshot is immutable, so whatever is derived from it stays true of
+    it: its components are read-only views of the arrays passed in (or of
+    their complex128 copies).  The caller's own arrays stay writable, and a
+    caller must not write into one it has handed to a snapshot.
+    """
 
     left: np.ndarray
     right: np.ndarray
     step_index: int = 0
 
-    def __post_init__(self):
-        self.left = np.asarray(self.left, dtype=np.complex128)
-        self.right = np.asarray(self.right, dtype=np.complex128)
-        if self.left.shape != self.right.shape:
+    def __init__(self, left, right, step_index: int = 0):
+        left = np.asarray(left, dtype=np.complex128).view()
+        right = np.asarray(right, dtype=np.complex128).view()
+        if left.shape != right.shape:
             raise ValueError("left/right components must have equal length")
+        left.setflags(write=False)
+        right.setflags(write=False)
+        # the frozen fields are set once, here, as the generated __init__ would
+        self.__dict__.update(left=left, right=right, step_index=step_index)
 
     def copy(self) -> "SpinorField":
         return SpinorField(self.left.copy(), self.right.copy(), self.step_index)
+
+    def derived(self, build):
+        """`build(self)`, one object for every caller while any caller holds it.
+
+        The snapshot keeps only a weak reference to the result, by builder,
+        so the result is freed with its last holder (a snapshot kept for long
+        keeps no derived arrays alive) and built afresh by the next call.
+        """
+        refs = self.__dict__.setdefault("_derived", {})
+        ref = refs.get(build)
+        value = None if ref is None else ref()
+        if value is None:
+            value = build(self)
+            refs[build] = weakref.ref(value)
+        return value
 
     @property
     def n_sites(self) -> int:

@@ -857,6 +857,50 @@ def test_cli_validate_accepts_a_rest_plane_wave_at_any_mass(tmp_path):
     assert main(["validate", str(cfg)]) == 0
 
 
+# the mass at which sin θ = sin(2π·mass/64) reaches the smallest normal double
+SUBNORMAL_EDGE = float(np.finfo(float).tiny * 64 / (2 * np.pi))
+REST_WAVE = "experiment = dtqw_planewave\nn_sites = {n}\nq = 0\nn_steps = 10\nmass = {mass!r}\n"
+
+
+@pytest.mark.parametrize("n, mass", [(64, 1e-321), (64, 0.99 * SUBNORMAL_EDGE),
+                                     (4, 1.7976931348623157e308)])
+def test_cli_rejects_a_walk_whose_coin_sine_is_subnormal_or_not_finite(tmp_path, capsys,
+                                                                        n, mass):
+    # a subnormal sin θ overflows 1/(2 sin ω) at κ = 0, and θ = 2π·mass/4 overflows
+    # to inf: either way the run wrote nan states
+    cfg = tmp_path / "sub.cfg"
+    cfg.write_text(REST_WAVE.format(n=n, mass=mass) + f"output_dir = {tmp_path / 'out'}\n")
+    _exits_2_naming(cfg, capsys, "'mass'", "'n_sites'")
+    with pytest.raises(SystemExit) as err:
+        main(["run", str(cfg)])
+    assert err.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_runs_a_walk_whose_coin_sine_is_just_normal(tmp_path):
+    cfg = tmp_path / "normal.cfg"
+    cfg.write_text(REST_WAVE.format(n=64, mass=1.01 * SUBNORMAL_EDGE)
+                   + f"output_dir = {tmp_path}\n")
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg)]) == 0
+    manifest = json.loads((tmp_path / "dtqw_planewave_manifest.json").read_text())
+    diagnostics = manifest["diagnostics"]
+    assert np.isfinite(diagnostics["norm_drift"]) and diagnostics["norm_drift"] <= 1e-12
+    assert np.isfinite(diagnostics["step_consistency"]["value"])
+
+
+def test_walk_norm_drift_keeps_a_nan(tmp_path):
+    # past validation, a subnormal sin θ turns every jumped state nan, and the
+    # drift must say so: Python's max let the finite step-0 drift win
+    cfg = parse_config(REST_WAVE.format(n=64, mass=1.0))
+    cfg = dataclasses.replace(cfg, mass=1e-321)
+    params = wk.build_walk(cfg.n_sites, cfg.mass)
+    with np.errstate(all="ignore"):
+        snaps, walked = experiments._walk(cfg, plane_wave(params, 0.0), params)
+    assert np.all(np.isnan(snaps[-1].left)) and np.isfinite(snaps[0].left).all()
+    assert np.isnan(walked["norm_drift"])
+
+
 def test_cli_rejects_a_pearcey_map_over_its_quadrature_work(tmp_path, capsys):
     # near t = 0 one point's contour takes ~10¹⁵ nodes: the run used to exit 1,
     # unable to allocate them

@@ -1,10 +1,12 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from qwhydro import hydro as hy
 from qwhydro import initial as ini
+from qwhydro import _spectral
 from qwhydro import walk as wk
 from qwhydro._spectral import fft_calls, phase_gradient
 
@@ -249,13 +251,79 @@ def test_stress_energy_static_fluid():
     np.testing.assert_allclose(T.t01, 0.0, atol=1e-13)
 
 
+def _walk_window(rng):
+    # three consecutive snapshots of a smooth walk, the middle one `mid`
+    p = wk.build_walk(256, 16.0)
+    traj = wk.evolve(make_smooth_spinor(rng, 256, offset=8.0, amp=0.4), p, 2)
+    return p, traj, traj.snapshots[1]
+
+
+def test_a_held_chart_is_shared(rng):
+    _, _, mid = _walk_window(rng)
+    ph, cur = hy.phases(mid), hy.currents(mid)
+    assert hy.phases(mid) is ph and hy.currents(mid) is cur
+    # shared per snapshot object, not per content
+    twin = wk.SpinorField(mid.left, mid.right, mid.step_index)
+    assert hy.phases(twin) is not ph and np.array_equal(hy.phases(twin).phi_plus, ph.phi_plus)
+
+
+def test_madelung_residuals_reads_the_held_phase_field(rng, monkeypatch):
+    p, traj, mid = _walk_window(rng)
+    unwrapped = []
+    unwrap_detrended = _spectral.unwrap_detrended
+    monkeypatch.setattr(_spectral, "unwrap_detrended",
+                        lambda phase: unwrapped.append(phase) or unwrap_detrended(phase))
+    before = fft_calls()
+    alone = hy.madelung_residuals(traj, p)
+    alone_ffts = fft_calls() - before
+    assert len(unwrapped) == 2  # ∂ₓφ₊ and ∂ₓφ₋ of mid's own PhaseField
+    ph = hy.phases(mid)
+    _ = ph.d_plus, ph.d_minus  # read as the stress-energy routes read them
+    unwrapped.clear()
+    before = fft_calls()
+    shared = hy.madelung_residuals(traj, p)
+    assert fft_calls() - before == alone_ffts - 4
+    assert unwrapped == []
+    assert repr(shared) == repr(alone)
+
+
+def test_a_dropped_chart_leaves_nothing_on_the_snapshot(rng):
+    _, _, mid = _walk_window(rng)
+    ph, cur = hy.phases(mid), hy.currents(mid)
+    arrays = [weakref.ref(a) for a in (ph.phi_plus, ph.phi_minus, ph.valid, ph.d_plus,
+                                       ph.d_minus, cur.j0, cur.j1)]
+    first = ph.d_minus.copy()
+    del ph, cur
+    assert all(ref() is None for ref in arrays)
+    # the next caller gets a chart built afresh, with the same bits
+    again = hy.phases(mid)
+    assert again.d_minus.tobytes() == first.tobytes()
+
+
+def test_snapshots_and_shared_fields_are_read_only(rng):
+    left, right = np.full(16, 0.6 + 0.1j), np.full(16, 0.3 - 0.7j)
+    st = wk.SpinorField(left, right, 4)
+    for arr in (st.left, st.right):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.step_index = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.left = right
+    # the snapshot views the caller's arrays and leaves them writable
+    assert left.flags.writeable and np.shares_memory(st.left, left)
+    cur, ph = hy.currents(st), hy.phases(st)
+    for arr in (cur.j0, cur.j1, ph.phi_plus, ph.phi_minus, ph.valid, ph.d_plus):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cur.j0 = cur.j1
+
+
 def _exact_plane_wave_residuals(n, mass, q):
     p = wk.build_walk(n, mass)
-    snaps = []
-    for j in range(3):
-        s = ini.plane_wave(p, q, t=j * p.dt)
-        s.step_index = j
-        snaps.append(s)
+    snaps = [dataclasses.replace(ini.plane_wave(p, q, t=j * p.dt), step_index=j)
+             for j in range(3)]
     traj = wk.Trajectory(params=p, snapshots=snaps, cadence=1)
     return hy.madelung_residuals(traj, p)
 

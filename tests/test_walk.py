@@ -87,9 +87,10 @@ def test_locality_of_one_step(rng):
     n = 64
     p = wk.build_walk(n, 4.0)
     base = make_smooth_spinor(rng, n)
-    bumped = base.copy()
-    bumped.left[10] += 0.5
-    bumped.right[10] += 0.25j
+    left, right = base.left.copy(), base.right.copy()
+    left[10] += 0.5
+    right[10] += 0.25j
+    bumped = wk.SpinorField(left, right)
     a = wk.step_walk(base, p)
     b = wk.step_walk(bumped, p)
     diff = np.abs(a.left - b.left) + np.abs(a.right - b.right)
@@ -173,11 +174,8 @@ def test_centered_window_refuses_a_width_that_is_not_odd_and_positive(width):
 
 
 def _exact_plane_wave_trajectory(p, q):
-    snaps = []
-    for j in range(3):
-        s = ini.plane_wave(p, q, t=j * p.dt)
-        s.step_index = j
-        snaps.append(s)
+    snaps = [dataclasses.replace(ini.plane_wave(p, q, t=j * p.dt), step_index=j)
+             for j in range(3)]
     return wk.Trajectory(params=p, snapshots=snaps, cadence=1)
 
 
@@ -236,8 +234,7 @@ def test_sliced_coin_shift_is_bit_identical_to_the_rolled_one(rng, n, theta):
 
 def test_evolve_leaves_its_input_and_checks_its_arguments(rng):
     p = wk.build_walk(16, 4.0)
-    state = make_smooth_spinor(rng, 16, k_max=4)
-    state.step_index = 3
+    state = dataclasses.replace(make_smooth_spinor(rng, 16, k_max=4), step_index=3)
     before = state.copy()
     traj = wk.evolve(state, p, 25, cadence=25)
     assert [s.step_index for s in traj.snapshots] == [3, 28]
@@ -297,8 +294,7 @@ def test_propagate_one_step_gap_does_not_grow_with_the_step_count():
 
 def test_propagate_step_indices_and_step_zero(rng):
     p = wk.build_walk(64, 4.0)
-    state = _smooth_unit(rng, 64)
-    state.step_index = 5
+    state = dataclasses.replace(_smooth_unit(rng, 64), step_index=5)
     zero, later, again = wk.propagate(state, p, [0, 9, 0])
     assert (zero.step_index, later.step_index, again.step_index) == (5, 14, 5)
     assert np.array_equal(zero.left, state.left) and np.array_equal(zero.right, state.right)
