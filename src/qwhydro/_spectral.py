@@ -1,14 +1,11 @@
 """Shared grid and derivative helpers for periodic fields on [0, 2π).
 
 All fields live on N equispaced sites x_n = n·(2π/N).  Spatial derivatives
-of smooth periodic data are spectral (FFT, integer wavenumbers); phase
-fields are unwrapped and linearly detrended first because they may wind
-around the circle an integer number of times.  `unwrap` and the winding
-count reduce a jump modulo 2π only where its modulus is not below π, the
-few sites where the phase wraps; every other jump keeps a zero correction,
-as in `np.unwrap`, whose bits `unwrap` gives.  The panel rule and the
-rounding unit of the array quadratures in `schrodinger` and `asymptotics`
-live here too.
+of smooth periodic data are spectral (FFT, integer wavenumbers).  A phase
+is never differentiated as such: `hydro` and `nonrel` take a phase gradient
+from the field itself, as Im(ψ*∂ψ)/|ψ|², which needs no unwrapping.  The
+panel rule and the rounding unit of the array quadratures in `schrodinger`
+and `asymptotics` live here too.
 
 A grid's tables (its sites, its wavenumbers, the derivative multipliers
 (ik)^order and the free Schrödinger exponent −ik²) are built once, on first
@@ -118,71 +115,6 @@ def spectral_derivative(f: np.ndarray, order: int = 1) -> np.ndarray:
     if np.isrealobj(f):
         return df.real
     return df
-
-
-def _wraps(jumps: np.ndarray) -> np.ndarray:
-    """Indices of the jumps that are not below π in modulus (nan included):
-    the only ones `np.unwrap` and the winding count reduce."""
-    return np.flatnonzero(~(np.abs(jumps) < np.pi))
-
-
-def winding_number(phase: np.ndarray) -> int:
-    """Net number of 2π turns of a phase field around the ring.
-
-    The jumps around the closed ring are summed with each jump of modulus
-    π or more replaced by its principal value; the jumps below π are summed
-    as they are, so only the wrapping sites pay for the reduction.
-    """
-    jumps = np.diff(np.concatenate([phase, phase[:1]]))
-    wraps = _wraps(jumps)
-    jumps[wraps] = principal_value(jumps[wraps])
-    return int(np.rint(jumps.sum() / TWO_PI))
-
-
-def unwrap(phase: np.ndarray) -> np.ndarray:
-    """`np.unwrap(phase)` of a 1-D phase, with the same bits.
-
-    `np.unwrap` reduces every jump modulo 2π and then zeroes the correction
-    wherever |Δφ| < π; here the `mod` is taken only at the other jumps, the
-    ones where the phase wraps, and the rest keep a zero correction.
-    """
-    jumps = np.diff(phase)
-    wraps = _wraps(jumps)
-    big = jumps[wraps]
-    reduced = np.mod(big + np.pi, TWO_PI) - np.pi
-    # a jump of exactly +π reduces to −π; np.unwrap keeps it at +π
-    reduced[(reduced == -np.pi) & (big > 0)] = np.pi
-    correction = np.zeros_like(jumps)
-    correction[wraps] = reduced - big
-    out = phase.copy()
-    out[1:] += np.cumsum(correction)
-    return out
-
-
-def unwrap_detrended(phase: np.ndarray) -> tuple[np.ndarray, int]:
-    """Split a phase field into (periodic part, winding number).
-
-    phase(x) ≡ periodic(x) + w·x modulo 2π, with integer w.  The periodic
-    part is safe to differentiate spectrally; the winding contributes a
-    constant w to the derivative.
-    """
-    w = winding_number(phase)
-    n = phase.shape[0]
-    x = grid(n)
-    residual = unwrap(phase - w * x)
-    return residual, w
-
-
-def phase_gradient(phase: np.ndarray) -> np.ndarray:
-    """Spectral d/dx of a (possibly winding) phase field."""
-    residual, w = unwrap_detrended(phase)
-    return spectral_derivative(residual) + w
-
-
-def principal_value(phi: np.ndarray) -> np.ndarray:
-    """Reduce angles to the principal interval (−π, π]."""
-    out = np.mod(phi + np.pi, TWO_PI) - np.pi
-    return np.where(out == -np.pi, np.pi, out)
 
 
 def centered_time_diff(prev: np.ndarray, nxt: np.ndarray, dt: float) -> np.ndarray:

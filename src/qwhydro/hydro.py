@@ -15,9 +15,12 @@ whose orientation is pinned by requiring the equations of motion to hold
 identically on Dirac solutions (see madelung_residuals); the sign-definite
 statements are spelled out componentwise at each use.  Spatial derivatives
 are spectral (fields are smooth and periodic); time derivatives come from
-centered differences over consecutive snapshots.  A snapshot's phase
-gradients ∂ₓφ± are taken once per PhaseField, on first read, and every
-fluid diagnostic of that snapshot reads them there.
+centered differences over consecutive snapshots.  Every phase rate, in
+space or time, is the branch-free Im(ψ*∂ψ)/|ψ|² of one component, so no
+phase is ever unwrapped: it holds wherever ψ is resolved, even where φ±
+jump by nearly π between neighbouring sites after a shock.  A snapshot's
+phase gradients ∂ₓφ± are taken once per PhaseField, on first read, and
+every fluid diagnostic of that snapshot reads them there.
 
 The chart of a snapshot is shared while a caller holds it: `currents(s)`
 and `phases(s)` return the same read-only CurrentField and PhaseField
@@ -33,7 +36,7 @@ shared chart cannot go stale.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from ._spectral import (
     _read_only,
     centered_time_diff,
     l2_norm,
-    phase_gradient,
     spectral_derivative,
 )
 from .walk import SpinorField, Trajectory, WalkParams, centered_window
@@ -59,6 +61,13 @@ class CurrentField:
     j1: np.ndarray
 
 
+def _component_phase_rate(comp: np.ndarray, d_comp: np.ndarray) -> np.ndarray:
+    # ∂(arg ψ) = Im(ψ* ∂ψ)/|ψ|², branch-free; 0 where |ψ| is below the floor.
+    rho = np.abs(comp) ** 2
+    safe = np.where(rho > PHASE_FLOOR ** 2, rho, 1.0)
+    return np.where(rho > PHASE_FLOOR ** 2, np.imag(np.conj(comp) * d_comp) / safe, 0.0)
+
+
 @dataclass(frozen=True)
 class PhaseField:
     """Phase sum φ₊ = φ_L + φ_R and difference φ₋ = φ_L − φ_R.
@@ -67,22 +76,32 @@ class PhaseField:
     differences therefore live in (−2π, 2π], which keeps the half-angles
     φ±/2 principal and makes the spinor reconstruction exact.  `valid` is
     False where either component modulus is below the floor.  The arrays
-    are read-only; the gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋
-    are taken on first read and then kept, read-only, for every diagnostic
-    that reads them.
+    are read-only.  The gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋ are
+    the sum and difference of the components' rates Im(ψ*∂ₓψ)/|ψ|², taken
+    from `state`, the snapshot the field was built from, together on first
+    read and then kept, read-only, for every diagnostic that reads them.  A
+    field that never reads a gradient needs no `state`.
     """
 
     phi_plus: np.ndarray
     phi_minus: np.ndarray
     valid: np.ndarray
+    state: SpinorField | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
+    def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        left, right = self.state.left, self.state.right
+        rate_l = _component_phase_rate(left, spectral_derivative(left))
+        rate_r = _component_phase_rate(right, spectral_derivative(right))
+        return _read_only(rate_l + rate_r), _read_only(rate_l - rate_r)
+
+    @property
     def d_plus(self) -> np.ndarray:
-        return _read_only(phase_gradient(self.phi_plus))
+        return self._gradients[0]
 
-    @functools.cached_property
+    @property
     def d_minus(self) -> np.ndarray:
-        return _read_only(phase_gradient(self.phi_minus))
+        return self._gradients[1]
 
 
 @dataclass
@@ -117,7 +136,7 @@ def _phase_field(state: SpinorField) -> PhaseField:
     phi_r = np.angle(state.right)
     valid = (np.abs(state.left) > PHASE_FLOOR) & (np.abs(state.right) > PHASE_FLOOR)
     return PhaseField(phi_plus=_read_only(phi_l + phi_r), phi_minus=_read_only(phi_l - phi_r),
-                      valid=_read_only(valid))
+                      valid=_read_only(valid), state=state)
 
 
 def currents(state: SpinorField) -> CurrentField:
@@ -248,13 +267,6 @@ def velocity_from_phase_gradient(ph: PhaseField, h: HydroField,
     safe = np.where(np.abs(cos_minus) > 1e-12, cos_minus, 1.0)
     u1 = (ph.d_plus - dphi_minus_dt) / (2.0 * params.mass * safe)
     return np.where(np.abs(cos_minus) > 1e-12, u1, 0.0)
-
-
-def _component_phase_rate(comp: np.ndarray, d_comp: np.ndarray) -> np.ndarray:
-    # d(arg ψ)/dt = Im(ψ* ∂_tψ)/|ψ|², branch-free.
-    rho = np.abs(comp) ** 2
-    safe = np.where(rho > PHASE_FLOOR ** 2, rho, 1.0)
-    return np.where(rho > PHASE_FLOOR ** 2, np.imag(np.conj(comp) * d_comp) / safe, 0.0)
 
 
 def _madelung_residual_fields(state: SpinorField, params: WalkParams,

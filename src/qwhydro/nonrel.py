@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._spectral import TWO_PI, fft, l2_norm, phase_gradient, spectral_derivative, wavenumbers
+from ._spectral import TWO_PI, fft, l2_norm, spectral_derivative, wavenumbers
 from .schrodinger import Wavefunction, schrodinger_hydro
 from .walk import SpinorField, Trajectory, WalkParams, centered_window
 
@@ -33,7 +33,8 @@ _R_FLOOR = 1e-12
 
 @dataclass
 class NRFields:
-    """Modulus r and unwrapped phase φ of the stripped left component."""
+    """Modulus r and phase φ of the stripped left component; φ may take any
+    branch, since only e^{iφ} enters its gradient."""
 
     r: np.ndarray
     phi: np.ndarray
@@ -93,7 +94,8 @@ def _derivatives(fields: NRFields):
     r, phi = fields.r, fields.phi
     r_x = spectral_derivative(r)
     r_xx = spectral_derivative(r, order=2)
-    phi_x = phase_gradient(phi)
+    u = np.exp(1j * phi)
+    phi_x = np.imag(np.conj(u) * spectral_derivative(u))  # |u| = 1: no floor, no unwrap
     phi_xx = spectral_derivative(phi_x)
     return r_x, r_xx, phi_x, phi_xx
 

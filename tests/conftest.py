@@ -15,8 +15,8 @@ from qwhydro.walk import SpinorField
 def make_smooth_spinor(rng, n_sites, offset=4.0, amp=0.4, k_max=4):
     """Band-limited random spinor with component moduli bounded away from zero.
 
-    The offset/amp ratio keeps the component phases well resolved on the
-    grid, so spectral derivatives of the phase fields are trustworthy.
+    The offset/amp ratio keeps the component moduli well above the phase
+    floor, so the phase rates Im(ψ*∂ψ)/|ψ|² are taken at every site.
     """
     def component():
         coeff = np.zeros(n_sites, dtype=complex)

@@ -1,16 +1,19 @@
 import dataclasses
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qwhydro import hydro as hy
 from qwhydro import initial as ini
-from qwhydro import _spectral
 from qwhydro import walk as wk
-from qwhydro._spectral import fft_calls, phase_gradient
+from qwhydro._spectral import fft_calls, spectral_derivative
+from qwhydro.config import parse_config
 
 from conftest import make_smooth_spinor
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_currents_symmetric_spinor():
@@ -63,6 +66,25 @@ def test_phases_plane_wave_initial_data():
     # φ₊/2 equals the prescribed phase q·x modulo 2π
     half = ph.phi_plus / 2
     np.testing.assert_allclose(np.exp(1j * half), np.exp(1j * q * p.x), atol=1e-13)
+
+
+@pytest.mark.parametrize("q", [3.0, -3.0])
+def test_phase_gradients_count_a_winding_without_unwrapping(q):
+    # φ₊ winds 2q times around the ring; the rates read it site by site
+    p = wk.build_walk(64, 4.0)
+    ph = hy.phases(ini.plane_wave(p, q))
+    np.testing.assert_allclose(ph.d_plus, 2.0 * q, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(ph.d_minus, 0.0, rtol=0.0, atol=1e-13)
+
+
+def test_phase_gradients_are_zero_where_a_component_vanishes():
+    p = wk.build_walk(64, 4.0)
+    left = np.sin(p.x) * np.exp(2j * p.x)  # exactly 0 at x = 0, below the floor at x = π
+    ph = hy.phases(wk.SpinorField(left, np.full(64, 1 / np.sqrt(2), dtype=complex)))
+    assert left[0] == 0.0 and not ph.valid[0]
+    for grad in (ph.d_plus, ph.d_minus):
+        assert np.isfinite(grad).all() and grad[0] == 0.0
+        np.testing.assert_allclose(grad[ph.valid], 2.0, rtol=1e-13)
 
 
 def test_phases_flags_vanishing_component():
@@ -152,23 +174,24 @@ def test_velocity_redundancy_from_phase_gradient(rng):
 
 
 def test_phase_field_takes_each_gradient_once(rng):
-    # the diagnostics read ∂ₓφ± from the PhaseField: 4 FFTs for the two
-    # gradients and 2 for the enthalpy route's ∂ₓ(w/mn), where each taking its
-    # own gradients took 10
+    # the first read takes both gradients, 4 FFTs; the diagnostics then read
+    # them from the PhaseField, and only the enthalpy route's ∂ₓ(w/mn) takes 2
     p = wk.build_walk(512, 16.0)
     st = make_smooth_spinor(rng, 512, offset=8.0, amp=0.4)
     ph = hy.phases(st)
     h = hy.hydro_vars(hy.currents(st), ph, p.mass)
     before = fft_calls()
+    d_minus = ph.d_minus
+    assert fft_calls() - before == 4
+    before = fft_calls()
+    d_plus = ph.d_plus
     hy.stress_energy_hydro(h, ph, p)
     hy.quantum_pressure_gradient(h, ph, p)
     hy.velocity_from_phase_gradient(ph, h, p)
-    assert fft_calls() - before == 6
-    before = fft_calls()
-    d_minus = ph.d_minus
-    assert fft_calls() == before
-    assert np.array_equal(d_minus, phase_gradient(ph.phi_minus))
-    assert np.array_equal(ph.d_plus, phase_gradient(ph.phi_plus))
+    assert fft_calls() - before == 2
+    rate_l = hy._component_phase_rate(st.left, spectral_derivative(st.left))
+    rate_r = hy._component_phase_rate(st.right, spectral_derivative(st.right))
+    assert np.array_equal(d_plus, rate_l + rate_r) and np.array_equal(d_minus, rate_l - rate_r)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ph.phi_minus = ph.phi_plus
     with pytest.raises(ValueError):
@@ -228,6 +251,25 @@ def test_stress_energy_cross_oracle_onshell(rng):
         assert gap / scale < 1e-12
 
 
+@pytest.mark.parametrize("t", [8.0, 12.0, 15.0])
+def test_stress_energy_cross_oracle_after_the_shock(t):
+    # past the shock φ± jump by up to 3 rad between neighbouring sites, where
+    # an unwrapped phase is no longer resolved; ψ is, and so are the rates
+    cfg = parse_config((CONFIGS / "shock_multimode.cfg").read_text())
+    p = wk.build_walk(cfg.n_sites, cfg.mass)
+    st0 = ini.phase_modulated_state(p, ini.ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass))
+    (st,) = wk.propagate(st0, p, [wk.steps_until(t, p)])
+    T_sp = hy.stress_energy_spinor(st, p, dpsi_dt=wk.dirac_rhs(st, p))
+    ph = hy.phases(st)
+    h = hy.hydro_vars(hy.currents(st), ph, p.mass)
+    T_hy = hy.stress_energy_hydro(h, ph, p)
+    valid = h.valid_mask
+    scale = np.max(np.abs(T_sp.t00[valid]))
+    for name in ("t00", "t01", "t10", "t11"):
+        gap = np.max(np.abs(getattr(T_sp, name) - getattr(T_hy, name))[valid])
+        assert gap / scale <= 1e-12, name
+
+
 def test_stress_energy_hydro_dust_form():
     # constant φ₋ kills the gradient terms: T = w·u⊗u exactly
     n = 64
@@ -267,23 +309,19 @@ def test_a_held_chart_is_shared(rng):
     assert hy.phases(twin) is not ph and np.array_equal(hy.phases(twin).phi_plus, ph.phi_plus)
 
 
-def test_madelung_residuals_reads_the_held_phase_field(rng, monkeypatch):
+def test_madelung_residuals_reads_the_held_phase_field(rng):
     p, traj, mid = _walk_window(rng)
-    unwrapped = []
-    unwrap_detrended = _spectral.unwrap_detrended
-    monkeypatch.setattr(_spectral, "unwrap_detrended",
-                        lambda phase: unwrapped.append(phase) or unwrap_detrended(phase))
     before = fft_calls()
     alone = hy.madelung_residuals(traj, p)
     alone_ffts = fft_calls() - before
-    assert len(unwrapped) == 2  # ∂ₓφ₊ and ∂ₓφ₋ of mid's own PhaseField
     ph = hy.phases(mid)
+    before = fft_calls()
     _ = ph.d_plus, ph.d_minus  # read as the stress-energy routes read them
-    unwrapped.clear()
+    assert fft_calls() - before == 4
     before = fft_calls()
     shared = hy.madelung_residuals(traj, p)
-    assert fft_calls() - before == alone_ffts - 4
-    assert unwrapped == []
+    assert fft_calls() - before == alone_ffts - 4  # mid's gradients, read from ph
+    assert hy.phases(mid) is ph
     assert repr(shared) == repr(alone)
 
 

@@ -163,82 +163,3 @@ def test_gauss_legendre_rules_are_numpys_and_read_only(n_nodes):
 def test_even_table_mirrors_the_first_half_onto_the_negative_modes(n):
     k = np.fft.fftfreq(n, d=1.0 / n)
     assert np.array_equal(sp.even_table(np.abs(k[:n // 2 + 1]), n), np.abs(k))
-
-
-# The winding count and unwrap as they were before the wrap mask: every jump
-# reduced to its principal value, and `np.unwrap` over the detrended phase.
-def _reference_principal_value(phi):
-    out = np.mod(phi + np.pi, sp.TWO_PI) - np.pi
-    return np.where(out == -np.pi, np.pi, out)
-
-
-def _reference_winding(phase):
-    jumps = _reference_principal_value(np.diff(np.concatenate([phase, phase[:1]])))
-    return int(np.rint(jumps.sum() / sp.TWO_PI))
-
-
-def _reference_unwrap_detrended(phase):
-    w = _reference_winding(phase)
-    return np.unwrap(phase - w * sp.grid(phase.shape[0])), w
-
-
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _wound_phase(rng, n, winding, amplitude):
-    # a winding line plus smooth and rough parts of up to `amplitude` rad,
-    # wrapped to (−π, π] as np.angle gives it
-    x = sp.grid(n)
-    smooth = amplitude * np.sin(x + rng.uniform(0.0, sp.TWO_PI))
-    rough = amplitude * rng.uniform(-1.0, 1.0, n) * rng.uniform()
-    return np.angle(np.exp(1j * (winding * x + smooth + rough)))
-
-
-@pytest.mark.parametrize("amplitude", [0.0, 0.5, 3.0, 100.0])
-@pytest.mark.parametrize("n", [4, 5, 64, 8192])
-def test_masked_unwrap_is_bit_identical_to_numpys(n, amplitude):
-    rng = np.random.default_rng([n, int(amplitude)])
-    for winding in range(-5, 6):
-        phase = _wound_phase(rng, n, winding, amplitude)
-        got, w = sp.unwrap_detrended(phase)
-        want, want_w = _reference_unwrap_detrended(phase)
-        assert w == want_w == sp.winding_number(phase)
-        assert np.array_equal(got, want) and _same_bits(got, want)
-        assert _same_bits(sp.unwrap(phase), np.unwrap(phase))
-        if n >= 64 and amplitude <= 0.5:  # resolved: the count finds the winding
-            assert w == winding
-
-
-EDGE_PHASES = {
-    "jumps_of_plus_and_minus_pi": np.array([0.0, np.pi, 0.0, -np.pi, 0.0, np.pi / 2,
-                                            -np.pi / 2, np.pi / 2]),
-    "one_two_pi_jump": np.where(sp.grid(64) < np.pi, sp.grid(64), sp.grid(64) - sp.TWO_PI),
-    "constant": np.full(64, 0.3),
-    "negative_zeros": np.full(16, -0.0),
-    "one_site_off_by_pi": np.concatenate([np.zeros(7), [np.pi], np.zeros(8)]),
-}
-
-
-@pytest.mark.parametrize("name", EDGE_PHASES)
-def test_masked_unwrap_edges_are_bit_identical_to_numpys(name):
-    phase = EDGE_PHASES[name]
-    got, w = sp.unwrap_detrended(phase)
-    want, want_w = _reference_unwrap_detrended(phase)
-    assert w == want_w
-    assert np.array_equal(got, want) and _same_bits(got, want)
-    assert _same_bits(sp.unwrap(phase), np.unwrap(phase))
-
-
-def test_masked_unwrap_carries_a_nan_as_numpy_does():
-    phase = np.linspace(-3.0, 3.0, 32)
-    phase[11] = np.nan
-    got = sp.unwrap(phase)
-    assert np.array_equal(got, np.unwrap(phase), equal_nan=True)
-    assert _same_bits(got, np.unwrap(phase))
-    assert np.isnan(got[11:]).all() and not np.isnan(got[:11]).any()
-    # the winding of a phase with a nan site is no integer, either way
-    with pytest.raises(ValueError):
-        _reference_winding(phase)
-    with pytest.raises(ValueError):
-        sp.winding_number(phase)
