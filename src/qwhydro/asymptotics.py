@@ -41,7 +41,8 @@ from ._spectral import EPS, TWO_PI, gauss_legendre
 
 def _airy_pair(z, name: str = "airy"):
     """(Ai(z), Ai′(z)) for real z, floats or arrays."""
-    if not np.all(np.isfinite(z)):
+    # math.isfinite takes a float in a tenth of np.isfinite's time
+    if not (math.isfinite(z) if isinstance(z, float) else np.all(np.isfinite(z))):
         raise ValueError(f"{name} requires finite argument")
     # scipy loads here, on first use, not with the package
     from scipy.special import airy as airy_ai_bi
@@ -64,12 +65,15 @@ def airy_prime(z: float | np.ndarray) -> float | np.ndarray:
 # Saddle points of Φ(u) = u⁴ − Tu² + Xu: stable closed-form cubic roots.
 # ---------------------------------------------------------------------------
 
-def saddle_points(T: float, X: float) -> np.ndarray:
-    """Three roots of Φ′(u) = 4u³ − 2Tu + X, sorted by real part.
+def saddle_points(T: float, X: float) -> tuple[complex, complex, complex]:
+    """Three roots of Φ′(u) = 4u³ − 2Tu + X, as a tuple of Python complex
+    numbers sorted by real part, then by imaginary part.
 
     Closed-form solution of the depressed cubic u³ + pu + q (p = −T/2,
     q = X/4): trigonometric branch when all roots are real, Cardano with
-    the cancellation-free cube-root pairing otherwise.
+    the cancellation-free cube-root pairing otherwise.  The zone evaluators
+    call it once a point, so it stays in Python floats: a numpy array and
+    its sort would cost more than the roots.
     """
     if not (math.isfinite(T) and math.isfinite(X)):
         raise ValueError("saddle_points requires finite arguments")
@@ -82,11 +86,11 @@ def saddle_points(T: float, X: float) -> np.ndarray:
         denom = p * amp  # underflows to 0 for |T| below about 1e-200
         cos3t = 3.0 * q / denom if denom != 0.0 else 0.0
         theta = math.acos(min(1.0, max(-1.0, cos3t))) / 3.0
-        roots = np.array([
-            amp * math.cos(theta),
-            amp * math.cos(theta - 2.0 * math.pi / 3.0),
-            amp * math.cos(theta + 2.0 * math.pi / 3.0),
-        ], dtype=complex)
+        roots = (
+            complex(amp * math.cos(theta)),
+            complex(amp * math.cos(theta - 2.0 * math.pi / 3.0)),
+            complex(amp * math.cos(theta + 2.0 * math.pi / 3.0)),
+        )
     else:
         # Cardano; p = 0 gives u³ = −q, and p = q = 0 the triple root 0
         sqrt_d = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
@@ -99,13 +103,12 @@ def saddle_points(T: float, X: float) -> np.ndarray:
         real_root = s + t_small
         re_pair = -real_root / 2.0
         im_pair = (math.sqrt(3.0) / 2.0) * (s - t_small)
-        roots = np.array([
-            real_root,
+        roots = (
+            complex(real_root),
             re_pair + 1j * im_pair,
             re_pair - 1j * im_pair,
-        ])
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+        )
+    return tuple(sorted(roots, key=lambda u: (u.real, u.imag)))
 
 
 def phi_value(u: np.ndarray | complex, T: float, X: float) -> np.ndarray | complex:
@@ -131,7 +134,8 @@ _ROT = cmath.exp(1j * math.pi / 8.0)
 
 # e-folds by which the rotated integrand has fallen at the contour's ends,
 # where the cut drops a tail below e^{−40} ≈ 4e-18 absolute.  Every node
-# costs the same (most of it libm cos and sin), so the cut sets the cost.
+# costs the same, 41–46 ns on one core of a 2-CPU Xeon, a little over half of
+# it libm cos and sin (11–12 ns each), so the cut sets the cost.
 _TAIL_EFOLDS = 40.0
 # Newton steps to the cut: 8 reach roundoff for |T| ≤ 30, |X| ≤ 100, and 10
 # for |T| ≤ 300, |X| ≤ 10⁴.
@@ -178,9 +182,19 @@ _SIN_PI8, _COS_PI8 = math.sin(math.pi / 8.0), math.cos(math.pi / 8.0)
 _SQRT_HALF = math.sqrt(0.5)  # Re and −Im of ie^{iπ/4}
 
 
-def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray, n_panels: int,
+def _panel_rule(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u on [−1, 1] and weights w of n_panels 16-node Gauss–Legendre
+    panels of equal width; every block of a panel count shares them."""
+    nodes, weights = gauss_legendre(16)
+    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
+    w = np.tile(weights, n_panels) / n_panels
+    return u, w
+
+
+def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
+                  rule: tuple[np.ndarray, np.ndarray],
                   rounding: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Rotated-contour integral over [−L, L] by n_panels 16-node panels.
+    """Rotated-contour integral over [−L, L] by the `_panel_rule` `rule`.
 
     Returns the rule's values and, if `rounding`, a bound on their rounding
     error (else None).  On the contour the exponent is
@@ -190,23 +204,39 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray, n_panels: in
     that much relative to |e^z| = e^{Re z}; where the integrand grows to
     e^{20} before it decays this rounding, not the rule, limits the result.
     Every point is reduced along its own row, so its value does not depend
-    on which other points share the call.
+    on which other points share the call.  The arithmetic runs in place,
+    products commuted where that saves a buffer but every sum in its
+    left-to-right order: e^{Re z} overwrites Re z, cos and sin the spent
+    buffers of the exponent, and the rounding bound's swing overwrites s.
     """
-    nodes, weights = gauss_legendre(16)
-    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
-    w = np.tile(weights, n_panels) / n_panels
+    u, w = rule
     s = length[:, None] * u
     s2 = s * s
     s4 = s2 * s2
     quad = (_SQRT_HALF * T)[:, None] * s2
-    re = (-_SIN_PI8 * X)[:, None] * s - quad - s4
-    im = (_COS_PI8 * X)[:, None] * s + quad
-    weighted = w * np.exp(re)
-    total = (weighted * np.cos(im)).sum(axis=-1) + 1j * (weighted * np.sin(im)).sum(axis=-1)
+    re = (-_SIN_PI8 * X)[:, None] * s
+    re -= quad
+    re -= s4
+    im = (_COS_PI8 * X)[:, None] * s
+    im += quad
+    weighted = np.exp(re, out=re)
+    weighted *= w
+    cos = np.cos(im, out=quad)
+    cos *= weighted
+    sin = np.sin(im, out=im)
+    sin *= weighted
+    total = cos.sum(axis=-1) + 1j * sin.sum(axis=-1)
     if not rounding:
         return _ROT * length * total, None
-    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
-    return _ROT * length * total, EPS * length * (weighted * swing).sum(axis=-1)
+    swing = np.abs(s, out=s)
+    swing *= np.abs(X)[:, None]
+    swing += 1.0
+    s2 *= 2.0 * np.abs(T)[:, None]
+    swing += s2
+    s4 *= 4.0
+    swing += s4
+    swing *= weighted
+    return _ROT * length * total, EPS * length * swing.sum(axis=-1)
 
 
 def pearcey_panels(T, X) -> tuple[np.ndarray, np.ndarray]:
@@ -247,10 +277,11 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     for n in ordered[np.diff(ordered, prepend=-1.0) > 0].astype(int):
         idx = np.flatnonzero(panels == n)
         step = max(1, _BLOCK_NODES // (2 * n * 16))  # Q(2n): 2n panels of 16 nodes
+        coarse_rule, fine_rule = _panel_rule(n), _panel_rule(2 * n)
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
             args = (t_flat[block], x_flat[block], length[block])
-            coarse, _ = _composite_gl(*args, n)
-            fine, rounding = _composite_gl(*args, 2 * n, rounding=True)
+            coarse, _ = _composite_gl(*args, coarse_rule)
+            fine, rounding = _composite_gl(*args, fine_rule, rounding=True)
             values[block] = fine
             errors[block] = np.abs(fine - coarse) + rounding
     return values.reshape(T.shape), errors.reshape(T.shape)
@@ -465,27 +496,27 @@ def _sd_sum(T: float, X: float, count: int) -> complex:
     2πi/Φ″ taken along each steepest-descent direction: one smooth wave in
     zone I, three interfering waves in zone III.
     """
-    real = [complex(u).real for u in saddle_points(T, X) if abs(complex(u).imag) < _REAL_TOL]
+    real = [u.real for u in saddle_points(T, X) if abs(u.imag) < _REAL_TOL]
     if len(real) != count:
         raise ValueError(f"expected {count} real saddle(s), found {len(real)}")
     return sum(_sd_term(u, T, X) for u in real)
 
 
-def _coalescing_pair(roots: np.ndarray) -> tuple[complex, complex, complex]:
-    """Split the three saddles into the coalescing pair and the bystander.
+def _coalescing_pair(roots: tuple[complex, complex, complex]) -> tuple[complex, complex, complex]:
+    """Split `saddle_points`' three saddles into the coalescing pair and the
+    bystander.
 
     Off the caustic the pair that merges is the complex-conjugate pair;
     inside (all real, sorted) it is the closer of the two neighbouring pairs.
     """
-    is_complex = np.abs(roots.imag) >= _REAL_TOL
-    if is_complex.any():
-        pair = roots[is_complex]
-        far = roots[~is_complex]
-        return complex(pair[0]), complex(pair[1]), complex(far[0])
+    pair = [u for u in roots if abs(u.imag) >= _REAL_TOL]
+    if pair:
+        far = [u for u in roots if abs(u.imag) < _REAL_TOL]
+        return pair[0], pair[1], far[0]
     r0, r1, r2 = roots
     if abs(r1 - r0) <= abs(r2 - r1):
-        return complex(r0), complex(r1), complex(r2)
-    return complex(r1), complex(r2), complex(r0)
+        return r0, r1, r2
+    return r1, r2, r0
 
 
 _PAIR_SEP_TOL = 1e-4  # below this the CFU amplitudes are noise-dominated
@@ -581,7 +612,12 @@ class ZoneApprox:
 
 
 def shock_zone_value(x: float, t: float, chart: ShockChart) -> ZoneApprox:
-    """A(x,t) times the approximation of the zone that (x, t) lies in."""
+    """A(x,t) times the approximation of the zone that (x, t) lies in.
+
+    perfbench's caustic_window sweep times this one point a call, so an
+    array evaluator that takes it over must keep its cost per point no
+    higher than this one's.
+    """
     T, X, A = shock_map(x, t, chart)
     point = classify_zone(T, X)
     if point.zone is Zone.II:

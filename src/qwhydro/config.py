@@ -34,9 +34,10 @@ STATE_BYTES = 2 ** 27
 # about 1 GB at 10⁷ points.
 MAP_POINTS = 10 ** 7
 # A map point takes at most the `pearcey_panels` nodes of the window's (max |T|,
-# max |X|), laid out in one array of ≈ 64 B a node: POINT_NODES bounds it to
-# 128 MiB.  At 14–19 ns a node so counted (masses 100 and 20, one core of a
-# 2-CPU Xeon) nx·nt·nodes ≤ MAP_NODES runs in about 6 minutes.
+# max |X|), and its arrays peak at ≈ 48 B a node (tracemalloc, one point per
+# block): POINT_NODES bounds them to 96 MiB.  At 41–46 ns a node so counted
+# (401 × 251 windows at masses 20 and 100, one core of a 2-CPU Xeon, numpy
+# 2.4) nx·nt·nodes ≤ MAP_NODES runs in about 15 minutes.
 POINT_NODES = 2 ** 21
 MAP_NODES = 2 * 10 ** 10
 

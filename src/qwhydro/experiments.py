@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from ._csvfmt import write_grid
 from ._spectral import fft_calls, ifft
-from .asymptotics import ShockChart, pearcey_array, shock_coords, zone_labels
+from .asymptotics import ShockChart, pearcey_array, pearcey_panels, shock_coords, zone_labels
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
@@ -230,9 +230,13 @@ def _pearcey_map(cfg: SimConfig) -> Computed:
     intensity = chart.prefactor_intensity(ts[:, None]) * np.abs(values) ** 2
     worst = float(np.max(errors))
     over = int(np.sum(errors > cfg.pearcey_tol))
+    # the quadrature nodes the map evaluated, 48n a point of n coarse panels:
+    # over the telemetry's compute seconds, the cost of a node
+    nodes = 48 * int(np.sum(pearcey_panels(-T, X)[1]))
     diagnostics = {"grid": [int(cfg.nt), int(cfg.nx)],
                    "max_intensity": float(np.max(intensity)),
                    "pearcey_error": _gate(worst, cfg.pearcey_tol),
+                   "pearcey_nodes": nodes,
                    "points_over_tol": over}
     grid = SpacetimeGrid(x=xs, t=ts, values=intensity)
     return Computed(files={"pearcey_map.csv": grid}, diagnostics=diagnostics)

@@ -339,6 +339,79 @@ def test_pearcey_array_estimate_bounds_the_actual_error_near_the_origin():
         assert abs(value - pearcey_mp(t, x)) <= error
 
 
+# The kernel before it worked in place, each operation on fresh temporaries
+# and the panel rule built at every call: the in-place `_composite_gl` keeps
+# its operations and their order (only commuted products), so `pearcey_array`
+# must give its value and estimate bits at every point.
+def _composite_gl_allocating(T, X, length, n_panels, rounding=False):
+    nodes, weights = asy.gauss_legendre(16)
+    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
+    w = np.tile(weights, n_panels) / n_panels
+    s = length[:, None] * u
+    s2 = s * s
+    s4 = s2 * s2
+    quad = (asy._SQRT_HALF * T)[:, None] * s2
+    re = (-asy._SIN_PI8 * X)[:, None] * s - quad - s4
+    im = (asy._COS_PI8 * X)[:, None] * s + quad
+    weighted = w * np.exp(re)
+    total = (weighted * np.cos(im)).sum(axis=-1) + 1j * (weighted * np.sin(im)).sum(axis=-1)
+    if not rounding:
+        return asy._ROT * length * total, None
+    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
+    return asy._ROT * length * total, asy.EPS * length * (weighted * swing).sum(axis=-1)
+
+
+def _assert_kernel_bits(monkeypatch, T, X):
+    """pearcey_array's values and estimates at (T, X) equal, bit for bit,
+    those of the allocating kernel; inf and nan included."""
+    def allocating(T, X, length, rule, rounding=False):
+        return _composite_gl_allocating(T, X, length, len(rule[0]) // 16, rounding)
+
+    with np.errstate(all="ignore"):
+        values, errors = asy.pearcey_array(T, X)
+        with monkeypatch.context() as patch:
+            patch.setattr(asy, "_composite_gl", allocating)
+            ref_values, ref_errors = asy.pearcey_array(T, X)
+    assert np.array_equal(values.view(np.uint64), ref_values.view(np.uint64))
+    assert np.array_equal(errors.view(np.uint64), ref_errors.view(np.uint64))
+    return values, errors
+
+
+@pytest.mark.parametrize("mass", (20.0, 50.0, 100.0))
+def test_pearcey_array_keeps_the_allocating_kernels_bits_on_the_shipped_window(
+        monkeypatch, mass):
+    chart = asy.ShockChart.from_mass(mass)
+    T, X = asy.shock_coords(np.linspace(-1.0, 1.0, 41)[None, :],
+                            np.linspace(0.6, 1.8, 25)[:, None], chart)
+    _assert_kernel_bits(monkeypatch, *np.broadcast_arrays(-T, X))
+
+
+def test_pearcey_array_keeps_the_allocating_kernels_bits_near_the_newton_range(
+        monkeypatch):
+    # the cut's Newton steps are documented to |T| ≤ 300, |X| ≤ 10⁴; out
+    # there the integrand overflows on most of the plane, and inf and nan
+    # must come out alike too.  Points of at most 6e5 nodes keep the
+    # allocating kernel's working set under 100 MB.
+    T = np.array([300.0, -300.0, 0.0, 0.0, 30.0, -30.0, 30.0, -30.0, 250.0, -3.0])
+    X = np.array([0.0, 0.0, 3000.0, -3000.0, 100.0, -100.0, -100.0, 100.0, 900.0, 1000.0])
+    assert np.all(48.0 * asy.pearcey_panels(T, X)[1] <= 6e5)
+    values, _ = _assert_kernel_bits(monkeypatch, T, X)
+    assert np.isfinite(values[0]) and not np.all(np.isfinite(values))
+
+
+def test_pearcey_array_keeps_the_allocating_kernels_bits_over_mixed_blocks(monkeypatch):
+    # many points share the smallest panel counts and span several blocks,
+    # the last one partly filled; the rest spread over a range of counts
+    rng = np.random.default_rng(53)
+    T = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-15, 15, 200)])
+    X = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-40, 40, 200)])
+    panels = asy.pearcey_panels(T, X)[1]
+    counts = np.unique(panels, return_counts=True)[1]
+    per_block = asy._BLOCK_NODES // (2 * int(panels.min()) * 16)
+    assert len(counts) >= 20 and counts[0] > per_block and counts[0] % per_block
+    _assert_kernel_bits(monkeypatch, T, X)
+
+
 # ---------------------------------------------------------------------------
 # Shock chart
 # ---------------------------------------------------------------------------
@@ -606,6 +679,137 @@ def test_zone_sequence_along_ray():
         if not zones or zones[-1] != out.point.zone:
             zones.append(out.point.zone)
     assert zones == [asy.Zone.I, asy.Zone.II, asy.Zone.III]
+
+
+# The zone path as it ran on numpy: the saddles in a sorted array, the pair
+# split by boolean masks, Airy's argument checked by np.isfinite.  The
+# Python-number path must give shock_zone_value's value bits, zone and
+# low-confidence flag, and raise the same exception type where it raised.
+def _saddle_points_numpy(T, X):
+    if not (math.isfinite(T) and math.isfinite(X)):
+        raise ValueError("saddle_points requires finite arguments")
+    p = -T / 2.0
+    q = X / 4.0
+    disc = -4.0 * p ** 3 - 27.0 * q ** 2
+    if disc >= 0.0 and p < 0.0:
+        amp = 2.0 * math.sqrt(-p / 3.0)
+        denom = p * amp
+        cos3t = 3.0 * q / denom if denom != 0.0 else 0.0
+        theta = math.acos(min(1.0, max(-1.0, cos3t))) / 3.0
+        roots = np.array([
+            amp * math.cos(theta),
+            amp * math.cos(theta - 2.0 * math.pi / 3.0),
+            amp * math.cos(theta + 2.0 * math.pi / 3.0),
+        ], dtype=complex)
+    else:
+        sqrt_d = math.sqrt(q * q / 4.0 + p ** 3 / 27.0)
+        if q >= 0.0:
+            big = -q / 2.0 - sqrt_d
+        else:
+            big = -q / 2.0 + sqrt_d
+        s = math.copysign(abs(big) ** (1.0 / 3.0), big)
+        t_small = -p / (3.0 * s) if s != 0.0 else 0.0
+        real_root = s + t_small
+        re_pair = -real_root / 2.0
+        im_pair = (math.sqrt(3.0) / 2.0) * (s - t_small)
+        roots = np.array([
+            real_root,
+            re_pair + 1j * im_pair,
+            re_pair - 1j * im_pair,
+        ])
+    order = np.lexsort((roots.imag, roots.real))
+    return roots[order]
+
+
+def _sd_sum_numpy(T, X, count):
+    real = [complex(u).real for u in asy.saddle_points(T, X)
+            if abs(complex(u).imag) < asy._REAL_TOL]
+    if len(real) != count:
+        raise ValueError(f"expected {count} real saddle(s), found {len(real)}")
+    return sum(asy._sd_term(u, T, X) for u in real)
+
+
+def _coalescing_pair_numpy(roots):
+    is_complex = np.abs(roots.imag) >= asy._REAL_TOL
+    if is_complex.any():
+        pair = roots[is_complex]
+        far = roots[~is_complex]
+        return complex(pair[0]), complex(pair[1]), complex(far[0])
+    r0, r1, r2 = roots
+    if abs(r1 - r0) <= abs(r2 - r1):
+        return complex(r0), complex(r1), complex(r2)
+    return complex(r1), complex(r2), complex(r0)
+
+
+def _airy_pair_numpy(z, name="airy"):
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"{name} requires finite argument")
+    from scipy.special import airy as airy_ai_bi
+
+    ai, aip, _, _ = airy_ai_bi(z)
+    return ai, aip
+
+
+def _zone_outcomes(points, mass):
+    """shock_zone_value's (value bits, zone, low_confidence) at each (x, t),
+    or the type of the exception it raised."""
+    chart = asy.ShockChart.from_mass(mass)
+    outcomes = []
+    for x, t in points:
+        try:
+            out = asy.shock_zone_value(x, t, chart)
+        except Exception as exc:  # noqa: BLE001 - the type is the outcome
+            outcomes.append(type(exc))
+        else:
+            outcomes.append((out.value.real.hex(), out.value.imag.hex(),
+                             out.point.zone, out.low_confidence))
+    return outcomes
+
+
+def _assert_zone_path_matches_numpy(monkeypatch, points, mass):
+    outcomes = _zone_outcomes(points, mass)
+    with monkeypatch.context() as patch:
+        for name, numpy_form in (("saddle_points", _saddle_points_numpy),
+                                 ("_sd_sum", _sd_sum_numpy),
+                                 ("_coalescing_pair", _coalescing_pair_numpy),
+                                 ("_airy_pair", _airy_pair_numpy)):
+            patch.setattr(asy, name, numpy_form)
+        reference = _zone_outcomes(points, mass)
+    assert outcomes == reference
+    return reference
+
+
+def test_saddle_points_are_python_complex_in_the_numpy_order():
+    rng = np.random.default_rng(59)
+    points = [(0.0, 0.0), (0.0, 3.0), (2.0, 0.0), (6.0, 0.0), (1.56e-272, 0.0),
+              *zip(rng.uniform(-30, 30, 2000), rng.uniform(-60, 60, 2000))]
+    for T, X in points:
+        roots = asy.saddle_points(float(T), float(X))
+        assert type(roots) is tuple and all(type(u) is complex for u in roots)
+        assert roots == tuple(complex(u) for u in _saddle_points_numpy(float(T), float(X)))
+
+
+def test_shock_zone_value_matches_the_numpy_path_on_the_zones_map_window(monkeypatch):
+    # the shipped zones_map window, axis x = 0 included, where the zone-I
+    # sum divides by zero before the caustic
+    points = [(float(x), float(t)) for t in np.linspace(0.6, 1.8, 61)
+              for x in np.linspace(-1.0, 1.0, 81)]
+    outcomes = _assert_zone_path_matches_numpy(monkeypatch, points, 20.0)
+    assert {o[2] for o in outcomes if type(o) is tuple} == set(asy.Zone)
+    assert ZeroDivisionError in outcomes
+
+
+@pytest.mark.parametrize("mass", (20.0, 50.0))
+def test_shock_zone_value_matches_the_numpy_path_at_random_points(monkeypatch, mass):
+    # 5000 points over the map window and beyond, and 1000 about the cusp
+    # point (0, 1), where the three saddles crowd and zone II is low-confidence
+    rng = np.random.default_rng(61 + int(mass))
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 5000), rng.uniform(-1e-3, 1e-3, 1000)])
+    t = np.concatenate([rng.uniform(0.3, 2.5, 5000), rng.uniform(0.99, 1.01, 1000)])
+    points = list(zip(x.tolist(), t.tolist()))
+    outcomes = _assert_zone_path_matches_numpy(monkeypatch, points, mass)
+    values = [o for o in outcomes if type(o) is tuple]
+    assert {o[2] for o in values} == set(asy.Zone) and any(o[3] for o in values)
 
 
 # ---------------------------------------------------------------------------

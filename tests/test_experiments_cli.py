@@ -199,6 +199,9 @@ output_dir = {out}
 # sha256 of the zones CSV of configs/zones_map.cfg before the labels were
 # computed with array arithmetic
 ZONES_MAP_SHA256 = "27fdd849b7da55fac1528d426dc7927657ac38030fb720da40ff3006f40064cb"
+# sha256 of the intensity CSV of configs/pearcey_map.cfg before the Pearcey
+# kernel worked in place
+PEARCEY_MAP_SHA256 = "159483ff12a56d6821f3ca7a44cdd4edeb00c1d14104ec1802994feedf80af7c"
 
 
 # sha256 of the walk data files of three shipped configs before the walk's
@@ -230,6 +233,23 @@ def test_zones_map_labels_match_scalar_classification(tmp_path):
     for t, x, label in rows:
         T, X, _ = asy.shock_map(x, t, chart)
         assert label == int(asy.classify_zone(T, X).zone)
+
+
+def test_pearcey_map_writes_its_pinned_bytes_and_counts_its_nodes(tmp_path):
+    # pearcey_nodes is Σ 48n over the window's points, the same on a rerun
+    manifests = []
+    for run in ("p1", "p2"):
+        assert _run_cfg(tmp_path / run, _shipped("pearcey_map", tmp_path / run)).ok
+        csv = (tmp_path / run / "pearcey_map.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == PEARCEY_MAP_SHA256
+        manifests.append(json.loads((tmp_path / run / "pearcey_map_manifest.json").read_text()))
+    chart = asy.ShockChart.from_mass(20.0)
+    T, X = asy.shock_coords(np.linspace(-1.0, 1.0, 41)[None, :],
+                            np.linspace(0.6, 1.8, 25)[:, None], chart)
+    panels = asy.pearcey_panels(*np.broadcast_arrays(-T, X))[1]
+    assert panels.shape == (25, 41)
+    nodes = [manifest["diagnostics"]["pearcey_nodes"] for manifest in manifests]
+    assert nodes == [48 * int(panels.sum())] * 2 and type(nodes[0]) is int
 
 
 def test_pearcey_map_runs_and_is_deterministic(tmp_path):
