@@ -39,8 +39,8 @@ from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_propagate
-from .walk import SpinorField, Trajectory, build_walk, dirac_residual, propagate, step_walk, \
-    steps_until, total_norm
+from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, propagate, \
+    step_walk, steps_until, total_norm
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -292,10 +292,7 @@ def _validation(cfg: SimConfig) -> Computed:
     refine_eps = []
     for n in (512, 1024, 2048):
         p = build_walk(n, 16.0)
-        snaps = [plane_wave(p, 1.0)]
-        for _ in range(3):
-            snaps.append(step_walk(snaps[-1], p))
-        refine_res.append(dirac_residual(Trajectory(params=p, snapshots=snaps), p))
+        refine_res.append(dirac_residual(evolve(plane_wave(p, 1.0), p, 3), p))
         refine_eps.append(p.spacing)
     dirac_monotone = all(b < a for a, b in zip(refine_res, refine_res[1:]))
 

@@ -20,7 +20,9 @@ space or time, is the branch-free Im(ψ*∂ψ)/|ψ|² of one component, so no
 phase is ever unwrapped: it holds wherever ψ is resolved, even where φ±
 jump by nearly π between neighbouring sites after a shock.  A snapshot's
 phase gradients ∂ₓφ± are taken once per PhaseField, on first read, and
-every fluid diagnostic of that snapshot reads them there.
+every fluid diagnostic of that snapshot reads them there.  They come from
+the snapshot's ∂ₓΨ (`walk.x_derivative`), which the PhaseField then keeps,
+so `stress_energy_spinor` of the same snapshot reuses it.
 
 The chart of a snapshot is shared while a caller holds it: `currents(s)`
 and `phases(s)` return the same read-only CurrentField and PhaseField
@@ -46,7 +48,7 @@ from ._spectral import (
     l2_norm,
     spectral_derivative,
 )
-from .walk import SpinorField, Trajectory, WalkParams, centered_window
+from .walk import SpinorField, Trajectory, WalkParams, centered_window, x_derivative
 
 PHASE_FLOOR = 1e-14        # component modulus below which phases are invalid
 NULL_FRACTION = 1e-10      # n below this fraction of max(n) counts as null
@@ -79,7 +81,8 @@ class PhaseField:
     are read-only.  The gradients `d_plus` = ∂ₓφ₊ and `d_minus` = ∂ₓφ₋ are
     the sum and difference of the components' rates Im(ψ*∂ₓψ)/|ψ|², taken
     from `state`, the snapshot the field was built from, together on first
-    read and then kept, read-only, for every diagnostic that reads them.  A
+    read and then kept, read-only, for every diagnostic that reads them,
+    with the snapshot's ∂ₓΨ (`walk.x_derivative`) they were taken from.  A
     field that never reads a gradient needs no `state`.
     """
 
@@ -89,19 +92,22 @@ class PhaseField:
     state: SpinorField | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
-    def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        left, right = self.state.left, self.state.right
-        rate_l = _component_phase_rate(left, spectral_derivative(left))
-        rate_r = _component_phase_rate(right, spectral_derivative(right))
-        return _read_only(rate_l + rate_r), _read_only(rate_l - rate_r)
+    def _gradients(self) -> tuple[SpinorField, np.ndarray, np.ndarray]:
+        # ∂ₓΨ is kept with the gradients: while this field lives, a
+        # stress_energy_spinor of the same snapshot reads it instead of
+        # transforming the components again
+        d_psi = x_derivative(self.state)
+        rate_l = _component_phase_rate(self.state.left, d_psi.left)
+        rate_r = _component_phase_rate(self.state.right, d_psi.right)
+        return d_psi, _read_only(rate_l + rate_r), _read_only(rate_l - rate_r)
 
     @property
     def d_plus(self) -> np.ndarray:
-        return self._gradients[0]
+        return self._gradients[1]
 
     @property
     def d_minus(self) -> np.ndarray:
-        return self._gradients[1]
+        return self._gradients[2]
 
 
 @dataclass
@@ -204,7 +210,8 @@ def stress_energy_spinor(state: SpinorField, params: WalkParams,
 
     t^{μν} = −Im(ψ̄γ^μ∂^νψ) with γ⁰ = σ₁, γ¹ = iσ₂.  The tensor is built
     without forced symmetrization, so t01 ≈ t10 is a genuine on-shell check
-    rather than an identity.  Space derivatives are spectral; the time
+    rather than an identity.  Space derivatives are the snapshot's ∂ₓΨ
+    (`walk.x_derivative`, shared with its PhaseField's gradients); the time
     derivative comes from a centered difference over (prev, nxt) snapshots
     or from an analytic supplier dpsi_dt = (∂_tΨ_L, ∂_tΨ_R).
     """
@@ -218,8 +225,8 @@ def stress_energy_spinor(state: SpinorField, params: WalkParams,
     else:
         raise ValueError("need either (prev, nxt) snapshots or analytic dpsi_dt")
 
-    dx_l = spectral_derivative(state.left)
-    dx_r = spectral_derivative(state.right)
+    d_psi = x_derivative(state)
+    dx_l, dx_r = d_psi.left, d_psi.right
 
     # ψ̄γ⁰∂ψ = ψ†∂ψ, ψ̄γ¹∂ψ = −ψ†σ₃∂ψ; raise the derivative index: ∂⁰=∂_t, ∂¹=−∂_x.
     t00 = -_bilinear_im(state, dt_l, dt_r, pauli3=False)

@@ -706,9 +706,17 @@ PLANEWAVE_CASES = {
 }
 
 
+def _stepped(state, params, n_steps):
+    """`n_steps` applications of step_walk: the stepped route, independent of
+    propagate (evolve jumps long strides with propagate)."""
+    for _ in range(n_steps):
+        state = wk.step_walk(state, params)
+    return state
+
+
 @pytest.mark.parametrize("text", PLANEWAVE_CASES.values(), ids=PLANEWAVE_CASES.keys())
 def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
-    # the run jumps with propagate; evolve steps the same walk independently
+    # the run jumps with propagate; step_walk steps the same walk independently
     cfg = parse_config(text.format(out=tmp_path))
     assert run_experiment(cfg).ok
     data = np.loadtxt(tmp_path / "dtqw_planewave_density.csv", delimiter=",", skiprows=1)
@@ -716,7 +724,7 @@ def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
     params = wk.build_walk(cfg.n_sites, cfg.mass)
     state = plane_wave(params, cfg.q)
     assert np.array_equal(first, currents(state).j0)
-    stepped = wk.evolve(state, params, cfg.n_steps, cadence=cfg.n_steps).snapshots[-1]
+    stepped = _stepped(state, params, cfg.n_steps)
     assert np.max(np.abs(last - currents(stepped).j0)) <= 1e-12
     # a plane wave's density stays uniform
     assert np.ptp(last) <= 1e-13
@@ -1037,8 +1045,7 @@ def test_shipped_shock_csv_agrees_with_stepped_walk(tmp_path, name):
     density = data[:, 2].reshape(len(steps), cfg.n_sites)
     state = phase_modulated_state(params, spec)
     for j, row in zip(steps, density):
-        hop = j - state.step_index  # cadence = hop keeps only the last step of a hop
-        state = wk.evolve(state, params, hop, cadence=max(hop, 1)).snapshots[-1]
+        state = _stepped(state, params, j - state.step_index)
         assert np.max(np.abs(row - currents(state).j0)) <= 1e-11
 
 

@@ -325,6 +325,43 @@ def test_madelung_residuals_reads_the_held_phase_field(rng):
     assert repr(shared) == repr(alone)
 
 
+def test_stress_energy_spinor_reads_the_held_phase_fields_derivative(rng):
+    p, traj, mid = _walk_window(rng)
+    prev, _, nxt = traj.snapshots
+    fresh = hy.stress_energy_spinor(mid.copy(), p, prev=prev, nxt=nxt)
+    ph = hy.phases(mid)
+    _ = ph.d_minus  # takes mid's ∂ₓΨ and keeps it
+    before = fft_calls()
+    shared = hy.stress_energy_spinor(mid, p, prev=prev, nxt=nxt)
+    assert fft_calls() - before == 0
+    for k in ("t00", "t01", "t10", "t11"):
+        assert getattr(shared, k).tobytes() == getattr(fresh, k).tobytes()
+    before = fft_calls()
+    rhs = wk.dirac_rhs(mid, p)
+    assert fft_calls() - before == 0
+    for got, want in zip(rhs, wk.dirac_rhs(mid.copy(), p)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_snapshots_derivative_goes_with_its_last_holder(rng):
+    _, _, mid = _walk_window(rng)
+    d_psi = wk.x_derivative(mid)
+    assert wk.x_derivative(mid) is d_psi
+    with pytest.raises(ValueError):
+        d_psi.left[0] = 0.0
+    assert np.array_equal(d_psi.left, spectral_derivative(mid.left))
+    assert np.array_equal(d_psi.right, spectral_derivative(mid.right))
+    held = weakref.ref(d_psi)
+    del d_psi
+    assert held() is None  # the snapshot holds it only weakly
+    ph = hy.phases(mid)
+    _ = ph.d_plus
+    held = weakref.ref(wk.x_derivative(mid))
+    assert held() is not None  # the phase field holds it with its gradients
+    del ph, _
+    assert held() is None
+
+
 def test_a_dropped_chart_leaves_nothing_on_the_snapshot(rng):
     _, _, mid = _walk_window(rng)
     ph, cur = hy.phases(mid), hy.currents(mid)

@@ -5,6 +5,7 @@ import pytest
 
 from qwhydro import initial as ini
 from qwhydro import walk as wk
+from qwhydro._spectral import fft_calls
 
 from conftest import make_smooth_spinor
 
@@ -249,6 +250,60 @@ def test_evolve_leaves_its_input_and_checks_its_arguments(rng):
     for cadence in (0, -1):
         with pytest.raises(ValueError, match="cadence"):
             wk.evolve(state, p, 4, cadence=cadence)
+
+
+@pytest.mark.parametrize("n", [16, 512, 8192])
+@pytest.mark.parametrize("stride", [wk._JUMP_STEPS - 1, wk._JUMP_STEPS, 77])
+def test_jumped_evolve_agrees_with_the_stepped_walk(monkeypatch, rng, n, stride):
+    p = wk.build_walk(n, n / 16)
+    state = dataclasses.replace(_smooth_unit(rng, n), step_index=5)
+    n_steps = 2 * stride + 7  # not a multiple of the stride
+    kept = [stride, 2 * stride, n_steps]
+    stepped = _stepped(state, p, kept)
+    step_walk, calls = wk.step_walk, []
+    monkeypatch.setattr(wk, "step_walk", lambda *a: calls.append(1) or step_walk(*a))
+    traj = wk.evolve(state, p, n_steps, cadence=stride)
+    assert len(calls) == (0 if stride >= wk._JUMP_STEPS else n_steps)
+    assert traj.cadence == stride
+    assert [s.step_index for s in traj.snapshots] == [5, 5 + stride, 5 + 2 * stride,
+                                                      5 + n_steps]
+    assert np.array_equal(traj.snapshots[0].left, state.left)
+    for got, want in zip(traj.snapshots[1:], stepped):
+        scale = max(np.max(np.abs(want.left)), np.max(np.abs(want.right)))
+        gap = max(np.max(np.abs(got.left - want.left)), np.max(np.abs(got.right - want.right)))
+        assert gap <= 1e-12 * scale
+
+
+def test_jumped_evolve_keeps_the_schedule_and_leaves_its_input(rng):
+    jump = wk._JUMP_STEPS
+    p = wk.build_walk(64, 4.0)
+    traj = wk.evolve(ini.plane_wave(p, 0.0), p, 7 * jump, cadence=3 * jump)
+    assert [s.step_index for s in traj.snapshots] == [0, 3 * jump, 6 * jump, 7 * jump]
+    traj = wk.evolve(ini.plane_wave(p, 0.0), p, 6 * jump, cadence=3 * jump)
+    assert [s.step_index for s in traj.snapshots] == [0, 3 * jump, 6 * jump]
+
+    p = wk.build_walk(16, 4.0)
+    state = dataclasses.replace(make_smooth_spinor(rng, 16, k_max=4), step_index=3)
+    before = state.copy()
+    traj = wk.evolve(state, p, jump, cadence=jump)
+    assert [s.step_index for s in traj.snapshots] == [3, 3 + jump]
+    assert np.array_equal(state.left, before.left)
+    assert np.array_equal(state.right, before.right)
+    first = traj.snapshots[0]
+    assert first.left is not state.left and np.array_equal(first.left, state.left)
+    assert first.right is not state.right and np.array_equal(first.right, state.right)
+
+
+def test_evolve_cost_does_not_grow_with_the_stride(monkeypatch, rng):
+    p = wk.build_walk(4096, 512.0)
+    state = _smooth_unit(rng, 4096)
+    step_walk, calls = wk.step_walk, []
+    monkeypatch.setattr(wk, "step_walk", lambda *a: calls.append(1) or step_walk(*a))
+    before = fft_calls()
+    traj = wk.evolve(state, p, 10 ** 4, cadence=10 ** 4)
+    assert fft_calls() - before == 4  # two transforms in, two out
+    assert calls == []
+    assert [s.step_index for s in traj.snapshots] == [0, 10 ** 4]
 
 
 def _smooth_unit(rng, n):
