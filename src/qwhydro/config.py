@@ -8,7 +8,9 @@ not gate are errors (no silent typo or misplaced-key acceptance).
 
 Parsing checks a config against its `EXPERIMENTS` entry (the one table, kept
 with the compute functions in `experiments`) and returns a resolved, frozen
-`SimConfig`; a rule with an owner elsewhere is checked by calling the owner.
+`SimConfig`; a rule with an owner elsewhere is checked by calling the owner:
+the initial state's rules in `initial`, the range of the Schrödinger
+propagator in `schrodinger`, the walk's lattice in `walk`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import numpy as np
 from .asymptotics import (ShockChart, check_pearcey_tol, discriminant, pearcey_array,
                           pearcey_panels)
 from .experiments import EXPERIMENTS, _window, walk_steps
-from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_wavenumber
+from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_profile, \
+    check_wavenumber
+from .schrodinger import check_free_factors
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
 
@@ -208,20 +212,17 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError(f"'mass' = {cfg.mass:g} and 'n_sites' = {n_sites} give the "
                               f"coin angle θ = 2π·mass/n_sites = {theta:g}, whose sine "
                               f"is not finite or is subnormal (below {tiny:g})")
-    if "wave" in spec.needs:
+    if "wave" in spec.needs:  # the plane wave's amplitudes peak at |q|
         _owned(check_wavenumber, "'q'", cfg.q, n_sites)
+        _owned(_plane_wave_amplitudes, abs(cfg.q), cfg.mass, "'q' and 'mass'")
     t_final = cfg.t_final
     if "modes" in spec.needs:
-        _owned(ShockInitSpec, cfg.modes, cfg.q_max, cfg.mass)
+        profile = _owned(ShockInitSpec, cfg.modes, cfg.q_max, cfg.mass)
         if cfg.q_max == 0:  # the spec allows it; the default t_final does not
             raise ConfigError("'q_max' must be positive")
-        _owned(check_wavenumber, "'mode' k", max(m.wavenumber for m in cfg.modes), n_sites)
-        # |∂ₓ(mφ)| ≤ q_max·Σ|aᵢ|·kᵢ must stay within the Nyquist wavenumber
-        gradient = cfg.q_max * sum(abs(m.amplitude) * m.wavenumber for m in cfg.modes)
-        if gradient > n_sites // 2:
-            raise ConfigError(f"'mode' amplitudes and 'q_max' give an initial phase "
-                              f"gradient q_max·Σ|a|·k = {gradient:g} above the "
-                              f"Nyquist wavenumber n_sites/2 = {n_sites // 2}")
+        gradient = _owned(check_profile, profile, n_sites)
+        if spec.walk:  # the walk's initial amplitudes peak at the steepest gradient
+            _owned(_plane_wave_amplitudes, gradient, cfg.mass, "'q_max', 'mode' and 'mass'")
         if t_final is None:
             # 1.5 × the characteristic caustic time 1/u_max
             u_max = cfg.q_max / cfg.mass
@@ -229,17 +230,6 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             if not 0 < t_final < math.inf:
                 raise ConfigError("'q_max' / 'mass' is out of range: the default "
                                   "t_final = 1.5·mass/q_max must be positive and finite")
-    if spec.walk and {"wave", "modes"} & set(spec.needs):
-        # the initial amplitudes at the largest |q̃| the config allows, |q|/m or
-        # the phase gradient over m, divided as a float64 so that it raises too
-        top, names = (abs(cfg.q), "'q' and 'mass'") if "wave" in spec.needs else \
-            (gradient, "'q_max', 'mode' and 'mass'")
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                _plane_wave_amplitudes(np.float64(top) / cfg.mass)
-        except FloatingPointError as exc:
-            raise ConfigError(f"{names} give the walk's initial state a |q̃| = {top:g} / "
-                              f"{cfg.mass:g} out of the floats ({exc})") from None
     if "window" in spec.needs:
         if cfg.nx < 2 or cfg.nt < 2:
             raise ConfigError("'nx' and 'nt' must be at least 2")
@@ -286,6 +276,9 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if last >= EXACT_STEPS:
         raise ConfigError(f"'{key}' reaches step {last}; a jumped walk is "
                           f"exact only below step 2^27 = {EXACT_STEPS}")
+    if spec.schrodinger:  # up to the last snapshot, requested or reached by the walk
+        _owned(check_free_factors, n_sites, cfg.mass,
+               max(snapshot_times[-1], last * params.dt), f"'mass' and '{key}'")
 
     for name, value in cfg.tolerances.items():
         if name not in spec.gates:

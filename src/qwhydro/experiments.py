@@ -140,7 +140,9 @@ def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField]
     at that last j over the largest modulus of propagate(j)."""
     steps = walk_steps(cfg)
     last = max(steps[-1], 1)  # a run that stops at step 0 checks step 1
-    *snaps, before, after = propagate(state, params, [*steps, last - 1, last])
+    wanted = sorted({*steps, last - 1, last})  # each step jumped once
+    jumped = dict(zip(wanted, propagate(state, params, wanted)))
+    snaps, before, after = [jumped[j] for j in steps], jumped[last - 1], jumped[last]
     stepped = step_walk(before, params)
     gap = max(np.max(np.abs(after.left - stepped.left)),
               np.max(np.abs(after.right - stepped.right)))
@@ -337,7 +339,9 @@ class Experiment:
     each `tol.<name>` the run enforces to its default limit, None for a
     gate enforced only when the config sets it.  `schedule` lists the
     default snapshot times as fractions of `t_final`.  `walk` says whether
-    the run jumps a walk to `walk_steps` with `walk.propagate`.
+    the run jumps a walk to `walk_steps` with `walk.propagate`, and
+    `schrodinger` whether it propagates a wavefunction to its snapshot
+    times with `spectral_propagate`.
     """
 
     compute: Callable[[SimConfig], Computed]
@@ -345,6 +349,7 @@ class Experiment:
     gates: dict[str, float | None]
     schedule: tuple[float, ...] = ()
     walk: bool = False
+    schrodinger: bool = False
 
     @property
     def keys(self) -> frozenset[str]:
@@ -361,11 +366,11 @@ EXPERIMENTS = {
     "dtqw_planewave": Experiment(_dtqw_planewave, ("lattice", "wave", "steps"), _NORM_DRIFT,
                                  walk=True),
     "schrodinger_shock": Experiment(_schrodinger_shock, ("lattice", "modes"), _NORM_DRIFT,
-                                    (1.0 / 3.0, 2.0 / 3.0, 1.0)),
+                                    (1.0 / 3.0, 2.0 / 3.0, 1.0), schrodinger=True),
     "pearcey_map": Experiment(_pearcey_map, ("window", "quadrature"), {}),
     "asymptotic_zones": Experiment(_asymptotic_zones, ("window",), {}),
     "nonrel_compare": Experiment(_nonrel_compare, ("lattice", "modes"), {"density_l2": None},
-                                 _EIGHTHS, True),
+                                 _EIGHTHS, True, True),
     "validation": Experiment(_validation, ("steps",), {"norm_drift": 1e-12, "roundtrip": 1e-12,
                                                        "current_identity": 1e-12},
                              walk=True),

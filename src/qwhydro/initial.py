@@ -10,6 +10,11 @@ uniform currents j⁰ = √(1+q̃²), j¹ = q̃ and proper velocity u¹ = q̃.
 Shock initial data promote φ to a sum of cosine modes; the spinor is built
 pointwise from the same formula with the local momentum q(x) = m·∂_xφ
 (a WKB construction: unit density, prescribed velocity field).
+
+The rules these states need are checked here, by the builders and by
+`config.validate_config` alike: `check_profile` for a shock profile's
+wavenumbers, Nyquist bound and finite phase, and `_plane_wave_amplitudes`
+itself for amplitudes that stay within the floats.
 """
 
 from __future__ import annotations
@@ -78,6 +83,28 @@ def check_wavenumber(name: str, k: float, n_sites: int):
                          f"±n_sites/2 = ±{n_sites // 2}")
 
 
+def check_profile(spec: ShockInitSpec, n_sites: int) -> float:
+    """Raise ValueError naming the config keys unless `n_sites` sites resolve
+    `spec`'s profile: mode wavenumbers within ±n_sites/2, a phase gradient
+    |∂ₓ(mφ)| ≤ q_max·Σ|aᵢ|·kᵢ within the Nyquist wavenumber n_sites/2, and a
+    finite bound n_sites·(n_sites/2)·(q_max/m)·Σ|aᵢ| on the modes of φ and ∂ₓφ.
+    Returns the gradient bound q_max·Σ|aᵢ|·kᵢ; builds no array."""
+    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), n_sites)
+    gradient = spec.q_max * sum(abs(m.amplitude) * m.wavenumber for m in spec.modes)
+    if gradient > n_sites // 2:
+        raise ValueError(f"'mode' amplitudes and 'q_max' give an initial phase "
+                         f"gradient q_max·Σ|a|·k = {gradient:g} above the "
+                         f"Nyquist wavenumber n_sites/2 = {n_sites // 2}")
+    # in Python floats an overflow is inf and inf·0 is nan, neither a warning
+    spectrum = n_sites * (n_sites // 2) * (spec.q_max / spec.mass) * sum(
+        abs(m.amplitude) for m in spec.modes)
+    if not math.isfinite(spectrum):
+        raise ValueError(f"'q_max' = {spec.q_max:g}, 'mode' and 'mass' = {spec.mass:g} "
+                         f"give an initial phase (q_max/mass)·Σ a·cos(kx + δ) whose "
+                         f"spectrum is out of the floats")
+    return gradient
+
+
 def phase_profile(spec: ShockInitSpec, x: np.ndarray) -> np.ndarray:
     """φ(x) = (q_max/m)·Σ aᵢ cos(kᵢx + δᵢ)."""
     phi = np.zeros_like(x)
@@ -95,16 +122,21 @@ def phase_profile_derivative(spec: ShockInitSpec, x: np.ndarray) -> np.ndarray:
     return (spec.q_max / spec.mass) * dphi
 
 
-def _plane_wave_amplitudes(q_tilde: np.ndarray | float
+def _plane_wave_amplitudes(q: np.ndarray | float, mass: float = 1.0, names: str = "q̃"
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """√(1+q̃²), the frequency over m, and the amplitudes of Ψ_L and Ψ_R at q̃.
+    """√(1+q̃²), the frequency over m, and the amplitudes of Ψ_L and Ψ_R at
+    q̃ = q/mass; from |q̃| ≈ 1.3e154 on, a ValueError naming `names`.
 
     The larger amplitude is √(√(1+q̃²) + |q̃|)/√2, the smaller 1/(2·larger)
     (their product is 1/2), not √(√(1+q̃²) − |q̃|)/√2, which cancels: its
     relative error grows like q̃², and it is 0 from |q̃| ≈ 1e8.  At q̃ = 0
     both take the first form.
     """
-    root = np.sqrt(1.0 + np.square(q_tilde))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_tilde = np.divide(q, mass)
+        root = np.sqrt(1.0 + np.square(q_tilde))
+    if not np.all(np.isfinite(root)):
+        raise ValueError(f"{names} give a plane wave with (q/mass)² out of the floats")
     large = np.sqrt(root + np.abs(q_tilde)) / np.sqrt(2.0)
     small = 0.5 / large
     amp_l = np.where(q_tilde > 0, small, large)
@@ -121,20 +153,16 @@ def plane_wave(params: WalkParams, q: float, t: float = 0.0) -> SpinorField:
     check_wavenumber("'q'", q, params.n_sites)
     q = float(round(q))
     m = params.mass
-    q_tilde = q / m
-    if not math.isfinite(q_tilde * q_tilde):
-        raise ValueError(f"'q' = {q:g} and 'mass' = {m:g} give a plane wave with "
-                         f"(q/mass)² out of the floats")
-    root, amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
+    root, amp_l, amp_r = _plane_wave_amplitudes(q, m, f"'q' = {q:g} and 'mass' = {m:g}")
     phase = np.exp(1j * (q * params.x - m * root * t))
     return SpinorField(left=amp_l * phase, right=amp_r * phase)
 
 
 def _lattice_phase(params: WalkParams, spec: ShockInitSpec) -> np.ndarray:
-    """φ(x) on the lattice, for a spec of the lattice's mass whose modes it resolves."""
+    """φ(x) on the lattice, for a spec of the lattice's mass whose profile it resolves."""
     if not np.isclose(spec.mass, params.mass, rtol=1e-12):
         raise ValueError("spec.mass must match params.mass")
-    check_wavenumber("'mode' k", max(m.wavenumber for m in spec.modes), params.n_sites)
+    check_profile(spec, params.n_sites)
     return phase_profile(spec, params.x)
 
 
@@ -147,10 +175,8 @@ def phase_modulated_state(params: WalkParams, spec: ShockInitSpec) -> SpinorFiel
     value stays subluminal.
     """
     phi = _lattice_phase(params, spec)
-    q_tilde = spectral_derivative(phi)
-    if not np.all(np.isfinite(q_tilde)):
-        raise ValueError("velocity field is not finite")
-    _, amp_l, amp_r = _plane_wave_amplitudes(q_tilde)
+    names = f"'q_max' = {spec.q_max:g}, 'mode' and 'mass' = {spec.mass:g}"
+    _, amp_l, amp_r = _plane_wave_amplitudes(spectral_derivative(phi), names=names)
     phase = np.exp(1j * params.mass * phi)
     return SpinorField(left=amp_l * phase, right=amp_r * phase)
 

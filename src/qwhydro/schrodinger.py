@@ -58,8 +58,32 @@ def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction
     only and mirrored onto the rest.
     """
     n = psi.n_sites
-    half = np.exp(schrodinger_exponent(n)[:n // 2 + 1] * t / (2.0 * mass))
+    half = _free_factors(schrodinger_exponent(n)[:n // 2 + 1], mass, t)
     return Wavefunction(values=ifft(psi.modes * even_table(half, n)))
+
+
+def _free_factors(exponent: np.ndarray, mass: float, t: float) -> np.ndarray:
+    """e^{exponent·t/(2m)} for entries −ik² of `schrodinger_exponent`."""
+    return np.exp(exponent * t / (2.0 * mass))
+
+
+def check_free_factors(n_sites: int, mass: float, t: float, names: str):
+    """Raise ValueError naming `names` unless `spectral_propagate` keeps its
+    factors e^{−ik²t/(2m)} within the floats up to time t.
+
+    The factors are taken as `spectral_propagate` takes them, at the fastest
+    mode k = n_sites/2 only, where the phase k²t/(2m) peaks; builds no table.
+    numpy divides the complex exponent by 2m through 1/(2m), which overflows
+    for m below about 2.8e-309 however small k²t/(2m) is.
+    """
+    fastest = -1j * np.array([float(n_sites // 2)]) ** 2
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _free_factors(fastest, mass, t)
+    except FloatingPointError as exc:
+        raise ValueError(f"{names} give the Schrödinger factor e^(−ik²t/(2·mass)) at "
+                         f"k = n_sites/2 = {n_sites // 2}, t = {t:g} out of the floats "
+                         f"({exc})") from None
 
 
 def _fourier_coefficients(values: np.ndarray):

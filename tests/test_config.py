@@ -9,7 +9,9 @@ from qwhydro.asymptotics import zone_labels
 from qwhydro.config import (EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, SimConfig,
                             parse_config, validate_config)
 from qwhydro.experiments import walk_steps
-from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
+from qwhydro.initial import (ShockInitSpec, phase_modulated_state, plane_wave,
+                              schrodinger_initial)
+from qwhydro.schrodinger import spectral_propagate
 from qwhydro.walk import EXACT_STEPS, build_walk, steps_until
 
 FIG_STYLE = """
@@ -225,6 +227,27 @@ RUN_TIME_FAILURES = {
                        "t_final = 6\nmode = 1.0,1,0.0\n"),
     "nonrel_overflow": ("experiment = nonrel_compare\nn_sites = 64\nmass = 1e-300\n"
                         "q_max = 1\nt_final = 6\nmode = 1.0,1,0.0\n"),
+    # φ = (q_max/m)·Σ a·cos(kx + δ) out of the floats: q_max/m overflows (and
+    # inf·0 is nan), or the product does
+    "phase_overflow": ("experiment = dtqw_shock\nn_sites = 64\nmass = 5e-324\n"
+                       "q_max = 1.0\nt_final = 1.0\nmode = 0.0,1,0.0\n"),
+    "steep_phase_overflow": ("experiment = dtqw_shock\nn_sites = 64\nmass = 1e-20\n"
+                             "q_max = 1e300\nt_final = 1.0\nmode = 1e-300,1,0.0\n"),
+    "nonrel_phase_overflow": ("experiment = nonrel_compare\nn_sites = 64\nmass = 5e-324\n"
+                              "q_max = 1.0\nt_final = 1.0\nmode = 0.0,1,0.0\n"),
+    "nonrel_steep_phase_overflow": ("experiment = nonrel_compare\nn_sites = 64\n"
+                                    "mass = 1e-20\nq_max = 1e300\nt_final = 1.0\n"
+                                    "mode = 1e-300,1,0.0\n"),
+    "schrodinger_phase_overflow": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                   "mass = 5e-324\nq_max = 1e-300\nmode = 1e300,1,0.0\n"),
+    # spectral_propagate's e^{−ik²t/(2m)} out of the floats: 1/(2m) overflows
+    # in numpy's complex division, even where k²t/(2m) is small
+    "schrodinger_factor_overflow": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                    "mass = 5e-324\nq_max = 5e-324\nmode = 0.0,1,0.0\n"),
+    "nonrel_factor_overflow": ("experiment = nonrel_compare\nn_sites = 64\nmass = 5e-324\n"
+                               "q_max = 5e-324\nmode = 0.0,1,0.0\n"),
+    "schrodinger_factor_division": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                    "mass = 5e-324\nq_max = 1e-300\nmode = 0.0,1,0.0\n"),
 }
 
 
@@ -254,6 +277,13 @@ def _check_parse(text):
             plane_wave(params, cfg.q)
         elif "modes" in spec.needs:
             phase_modulated_state(params, ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass))
+    # every Schrödinger state that parses propagates to the last time it is asked for
+    if spec.schrodinger:
+        params = build_walk(cfg.n_sites, cfg.mass)
+        t_last = max(cfg.snapshot_times[-1], walk_steps(cfg)[-1] * params.dt
+                     if spec.walk else 0.0)
+        psi0 = schrodinger_initial(params, ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass))
+        spectral_propagate(psi0, cfg.mass, t_last)
     # and so is every lattice and map window
     if cfg.n_sites is not None:
         assert 32 * cfg.n_sites <= STATE_BYTES
@@ -277,6 +307,14 @@ def _check_parse(text):
 @example(RUN_TIME_FAILURES["planewave_overflow"])
 @example(RUN_TIME_FAILURES["shock_overflow"])
 @example(RUN_TIME_FAILURES["nonrel_overflow"])
+@example(RUN_TIME_FAILURES["phase_overflow"])
+@example(RUN_TIME_FAILURES["steep_phase_overflow"])
+@example(RUN_TIME_FAILURES["nonrel_phase_overflow"])
+@example(RUN_TIME_FAILURES["nonrel_steep_phase_overflow"])
+@example(RUN_TIME_FAILURES["schrodinger_phase_overflow"])
+@example(RUN_TIME_FAILURES["schrodinger_factor_overflow"])
+@example(RUN_TIME_FAILURES["nonrel_factor_overflow"])
+@example(RUN_TIME_FAILURES["schrodinger_factor_division"])
 def test_any_text_parses_or_raises_config_error(text):
     _check_parse(text)
 

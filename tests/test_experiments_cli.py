@@ -5,6 +5,7 @@ import json
 import platform
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,24 @@ def test_walk_configs_write_their_pinned_bytes(tmp_path, name):
     assert _run_cfg(tmp_path, _shipped(name, tmp_path)).ok
     csv, digest = WALK_CSV_SHA256[name]
     assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
+
+
+# FFTs and inverse FFTs each shipped config's run takes: a walk's jump takes
+# two of its input and two a nonzero step, once for each step it keeps or checks
+SHIPPED_FFT_CALLS = {"nonrel_compare": 40, "pearcey_map": 0, "planewave": 36,
+                     "schrodinger_shock": 10, "shock_multimode": 22, "shock_single_mode": 22,
+                     "validation": 76, "zones_map": 0}
+
+
+def test_every_shipped_config_takes_its_pinned_fft_calls(tmp_path):
+    assert set(SHIPPED_FFT_CALLS) == {path.stem for path in CONFIGS.glob("*.cfg")}
+    counted = {}
+    for name in SHIPPED_FFT_CALLS:
+        cfg = parse_config(_shipped(name, tmp_path / name))
+        run_experiment(cfg)
+        manifest = tmp_path / name / f"{cfg.experiment}_manifest.json"
+        counted[name] = json.loads(manifest.read_text())["telemetry"]["fft_calls"]
+    assert counted == SHIPPED_FFT_CALLS
 
 
 def test_zones_map_labels_match_scalar_classification(tmp_path):
@@ -867,7 +886,36 @@ STATE_OVERFLOWS = {
 }
 
 
-@pytest.mark.parametrize("text, fields", STATE_OVERFLOWS.values(), ids=STATE_OVERFLOWS.keys())
+# Shock configs that validated and then exited 1: their phase φ = (q_max/m)·Σ
+# a·cos(kx + δ) is out of the floats ("velocity field is not finite", or
+# "wavefunction must be finite" for schrodinger_shock), or spectral_propagate's
+# factor e^{−ik²t/(2m)} is ("wavefunction must be finite")
+RUN_OVERFLOWS = {
+    **{f"{name}_phase{steep}": (f"experiment = {name}\nn_sites = 64\nmass = {mass}\n"
+                                f"q_max = {q_max}\nt_final = 1.0\nmode = {a},1,0.0\n",
+                                ("'q_max'", "'mode'", "'mass'"))
+       for name in ("dtqw_shock", "nonrel_compare")
+       for steep, mass, q_max, a in (("", "5e-324", "1.0", "0.0"),
+                                     ("_steep", "1e-20", "1e300", "1e-300"))},
+    "schrodinger_shock_phase": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                "mass = 5e-324\nq_max = 1e-300\nmode = 1e300,1,0.0\n",
+                                ("'q_max'", "'mode'", "'mass'")),
+    **{f"{name}_factor": (f"experiment = {name}\nn_sites = 64\nmass = 5e-324\n"
+                          f"q_max = 5e-324\nmode = 0.0,1,0.0\n", ("'mass'", "'t_final'"))
+       for name in ("schrodinger_shock", "nonrel_compare")},
+    # k²t/(2m) ≈ 5e-21, but numpy's complex division by 2m overflows in 1/(2m)
+    "schrodinger_shock_factor_division": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                          "mass = 5e-324\nq_max = 1e-300\n"
+                                          "mode = 0.0,1,0.0\n", ("'mass'", "'t_final'")),
+    "schrodinger_shock_factor_snapshots": ("experiment = schrodinger_shock\nn_sites = 64\n"
+                                           "mass = 5e-324\nq_max = 5e-324\n"
+                                           "mode = 0.0,1,0.0\nsnapshot_times = 0.0, 0.5\n",
+                                           ("'mass'", "'snapshot_times'")),
+}
+
+
+@pytest.mark.parametrize("text, fields", [*STATE_OVERFLOWS.values(), *RUN_OVERFLOWS.values()],
+                         ids=[*STATE_OVERFLOWS, *RUN_OVERFLOWS])
 def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text, fields):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text + f"output_dir = {tmp_path / 'out'}\n")
@@ -876,6 +924,29 @@ def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text
         main(["run", str(cfg)])
     assert err.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_final", ["", "t_final = 1.0\n"], ids=["default_t", "t1"])
+@pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("q_max", [5e-324, 1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("mass", [5e-324, 1e-20, 1.0, 1.7976931348623157e308])
+@pytest.mark.parametrize("experiment", ["dtqw_shock", "nonrel_compare", "schrodinger_shock"])
+def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, q_max,
+                                                    amplitude, t_final):
+    # a config that validates must never fail inside the run, the CLI's exit 1;
+    # whether the run is ok is not asked here, nor whether it warns on its way
+    # (schrodinger_hydro's m·|ψ|² overflows at mass ≈ 1.8e308, and
+    # nonrel_compare's velocity_l2 norm at some masses)
+    text = (f"experiment = {experiment}\nn_sites = 64\nmass = {mass!r}\n"
+            f"q_max = {q_max!r}\nmode = {amplitude!r},1,0.0\n{t_final}"
+            f"output_dir = {tmp_path}\n")
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run_experiment(cfg)
 
 
 def test_cli_validate_accepts_a_rest_plane_wave_at_any_mass(tmp_path):

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -147,6 +150,56 @@ def test_phase_modulated_rejects_unresolvable_mode():
     spec = ini.ShockInitSpec(modes=(ini.ModeSpec(1.0, 7),), q_max=0.5, mass=1.0)
     with pytest.raises(ValueError):
         ini.phase_modulated_state(p, spec)
+
+
+def test_shock_states_refuse_a_profile_over_the_nyquist_wavenumber():
+    # q_max·Σ|a|·k = 40 on 64 sites, whose Nyquist wavenumber is 32
+    p = wk.build_walk(64, 4.0)
+    spec = ini.ShockInitSpec(modes=(ini.ModeSpec(1.0, 1), ini.ModeSpec(0.5, 2)),
+                             q_max=20.0, mass=4.0)
+    for build in (ini.phase_modulated_state, ini.schrodinger_initial):
+        with pytest.raises(ValueError, match="Nyquist"):
+            build(p, spec)
+    assert ini.check_profile(dataclasses.replace(spec, q_max=16.0), 64) == 32.0
+
+
+@pytest.mark.parametrize("mass, q_max, amplitude", [(5e-324, 1.0, 0.0),
+                                                    (1e-20, 1e300, 1e-300),
+                                                    (5e-324, 1e-300, 1e300)])
+def test_shock_states_refuse_a_phase_out_of_the_floats(mass, q_max, amplitude):
+    # φ = (q_max/m)·a·cos x: q_max/m overflows, and inf·0 is nan, or the
+    # product does; either way the phase is not finite
+    p = wk.build_walk(64, mass)
+    spec = ini.ShockInitSpec(modes=(ini.ModeSpec(amplitude, 1),), q_max=q_max, mass=mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (ini.phase_modulated_state, ini.schrodinger_initial):
+            with pytest.raises(ValueError, match="'q_max' = .*'mode' and 'mass'"):
+                build(p, spec)
+
+
+def test_phase_modulated_state_refuses_a_momentum_whose_square_overflows():
+    # φ = 1e300·cos x is finite, but its gradient q̃ = −1e300·sin x squares
+    # out of the floats: a ValueError naming the keys, with no warning on the way
+    p = wk.build_walk(64, 1e-300)
+    spec = ini.single_cosine(q_max=1.0, mass=1e-300)
+    assert ini.check_profile(spec, 64) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'q_max' = 1, 'mode' and 'mass' = 1e-300"):
+            ini.phase_modulated_state(p, spec)
+
+
+def test_plane_wave_amplitudes_divide_q_by_mass_without_a_warning():
+    # 1/5e-324 overflows in the division itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'q' and 'mass' give"):
+            ini._plane_wave_amplitudes(1.0, 5e-324, "'q' and 'mass'")
+        with pytest.raises(ValueError, match="q̃ give"):
+            ini._plane_wave_amplitudes(np.array([0.0, np.inf]))
+    root, amp_l, amp_r = ini._plane_wave_amplitudes(3.0, 4.0)
+    assert (root, amp_l, amp_r) == ini._plane_wave_amplitudes(0.75)
 
 
 def test_shock_states_reject_a_spec_of_another_mass():

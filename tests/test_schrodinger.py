@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,28 @@ def test_velocity_antiderivative_recovers_phase():
     phi_true = m * np.cos(p.x)
     shift = phi_true.mean() - phi_rec.mean()
     np.testing.assert_allclose(phi_rec + shift, phi_true, atol=1e-9)
+
+
+@pytest.mark.parametrize("mass, t", [(100.0, 1.5), (5e-324, 1.5), (5e-324, 0.0),
+                                     (2.7e-309, 1e-305), (3e-309, 1e-305),
+                                     (1e-300, 1e-20), (1e-300, 1e-10), (1e-3, 1e305),
+                                     (1.0, 1e306)])
+def test_check_free_factors_refuses_what_spectral_propagate_cannot_take(mass, t):
+    # the check evaluates the propagator's own expression at k = n/2: it refuses
+    # exactly where spectral_propagate's factors leave the floats
+    psi = sch.Wavefunction(np.exp(1j * np.cos(wk.build_walk(64, 1.0).x)))
+    try:
+        sch.check_free_factors(64, mass, t, "'mass' and 't_final'")
+        refused = False
+    except ValueError as exc:
+        assert "'mass' and 't_final'" in str(exc)
+        refused = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                out = sch.spectral_propagate(psi, mass, t)
+        except (FloatingPointError, ValueError):
+            assert refused
+        else:
+            assert not refused and np.all(np.isfinite(out.values))
