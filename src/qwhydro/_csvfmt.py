@@ -31,10 +31,11 @@ are built on first use, so importing the module costs nothing.
 
 Blocks.  A block is as many whole rows as fit in `BLOCK` values, or `BLOCK`
 sites of one row, and its transient arrays take about 400 bytes a value.  The
-t and ",x," texts are printed by the reference once each and kept with their
-masks for the whole grid, at most 64 bytes a t or x value.  Every grid, however
-small, is written by blocks, so a process's first grid pays for building the
-tables (about 2 ms in a fresh interpreter).
+t and ",x," texts are laid out the same way, `BLOCK` values at a time, once
+each, and kept as NUL-padded rows with their masks for the whole grid, at most
+52 bytes a t or x value.  Every grid, however small, is written by blocks, so a
+process's first grid pays for building the tables (about 2 ms in a fresh
+interpreter).
 """
 
 from __future__ import annotations
@@ -194,15 +195,25 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
     np.take(tables.masks, key, axis=0, out=mask, mode="clip")
 
 
-def _packed(pattern: str, values: np.ndarray) -> np.ndarray:
-    """`pattern % v` of each value as a row of NUL-padded bytes, as wide
-    as the longest, printed `BLOCK` values at a time: 32 bytes a value."""
-    texts = np.zeros(values.size, dtype="S32")  # "-d.dddddddddddddddde-XXX" is 24
+def _column(values: np.ndarray, commas: bool) -> np.ndarray:
+    """`format(float(v), ".17g")` of each value, between two commas if
+    `commas`, as a row of NUL-padded bytes as wide as the longest: laid out
+    by `_layout`, `BLOCK` values at a time, at most 26 bytes a value."""
+    lead = int(commas)
+    texts = np.zeros((values.size, _LONGEST + 2 * lead), dtype=np.uint8)
+    width = np.arange(texts.shape[1])
     for i in range(0, values.size, BLOCK):
-        texts[i:i + BLOCK] = [pattern % v for v in values[i:i + BLOCK].tolist()]
-    rows = texts.view(np.uint8).reshape(values.size, -1)
+        block = values[i:i + BLOCK]
+        rows, mask = _rows(block.size, lead)
+        _layout(block, rows[:, lead:], mask[:, lead:])
+        # the comma before a value, and in place of its newline, the one after
+        rows[:, :lead] = rows[:, -1:] = ord(",")
+        mask[:, :lead] = 1
+        mask[:, -1] = lead
+        chosen = mask.view(bool)
+        texts[i:i + block.size][width < chosen.sum(axis=1)[:, None]] = rows[chosen]
     # texts are left-aligned: the widest fills every column with a nonzero byte
-    return rows[:, :np.count_nonzero(rows.max(axis=0))]
+    return texts[:, :np.count_nonzero(texts.max(axis=0))]
 
 
 def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
@@ -212,14 +223,14 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     The grid goes by blocks: as many whole rows as fit in `BLOCK` values, or
     `BLOCK` sites of one row.  A block's lines are rows of the t text, the
     ",x," text and the value's candidate bytes, compressed by one mask.  The
-    t and ",x," texts are printed by the reference, once each; where blocks
+    t and ",x," texts are laid out by `_column`, once each; where blocks
     span whole rows, the ",x," columns are laid into the block buffer once
     for the grid, and only the t columns are copied per block.
     """
     nt, nx = values.shape
     if nt == 0 or nx == 0:
         return
-    t_text, site = _packed("%.17g", t), _packed(",%.17g,", x)
+    t_text, site = _column(t, False), _column(x, True)
     t_mask, site_mask = t_text != 0, site != 0
     wt, lead = t_text.shape[1], t_text.shape[1] + site.shape[1]
     block_rows, block_sites = min(nt, max(1, BLOCK // nx)), min(nx, BLOCK)

@@ -26,7 +26,7 @@ from .asymptotics import (ShockChart, check_pearcey_tol, discriminant, pearcey_a
 from .experiments import EXPERIMENTS, _window, walk_steps
 from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_profile, \
     check_wavenumber
-from .schrodinger import check_free_factors
+from .schrodinger import check_free_factors, check_velocity_scale
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
 
@@ -277,6 +277,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         raise ConfigError(f"'{key}' reaches step {last}; a jumped walk is "
                           f"exact only below step 2^27 = {EXACT_STEPS}")
     if spec.schrodinger:  # up to the last snapshot, requested or reached by the walk
+        _owned(check_velocity_scale, n_sites, cfg.mass, "'mass'")
         _owned(check_free_factors, n_sites, cfg.mass,
                max(snapshot_times[-1], last * params.dt), f"'mass' and '{key}'")
 

@@ -12,8 +12,9 @@ values it hands to `format` itself.
 Each `EXPERIMENTS` entry holds a compute function, returning data and
 diagnostics, and what it reads from its config; `run_experiment` writes the
 data, gates the entry's `tol.<name>` limits and writes the manifest.  A run
-that walks jumps its initial state with `_walk`, which also returns the walk
-diagnostics that every walking run records.
+that walks jumps its initial state with `_walk`, which hands the run each
+snapshot and its density as it arrives and returns the walk diagnostics that
+every walking run records.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
 from .schrodinger import schrodinger_hydro, spectral_propagate
-from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, propagate, \
-    step_walk, steps_until, total_norm
+from .walk import SpinorField, Trajectory, build_walk, dirac_residual, evolve, jumps, \
+    probability, step_walk, steps_until, total_norm
 
 if TYPE_CHECKING:
     from .config import SimConfig
@@ -132,34 +133,50 @@ def walk_steps(cfg: SimConfig) -> list[int]:
     return steps
 
 
-def _walk(cfg: SimConfig, state: SpinorField, params) -> tuple[list[SpinorField], dict]:
-    """The walk from `state` at `walk_steps`, jumped to exactly, and the diagnostics
-    of every walking run: the initial norm, the largest relative norm drift over
-    the snapshots, the last step the walk reaches (`last_step`) and the check
-    against the stepped kernel, max |propagate(j) − step_walk(propagate(j − 1))|
-    at that last j over the largest modulus of propagate(j)."""
+def _walk(cfg: SimConfig, state: SpinorField, params,
+          keep: Callable[[int, SpinorField, np.ndarray], None] | None = None) -> dict:
+    """Walk from `state` to `walk_steps`, jumped to exactly, and return the
+    diagnostics of every walking run: the initial norm, the largest relative
+    norm drift over the snapshots, the last step the walk reaches (`last_step`)
+    and the check against the stepped kernel, max |propagate(j) −
+    step_walk(propagate(j − 1))| at that last j over the largest modulus of
+    propagate(j).
+
+    Each snapshot is reduced as it arrives: `keep(i, snapshot, density)` is
+    called with the i-th snapshot of `walk_steps` and its density
+    |Ψ_L|² + |Ψ_R|², and the walk itself keeps only the states at j − 1 and j
+    that the check needs.
+    """
     steps = walk_steps(cfg)
+    index = {j: i for i, j in enumerate(steps)}
     last = max(steps[-1], 1)  # a run that stops at step 0 checks step 1
     wanted = sorted({*steps, last - 1, last})  # each step jumped once
-    jumped = dict(zip(wanted, propagate(state, params, wanted)))
-    snaps, before, after = [jumped[j] for j in steps], jumped[last - 1], jumped[last]
-    stepped = step_walk(before, params)
-    gap = max(np.max(np.abs(after.left - stepped.left)),
-              np.max(np.abs(after.right - stepped.right)))
-    scale = max(np.max(np.abs(after.left)), np.max(np.abs(after.right)))
     n0 = total_norm(state, params)
+    drifts = []
+    for j, snap in zip(wanted, jumps(state, params, wanted)):
+        if j in index:
+            density, norm = probability(snap, params)
+            drifts.append(abs(norm - n0) / n0)
+            if keep is not None:
+                keep(index[j], snap, density)
+        if j == last - 1:
+            before = snap
+        elif j == last:
+            stepped = step_walk(before, params)
+            gap = max(np.max(np.abs(snap.left - stepped.left)),
+                      np.max(np.abs(snap.right - stepped.right)))
+            scale = max(np.max(np.abs(snap.left)), np.max(np.abs(snap.right)))
     # np.max, not max: a nan drift must reach the manifest, not lose every comparison
-    drift = np.max([abs(total_norm(s, params) - n0) / n0 for s in snaps])
-    return snaps, {"initial_norm": n0, "norm_drift": float(drift), "last_step": last,
-                   "step_consistency": _gate(float(gap / scale), STEP_CONSISTENCY_LIMIT)}
+    return {"initial_norm": n0, "norm_drift": float(np.max(drifts)), "last_step": last,
+            "step_consistency": _gate(float(gap / scale), STEP_CONSISTENCY_LIMIT)}
 
 
 def _shock_setup(cfg: SimConfig):
     return build_walk(cfg.n_sites, cfg.mass), ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass)
 
 
-def _times(cfg: SimConfig, params, snaps) -> tuple[list, list]:
-    return list(cfg.snapshot_times), [s.step_index * params.dt for s in snaps]
+def _times(cfg: SimConfig, params) -> tuple[list, list]:
+    return list(cfg.snapshot_times), [j * params.dt for j in walk_steps(cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +185,13 @@ def _times(cfg: SimConfig, params, snaps) -> tuple[list, list]:
 
 def _dtqw_shock(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
-    snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
-    times = _times(cfg, params, snaps)
-    density = np.array([currents(s).j0 for s in snaps])
+    density = np.empty((len(cfg.snapshot_times), params.n_sites))
+
+    def keep(i, snap, row):
+        density[i] = row
+
+    walked = _walk(cfg, phase_modulated_state(params, spec), params, keep)
+    times = _times(cfg, params)
     return Computed(
         files={"dtqw_shock_density.csv":
                SpacetimeGrid(x=params.x, t=np.array(times[1]), values=density)},
@@ -179,9 +200,12 @@ def _dtqw_shock(cfg: SimConfig) -> Computed:
 
 def _dtqw_planewave(cfg: SimConfig) -> Computed:
     params = build_walk(cfg.n_sites, cfg.mass)
-    state = plane_wave(params, cfg.q)
-    snaps, walked = _walk(cfg, state, params)
-    density = np.array([currents(state).j0, currents(snaps[-1]).j0])
+    density = np.empty((2, params.n_sites))
+
+    def keep(i, snap, row):  # step 0 fills both rows, each later step the last
+        density[min(i, 1):] = row
+
+    walked = _walk(cfg, plane_wave(params, cfg.q), params, keep)
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, cfg.n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
@@ -254,7 +278,9 @@ def _asymptotic_zones(cfg: SimConfig) -> Computed:
 
 def _nonrel_compare(cfg: SimConfig) -> Computed:
     params, spec = _shock_setup(cfg)
-    snaps, walked = _walk(cfg, phase_modulated_state(params, spec), params)
+    snaps = []
+    walked = _walk(cfg, phase_modulated_state(params, spec), params,
+                   lambda i, snap, row: snaps.append(snap))
     # the oracle maps a time to the Schrödinger state of the walk's initial phase
     oracle = functools.partial(spectral_propagate, schrodinger_initial(params, spec), cfg.mass)
     records = nonrel_compare(Trajectory(params=params, snapshots=snaps), oracle, cfg.mass)
@@ -262,24 +288,27 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
     return Computed(
         files={"nonrel_compare.json": records},
         diagnostics={"final_density_l2": final_err, "records": len(records), **walked},
-        measured={"density_l2": final_err}, times=_times(cfg, params, snaps))
+        measured={"density_l2": final_err}, times=_times(cfg, params))
 
 
 def _validation(cfg: SimConfig) -> Computed:
     rng = np.random.default_rng(20260810)
 
     params = build_walk(cfg.n_sites, cfg.mass)  # unitarity of a jumped plane wave
-    soak = _walk(cfg, plane_wave(params, 0.0), params)[1]
+    soak = _walk(cfg, plane_wave(params, 0.0), params)
 
-    # Madelung roundtrip + current identity on randomized smooth states
+    # Madelung roundtrip + current identity on randomized smooth states: for
+    # each of 20 states and its 2 components, the 9 modes k = −4..4, each
+    # coefficient 0.4·(re + i·im) from a pair of normal draws
     small = build_walk(256, 16.0)
+    modes = np.arange(-4, 5) % small.n_sites
+    draws = 0.4 * rng.normal(size=(20, 2, 9, 2)).view(complex)[..., 0]
     worst_rt, worst_id = 0.0, 0.0
-    for _ in range(20):
+    for state_draws in draws:
         comps = []
-        for _c in range(2):
+        for mode_draws in state_draws:
             coeff = np.zeros(small.n_sites, dtype=complex)
-            for k in range(-4, 5):
-                coeff[k % small.n_sites] = 0.4 * (rng.normal() + 1j * rng.normal())
+            coeff[modes] = mode_draws
             comps.append(ifft(coeff * small.n_sites) + 4.0)
         st = SpinorField(comps[0], comps[1])
         rec = spinor_from_hydro(currents(st), phases(st))
@@ -339,7 +368,7 @@ class Experiment:
     each `tol.<name>` the run enforces to its default limit, None for a
     gate enforced only when the config sets it.  `schedule` lists the
     default snapshot times as fractions of `t_final`.  `walk` says whether
-    the run jumps a walk to `walk_steps` with `walk.propagate`, and
+    the run jumps a walk to `walk_steps` with `walk.jumps`, and
     `schrodinger` whether it propagates a wavefunction to its snapshot
     times with `spectral_propagate`.
     """

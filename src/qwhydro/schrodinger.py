@@ -55,9 +55,11 @@ def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction
 
     ψ's spectrum is `psi.modes`, taken once per Wavefunction.  The factor
     is even in k, so it is exponentiated on the n // 2 + 1 modes k ≥ 0
-    only and mirrored onto the rest.
+    only and mirrored onto the rest.  A (mass, t) whose factors leave the
+    floats is refused by `check_free_factors`, a ValueError naming them.
     """
     n = psi.n_sites
+    check_free_factors(n, mass, t, "mass and t")
     half = _free_factors(schrodinger_exponent(n)[:n // 2 + 1], mass, t)
     return Wavefunction(values=ifft(psi.modes * even_table(half, n)))
 
@@ -84,6 +86,21 @@ def check_free_factors(n_sites: int, mass: float, t: float, names: str):
         raise ValueError(f"{names} give the Schrödinger factor e^(−ik²t/(2·mass)) at "
                          f"k = n_sites/2 = {n_sites // 2}, t = {t:g} out of the floats "
                          f"({exc})") from None
+
+
+def check_velocity_scale(n_sites: int, mass: float, names: str):
+    """Raise ValueError naming `names` unless `schrodinger_hydro` keeps the
+    denominator m·|ψ|² of its velocity within the floats for every state
+    reached from a unit-modulus ψ₀ on n_sites sites.
+
+    Free propagation keeps ψ's mean |ψ|² at 1, so |ψ| ≤ Σ|c_k| ≤ √n_sites
+    for its Fourier coefficients c_k, and |ψ|² ≤ n_sites: the bound is
+    m·n_sites.
+    """
+    if not math.isfinite(mass * n_sites):
+        raise ValueError(f"{names} = {mass:g} on n_sites = {n_sites} gives the Madelung "
+                         f"velocity's denominator mass·|ψ|² (|ψ|² ≤ n_sites) out of "
+                         f"the floats")
 
 
 def _fourier_coefficients(values: np.ndarray):

@@ -12,14 +12,18 @@ Dirac equation iγ^μ∂_μψ = mψ in 1+1 dimensions (γ⁰ = σ₁, γ¹ = iσ
 ħ = c = 1), which dirac_residual measures directly.
 
 Two routes advance a state: `step_walk` applies one step (the stepped
-kernel, `coin_shift`), and `propagate` jumps to any step exactly in Fourier
+kernel, `coin_shift`), and `jumps` jumps to any step exactly in Fourier
 space through the walk's dispersion relation cos ω = cos θ·cos κ (Strauch,
 PRA 73, 054302 (2006)).  The tables that relation gives a lattice, the
 projector onto the e^{iω} eigenvector and the frequency ω, are built once
-per (N, m) by `_spectrum`, on first use, and kept read-only.  `evolve`
-takes its snapshots from `propagate` when they are `_JUMP_STEPS` or more
-steps apart, so a snapshot's cost does not grow with its stride, and
-steps them with `step_walk` when they are closer.
+per (N, m) by `_spectrum`, on first use, and kept read-only.  `jumps`
+streams its snapshots: it makes each one as it is read, in buffers
+allocated once per call and overwritten by the next, so a reader that
+reduces each snapshot as it arrives holds a few states however many it
+reads; `propagate` reads them all into a list.  `evolve` takes its
+snapshots from `propagate` when they are `_JUMP_STEPS` or more steps
+apart, so a snapshot's cost does not grow with its stride, and steps them
+with `step_walk` when they are closer.
 
 A snapshot's spectral x-derivatives ∂ₓΨ are taken by `x_derivative`, once
 for every caller while one holds them.
@@ -30,11 +34,11 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._spectral import TABLE_CACHE, TWO_PI, _read_only, centered_time_diff, even_table, \
+from ._spectral import TABLE_CACHE, TWO_PI, _read_only, centered_time_diff, \
     fft, grid, ifft, l2_norm, spectral_derivative, wavenumbers
 
 
@@ -76,13 +80,16 @@ def build_walk(n_sites: int, mass: float) -> WalkParams:
 EXACT_STEPS = 2 ** 27
 
 # `evolve` jumps strides of at least this many steps.  Timed against one
-# `step_walk` on the same lattice (2-CPU Xeon, numpy 2.4, one thread), a
-# `propagate` call's first snapshot costs 3 steps at 64 sites, 3-5 at 512,
-# 18-20 at 4096, 27-34 at 8192, 47-51 at 16384 and 30-43 at 32768; each
-# further snapshot of the call 1.5, 2-3, 10-11, 19-22, 14-26 and 15-22.
-# 32 is the crossover at 8192 sites: on every lattice timed a jumped stride
-# of 32 or more costs at most 1.6 times its stepping, where a larger value
-# would step strides that small lattices jump ten times cheaper.
+# `step_walk` on the same lattice (2-CPU Xeon, numpy 2.4, one thread, best
+# of 9, the multimode shock at θ = π/4), a `propagate` call's first snapshot
+# costs 3 steps at 64 sites, 5 at 512, 18-19 at 4096, 27 at 8192, 39-45 at
+# 16384 and 32-34 at 32768; each further snapshot of the call, streamed
+# through the call's buffers, 1.8, 2.8, 9.5-10, 14, 22-23 and 16-17 (270-310
+# µs at 4096 sites and 600-625 µs at 8192, where a new array per product
+# took 310-320 and 770-810).  32 is the crossover at 8192 sites: on every
+# lattice timed a jumped stride of 32 or more costs at most 1.4 times its
+# stepping, where a larger value would step strides that small lattices
+# jump ten times cheaper.
 _JUMP_STEPS = 32
 
 
@@ -231,8 +238,10 @@ def _spectrum(n_sites: int, mass: float) -> _Spectrum:
     return _Spectrum(*(_read_only(table) for table in tables))
 
 
-def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
-    """The exact states `steps` steps after `state`, one per entry of `steps`.
+def jumps(state: SpinorField, params: WalkParams, steps) -> Iterator[SpinorField]:
+    """The exact states `steps` steps after `state`, one per entry of `steps`,
+    each made as the iterator is read.  The steps are checked at the call:
+    a negative one raises ValueError before any snapshot is made.
 
     For the wavenumber κ = kε one step is the 2×2 matrix
     U(κ) = diag(e^{iκ}, e^{−iκ})·C with det U = 1, eigenvalues e^{±iω},
@@ -247,45 +256,59 @@ def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField
 
     P's entries and ω_hi, ω_lo come from `_spectrum`, built once per
     lattice.  ω is even in κ, so each snapshot exponentiates only the
-    first N/2 + 1 modes, into buffers allocated once per call, and mirrors
-    them onto the rest: a snapshot costs two complex exponentials of
-    N/2 + 1 values and two inverse FFTs, the input two FFTs.  Step 0
-    returns a copy of the input.
+    first N/2 + 1 modes and mirrors them onto the rest: a snapshot costs
+    two complex exponentials of N/2 + 1 values and two inverse FFTs, the
+    input two FFTs.  Every snapshot is formed in buffers allocated once per
+    call and overwritten by the next; only the inverse FFTs' outputs, new
+    arrays, become its components, so no two snapshots share memory and a
+    reader that keeps none holds a few states, however many it reads.
+    Step 0 yields a copy of the input.
     """
     _check_state(state, params)
     steps = [int(j) for j in steps]
     if any(j < 0 for j in steps):
         raise ValueError("steps must be nonnegative")
+    return _jumped(state, params, steps)
+
+
+def _jumped(state: SpinorField, params: WalkParams, steps: list[int]) -> Iterator[SpinorField]:
     spec = _spectrum(params.n_sites, params.mass)
     left_k = fft(state.left)
     right_k = fft(state.right)
     up_left = spec.p_ll * left_k + spec.p_lr * right_k
     up_right = spec.p_rl * left_k + spec.p_rr * right_k
-    down_left, down_right = left_k - up_left, right_k - up_right
+    projected = ((up_left, left_k - up_left), (up_right, right_k - up_right))
 
-    # half-size buffers, filled in place for every snapshot, so a snapshot
-    # allocates only full-size arrays: half-size temporaries interleaved with
-    # them can fragment the heap and raise a long run's peak RSS
-    angle = np.empty(spec.omega_hi.shape)
-    phase = np.empty(spec.omega_hi.shape, complex)
-    rise_hi = np.empty(spec.omega_hi.shape, complex)
-    rise_lo = np.empty(spec.omega_hi.shape, complex)
-    out = []
+    half = spec.omega_hi.shape[0]
+    angle = np.empty(half)
+    phase = np.empty(half, complex)
+    rise_lo = np.empty(half, complex)
+    rise, fall, rising, falling = (np.empty(params.n_sites, complex) for _ in range(4))
+    rise_hi = rise[:half]
     for j in steps:
         if j == 0:
-            out.append(state.copy())
+            yield state.copy()
             continue
         for omega, rise_half in ((spec.omega_hi, rise_hi), (spec.omega_lo, rise_lo)):
             np.multiply(j, omega, out=angle)
             np.multiply(1j, angle, out=phase)
             np.exp(phase, out=rise_half)
         np.multiply(rise_hi, rise_lo, out=rise_hi)
-        rise = even_table(rise_hi, params.n_sites)
-        fall = np.conj(rise)
-        out.append(SpinorField(left=ifft(rise * up_left + fall * down_left),
-                               right=ifft(rise * up_right + fall * down_right),
-                               step_index=state.step_index + j))
-    return out
+        # the modes −k take the values of k, as `_spectral.even_table` lays them
+        rise[half:] = rise[(params.n_sites - 1) // 2:0:-1]
+        np.conj(rise, out=fall)
+        components = []
+        for up, down in projected:
+            np.multiply(rise, up, out=rising)
+            np.multiply(fall, down, out=falling)
+            components.append(ifft(np.add(rising, falling, out=rising)))
+        yield SpinorField(*components, step_index=state.step_index + j)
+
+
+def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
+    """The exact states `steps` steps after `state`, one per entry of `steps`:
+    the snapshots of `jumps`, read into a list."""
+    return list(jumps(state, params, steps))
 
 
 def evolve(state: SpinorField, params: WalkParams, n_steps: int,
@@ -348,10 +371,17 @@ def x_derivative(state: SpinorField) -> SpinorField:
     return state.derived(_x_derivative)
 
 
+def probability(state: SpinorField, params: WalkParams) -> tuple[np.ndarray, float]:
+    """The density |Ψ_L|² + |Ψ_R|² at every site, the bits of `hydro.currents`'
+    j⁰, and its total ε·Σ(|Ψ_L|² + |Ψ_R|²), the bits of `total_norm`."""
+    _check_state(state, params)
+    density = np.abs(state.left) ** 2 + np.abs(state.right) ** 2
+    return density, float(params.spacing * density.sum())
+
+
 def total_norm(state: SpinorField, params: WalkParams) -> float:
     """Discrete total probability ε·Σ(|Ψ_L|² + |Ψ_R|²)."""
-    _check_state(state, params)
-    return float(params.spacing * (np.abs(state.left) ** 2 + np.abs(state.right) ** 2).sum())
+    return probability(state, params)[1]
 
 
 def dirac_rhs(state: SpinorField, params: WalkParams) -> tuple[np.ndarray, np.ndarray]:

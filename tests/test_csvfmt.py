@@ -348,3 +348,19 @@ def test_blocks_keep_the_documented_memory_bound(shape):
     finally:
         tracemalloc.stop()
     assert peak < 400 * _csvfmt.BLOCK + 64 * sum(shape)
+
+
+@pytest.mark.parametrize("block", [3, _csvfmt.BLOCK])
+def test_t_and_x_columns_are_format_texts_left_aligned(monkeypatch, block):
+    # each row of a column is format(v, ".17g"), between commas for x, then NULs;
+    # the column is as wide as its longest text, and blocks of 3 split it
+    monkeypatch.setattr(_csvfmt, "BLOCK", block)
+    values = np.array([0.0, -0.0, -2.5, -123456.789, 1e-5, -1e-5, 1e17, -1e17, 5e-324,
+                       -2.2250738585072009e-308, 2.2250738585072014e-308, np.nan, -np.inf,
+                       -1.2345678901234567e-100, 0.1])
+    for commas, wrap in ((False, "{}"), (True, ",{},")):
+        rows = _csvfmt._column(values, commas)
+        texts = [bytes(row).rstrip(b"\0").decode() for row in rows]
+        assert texts == [wrap.format(format(float(v), ".17g")) for v in values]
+        assert all(b"\0" not in bytes(row).rstrip(b"\0") for row in rows)
+        assert rows.shape == (values.size, max(map(len, texts)))

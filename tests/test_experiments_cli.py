@@ -5,6 +5,7 @@ import json
 import platform
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -911,6 +912,12 @@ RUN_OVERFLOWS = {
                                            "mass = 5e-324\nq_max = 5e-324\n"
                                            "mode = 0.0,1,0.0\nsnapshot_times = 0.0, 0.5\n",
                                            ("'mass'", "'snapshot_times'")),
+    # schrodinger_hydro's velocity denominator mass·|ψ|² overflows, for
+    # |ψ|² ≤ n_sites: the run wrote all-zero velocities and exited 0
+    **{f"{name}_velocity_scale": (f"experiment = {name}\nn_sites = 64\n"
+                                  "mass = 1.7976931348623157e308\nq_max = 1\n"
+                                  "t_final = 1\nmode = 1.0,1,0.0\n", ("'mass'",))
+       for name in ("schrodinger_shock", "nonrel_compare")},
 }
 
 
@@ -934,9 +941,9 @@ def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text
 def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, q_max,
                                                     amplitude, t_final):
     # a config that validates must never fail inside the run, the CLI's exit 1;
-    # whether the run is ok is not asked here, nor whether it warns on its way
-    # (schrodinger_hydro's m·|ψ|² overflows at mass ≈ 1.8e308, and
-    # nonrel_compare's velocity_l2 norm at some masses)
+    # whether the run is ok is not asked here, nor whether nonrel_compare warns
+    # on its way (its velocity_l2 norm overflows at some masses); dtqw_shock and
+    # schrodinger_shock must not warn
     text = (f"experiment = {experiment}\nn_sites = 64\nmass = {mass!r}\n"
             f"q_max = {q_max!r}\nmode = {amplitude!r},1,0.0\n{t_final}"
             f"output_dir = {tmp_path}\n")
@@ -945,7 +952,8 @@ def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, 
     except ConfigError:
         return
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("ignore" if experiment == "nonrel_compare" else "error",
+                              RuntimeWarning)
         run_experiment(cfg)
 
 
@@ -994,8 +1002,10 @@ def test_walk_norm_drift_keeps_a_nan(tmp_path):
     cfg = parse_config(REST_WAVE.format(n=64, mass=1.0))
     cfg = dataclasses.replace(cfg, mass=1e-321)
     params = wk.build_walk(cfg.n_sites, cfg.mass)
+    snaps = []
     with np.errstate(all="ignore"):
-        snaps, walked = experiments._walk(cfg, plane_wave(params, 0.0), params)
+        walked = experiments._walk(cfg, plane_wave(params, 0.0), params,
+                                   lambda i, snap, row: snaps.append(snap))
     assert np.all(np.isnan(snaps[-1].left)) and np.isfinite(snaps[0].left).all()
     assert np.isnan(walked["norm_drift"])
 
@@ -1189,3 +1199,36 @@ def test_nonfinite_diagnostic_is_spelled_in_strict_json_and_fails_the_run(
     assert manifest["diagnostics"]["worse"] == ["inf", "-inf"]
     assert manifest["diagnostics"]["zone_1"] > 0
     assert manifest["ok"] is False
+
+
+def test_a_shock_walk_holds_its_density_rows_not_its_snapshots():
+    # each snapshot is reduced to its density row as it arrives, so the peak
+    # grows with the snapshot count by the rows, 8 B a site a snapshot, where
+    # held states would add 32 B; each snapshot's step and drift take a few
+    # list and dict entries more, well under 256 B
+    def peak(count):
+        times = ", ".join(repr(15.0 * i / (count - 1)) for i in range(count))
+        cfg = parse_config("experiment = dtqw_shock\nn_sites = 4096\nmass = 512.0\n"
+                           "q_max = 51.2\nmode = 1,1,0\nmode = 0.5,2,0.9\n"
+                           f"t_final = 15.0\nsnapshot_times = {times}\n")
+        EXPERIMENTS["dtqw_shock"].compute(cfg)  # the walk's tables are built once
+        tracemalloc.start()
+        try:
+            EXPERIMENTS["dtqw_shock"].compute(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(65) - peak(17) <= (8 * 4096 + 256) * (65 - 17)
+
+
+def test_validation_draws_its_states_as_the_scalar_loop_drew_them():
+    # one draw of 20 states × 2 components × 9 modes × (re, im) gives the
+    # coefficients 0.4·(re + i·im) that 720 scalar draws gave, bit for bit
+    seed = 20260810
+    rng = np.random.default_rng(seed)
+    scalar = [0.4 * (rng.normal() + 1j * rng.normal()) for _ in range(20 * 2 * 9)]
+    drawn = 0.4 * np.random.default_rng(seed).normal(size=(20, 2, 9, 2)).view(complex)
+    assert np.array_equal(drawn[..., 0].ravel(), scalar)
+    assert all(a.tobytes() == np.complex128(b).tobytes()
+               for a, b in zip(drawn[..., 0].ravel(), scalar))

@@ -268,3 +268,39 @@ def test_check_free_factors_refuses_what_spectral_propagate_cannot_take(mass, t)
             assert refused
         else:
             assert not refused and np.all(np.isfinite(out.values))
+
+
+def test_spectral_propagate_refuses_factors_out_of_the_floats_by_name():
+    # 1/(2·mass) overflows: a named ValueError, where three RuntimeWarnings
+    # and "wavefunction must be finite" came before
+    psi = sch.Wavefunction(np.exp(1j * np.cos(wk.build_walk(64, 1.0).x)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="mass and t give the Schrödinger factor"):
+            sch.spectral_propagate(psi, 5e-324, 0.5)
+
+
+@pytest.mark.parametrize("n_sites, mass, refused", [
+    (64, 1.7976931348623157e308, True), (64, 1e307, True), (64, 2.8e306, False),
+    (2 ** 22, 1e300, False), (2 ** 22, 1e303, True)])
+def test_check_velocity_scale_bounds_mass_times_n_sites(n_sites, mass, refused):
+    if refused:
+        with pytest.raises(ValueError, match="'mass'"):
+            sch.check_velocity_scale(n_sites, mass, "'mass'")
+    else:
+        sch.check_velocity_scale(n_sites, mass, "'mass'")
+
+
+def test_velocity_keeps_its_denominator_finite_where_the_check_passes():
+    # at the largest mass the check passes on 64 sites, a state of mean |ψ|² 1,
+    # as free propagation keeps a unit-modulus ψ₀'s, with all of it on one site
+    # (|ψ|² = n_sites there) gives a finite denominator
+    n = 64
+    mass = 1.7976931348623157e308 / n
+    sch.check_velocity_scale(n, mass, "'mass'")
+    psi = sch.Wavefunction(np.sqrt(n) * np.eye(1, n, dtype=complex)[0])
+    assert np.mean(np.abs(psi.values) ** 2) == 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, v = sch.schrodinger_hydro(psi, mass)
+    assert np.all(np.isfinite(v))

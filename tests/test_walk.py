@@ -5,7 +5,8 @@ import pytest
 
 from qwhydro import initial as ini
 from qwhydro import walk as wk
-from qwhydro._spectral import fft_calls
+from qwhydro._spectral import even_table, fft_calls
+from qwhydro.hydro import currents
 
 from conftest import make_smooth_spinor
 
@@ -452,3 +453,88 @@ def test_walk_spectrum_is_read_only_and_built_once_per_lattice(rng):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
     assert len(spec.p_ll) == 256 and len(spec.omega_hi) == 129
+
+
+def _per_snapshot_propagate(state, p, steps):
+    """Reference: the per-snapshot expressions of `propagate` before its
+    snapshots were streamed through reused buffers, every array a new one:
+    the two half-size exponentials, `even_table`, `np.conj` and the products."""
+    spec = wk._spectrum(p.n_sites, p.mass)
+    left_k, right_k = np.fft.fft(state.left), np.fft.fft(state.right)
+    up_left = spec.p_ll * left_k + spec.p_lr * right_k
+    up_right = spec.p_rl * left_k + spec.p_rr * right_k
+    down_left, down_right = left_k - up_left, right_k - up_right
+    for j in steps:
+        if j == 0:
+            yield state.left, state.right
+            continue
+        rise_half = np.exp(1j * (j * spec.omega_hi)) * np.exp(1j * (j * spec.omega_lo))
+        rise = even_table(rise_half, p.n_sites)
+        fall = np.conj(rise)
+        yield (np.fft.ifft(rise * up_left + fall * down_left),
+               np.fft.ifft(rise * up_right + fall * down_right))
+
+
+@pytest.mark.parametrize("kind", ["shock", "plane_wave"])
+@pytest.mark.parametrize("n", [512, 4096, 8192])
+def test_streamed_snapshots_are_bit_identical_to_the_per_snapshot_expressions(n, kind):
+    # at the shipped multimode shock's mass over sites, θ = π/4
+    p = wk.build_walk(n, n / 8)
+    if kind == "shock":
+        state = ini.phase_modulated_state(p, ini.multimode_benchmark(p.mass / 10, p.mass))
+    else:
+        state = ini.plane_wave(p, 3.0)
+    steps = [0, 1, 2, 625, 9999, 10000, 10000, 2 ** 26 + 3]
+    got = list(wk.jumps(state, p, steps))
+    assert len(got) == len(steps)
+    for j, snap, (left, right) in zip(steps, got, _per_snapshot_propagate(state, p, steps)):
+        assert snap.step_index == j
+        assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
+
+
+def _arrays(values):
+    """The arrays among `values`, and among the tuples there, one level down."""
+    out = []
+    for value in values:
+        out += [v for v in (value if isinstance(value, tuple) else (value,))
+                if isinstance(v, np.ndarray)]
+    return out
+
+
+def test_jumped_snapshots_share_memory_with_nothing(rng):
+    # not with each other (step 5 twice among them), nor with the input, nor
+    # with any buffer the kernel overwrites for the next snapshot
+    p = wk.build_walk(64, 4.0)
+    state = _smooth_unit(rng, 64)
+    stream = wk.jumps(state, p, [0, 1, 5, 5, 40])
+    snaps, buffers = [], []
+    for snap in stream:
+        snaps.append(snap)
+        if stream.gi_frame is not None:  # the kernel, suspended after this snapshot
+            buffers += _arrays(stream.gi_frame.f_locals.values())
+    assert len(snaps) == 5 and len(buffers) > 5 * 10
+    arrays = [a for s in snaps for a in (s.left, s.right)]
+    for i, a in enumerate(arrays):
+        for other in [*arrays[i + 1:], *buffers, state.left, state.right]:
+            assert not np.shares_memory(a, other)
+
+
+def test_a_negative_step_raises_at_the_call_before_any_snapshot(rng):
+    p = wk.build_walk(64, 4.0)
+    state = _smooth_unit(rng, 64)
+    before = fft_calls()
+    with pytest.raises(ValueError, match="nonnegative"):
+        wk.jumps(state, p, [0, 3, -1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        wk.propagate(state, p, [-2])
+    assert fft_calls() == before
+
+
+def test_probability_gives_the_bits_of_the_current_and_the_norm(rng):
+    p = wk.build_walk(256, 32.0)
+    state = wk.propagate(_smooth_unit(rng, 256), p, [77])[0]
+    density, norm = wk.probability(state, p)
+    assert np.array_equal(density, currents(state).j0)
+    assert norm == wk.total_norm(state, p)
+    assert norm == float(p.spacing * (np.abs(state.left) ** 2
+                                      + np.abs(state.right) ** 2).sum())
