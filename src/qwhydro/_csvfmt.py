@@ -192,7 +192,9 @@ def _layout(v: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> None:
         text = format(float(v[i]), ".17g").encode()
         rows[i, _REST:_REST + len(text)] = np.frombuffer(text, dtype=np.uint8)
         key[i] = 2 * _FIXED + len(text) - 1
-    np.take(tables.masks, key, axis=0, out=mask, mode="clip")
+    # mask is a strided view of the caller's buffer, and numpy buffers a take
+    # into one: taking into a fresh contiguous array and copying costs less
+    mask[...] = tables.masks.take(key, axis=0, mode="clip")
 
 
 def _column(values: np.ndarray, commas: bool) -> np.ndarray:

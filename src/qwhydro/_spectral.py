@@ -11,9 +11,9 @@ A grid's tables (its sites, its wavenumbers, the derivative multipliers
 (ik)^order and the free Schrödinger exponent −ik²) are built once, on first
 use, and kept in bounded caches of `TABLE_CACHE` entries each; they are
 returned read-only, so no caller can change what the next one gets.  The
-Gauss–Legendre rules are built on first use too.  Every
-FFT in the package goes through `fft` and `ifft`, which count their calls
-for the run manifests.
+Gauss–Legendre rules and their Gauss–Kronrod extensions are built on first
+use too.  Every FFT in the package goes through `fft` and `ifft`, which
+count their calls for the run manifests.
 """
 
 from __future__ import annotations
@@ -82,6 +82,54 @@ def gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     read-only, built on first use: `numpy.polynomial` is imported then, not
     with the package."""
     return tuple(_read_only(table) for table in np.polynomial.legendre.leggauss(n_nodes))
+
+
+def _kronrod_recurrence(n_gauss: int) -> np.ndarray:
+    """b₀ … b_2n of the Jacobi–Kronrod matrix of the Legendre weight, whose
+    diagonal is zero: Laurie's algorithm (Math. Comp. 66 (1997) 1133, as in
+    Gautschi's `r_kronrod`) with every a_k = 0, which it keeps at 0 for an
+    even weight.  It extends the Legendre recurrence b_k = k²/(4k² − 1),
+    b₀ = ∫1 = 2, by the mixed moments s, t of two alternating rows."""
+    n = n_gauss
+    b = np.zeros(2 * n + 1)
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    return b
+
+
+@functools.cache
+def gauss_kronrod(n_gauss: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the (2n + 1)-node Gauss–Kronrod extension of the
+    n-node Gauss–Legendre rule on [−1, 1], ascending and read-only, built on
+    first use.  It is exact to degree 3n + 1 (3n + 2 for odd n).  Its Gauss
+    nodes sit at the odd positions and are `gauss_legendre(n)`'s to the bit.
+
+    The nodes are the eigenvalues of the Jacobi–Kronrod matrix and the
+    weights 2 times the squares of its eigenvectors' first components; both
+    are made exactly symmetric about 0.
+    """
+    off = np.sqrt(_kronrod_recurrence(n_gauss)[1:])
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 * vectors[0] ** 2
+    nodes = 0.5 * (nodes - nodes[::-1])
+    weights = 0.5 * (weights + weights[::-1])
+    nodes[1::2] = gauss_legendre(n_gauss)[0]
+    return _read_only(nodes), _read_only(weights)
 
 
 def fft(a: np.ndarray) -> np.ndarray:

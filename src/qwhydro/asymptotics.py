@@ -19,9 +19,11 @@ I_P itself is evaluated on the rotated contour y = e^{iπ/8}s, which turns
 the quartic oscillation into e^{−s⁴} decay and leaves an absolutely
 convergent integral on a finite interval (DLMF §36.15; Connor & Curtis,
 J. Phys. A 15 (1982) 1179).  One rule integrates it: `pearcey_array`, by
-composite Gauss–Legendre with a doubling-plus-rounding error estimate per
-point; `pearcey` is one point of it.  `pearcey_direct` integrates on the
-real axis instead, as an independent check on the rotation.
+composite 33-node Gauss–Kronrod on the panels of the 16-node Gauss–Legendre
+rule it extends, with the gap between the two sums plus a rounding bound
+as each point's error estimate; `pearcey` is one point of it.
+`pearcey_direct` integrates on the real axis instead, as an independent
+check on the rotation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import EPS, TWO_PI, gauss_legendre
+from ._spectral import EPS, TWO_PI, gauss_kronrod, gauss_legendre
 
 # ---------------------------------------------------------------------------
 # Airy function (scipy.special.airy).
@@ -166,9 +168,9 @@ def _pearcey_truncation(T, X):
 
 # Units of the bound |X|L + |T|L² + L⁴ on the exponent's swing over the
 # contour per panel.  At 16 even the coarse rule Q(n) is at roundoff on the
-# shipped windows, so |Q(2n) − Q(n)| stays below 2e-11 at mass 20; at 24
+# shipped windows, so |K(n) − Q(n)| stays below 2e-11 at mass 20; at 24
 # the coarse rule's own error already reads 2e-5 at |T|, |X| ≤ 10 and the
-# estimate would fail points whose value Q(2n) is accurate.
+# estimate would fail points whose value K(n) is accurate.
 _SWING_PER_PANEL = 16.0
 # Fewest panels of the coarse rule.  Near the origin the bound is only
 # about _TAIL_EFOLDS, three panels, and there the estimate at T = X = 0 reads
@@ -180,36 +182,55 @@ _MIN_PANELS = 6
 _BLOCK_NODES = 8192
 _SIN_PI8, _COS_PI8 = math.sin(math.pi / 8.0), math.cos(math.pi / 8.0)
 _SQRT_HALF = math.sqrt(0.5)  # Re and −Im of ie^{iπ/4}
+# Nodes a panel: the 16 of the Gauss–Legendre rule and the 17 its Kronrod
+# extension adds.
+_GAUSS_NODES = 16
+_PANEL_NODES = 2 * _GAUSS_NODES + 1
 
 
-def _panel_rule(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u on [−1, 1] and weights w of n_panels 16-node Gauss–Legendre
-    panels of equal width; every block of a panel count shares them."""
-    nodes, weights = gauss_legendre(16)
-    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
-    w = np.tile(weights, n_panels) / n_panels
-    return u, w
+def _panel_rule(n_panels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes u on [−1, 1] of n_panels panels of equal width, each with the
+    33 nodes of the Gauss–Kronrod rule, and their Kronrod weights; then the
+    Gauss–Legendre weights of u's first 16·n_panels nodes, every panel's
+    Gauss nodes in turn, which the 17·n_panels Kronrod nodes follow.  Every
+    block of a panel count shares them."""
+    nodes, weights = gauss_kronrod(_GAUSS_NODES)
+    start = 2.0 * np.arange(n_panels)[:, None] + 1.0
+    halves = (slice(1, None, 2), slice(0, None, 2))  # the Gauss nodes, then the rest
+    u = np.concatenate([(start + nodes[half]) / n_panels - 1.0 for half in halves], axis=None)
+    w = np.concatenate([np.tile(weights[half], n_panels) for half in halves]) / n_panels
+    return u, w, np.tile(gauss_legendre(_GAUSS_NODES)[1], n_panels) / n_panels
+
+
+def _leading(buffer: np.ndarray, columns: int) -> np.ndarray:
+    """A C-contiguous array of `buffer`'s rows and `columns` columns on the
+    first elements of the C-contiguous 2-d `buffer`."""
+    rows = len(buffer)
+    return buffer.reshape(-1)[:rows * columns].reshape(rows, columns)
 
 
 def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
-                  rule: tuple[np.ndarray, np.ndarray],
-                  rounding: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+                  rule: tuple[np.ndarray, np.ndarray, np.ndarray]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotated-contour integral over [−L, L] by the `_panel_rule` `rule`.
 
-    Returns the rule's values and, if `rounding`, a bound on their rounding
-    error (else None).  On the contour the exponent is
+    Returns the Gauss–Kronrod values K(n), the Gauss–Legendre values Q(n)
+    of the same nodes' leading slice, and a bound on the rounding error of
+    K(n).  Each node is evaluated once.  On the contour the exponent is
     z = iXe^{iπ/8}s + iTe^{iπ/4}s² − s⁴, summed here in real arithmetic as
     Re z and Im z.  It is rounded to a few ulps of |X||s| + 2|T|s² + 4s⁴
     (that of z and of its slope times the rounding of s), so e^z is off by
     that much relative to |e^z| = e^{Re z}; where the integrand grows to
     e^{20} before it decays this rounding, not the rule, limits the result.
     Every point is reduced along its own row, so its value does not depend
-    on which other points share the call.  The arithmetic runs in place,
+    on which other points share the call; Q(n) takes the operations, in
+    their order, of the 16n-node rule alone.  The arithmetic runs in place,
     products commuted where that saves a buffer but every sum in its
-    left-to-right order: e^{Re z} overwrites Re z, cos and sin the spent
-    buffers of the exponent, and the rounding bound's swing overwrites s.
+    left-to-right order: the rounding bound's swing overwrites s, e^{Re z}
+    Re z, cos and sin the spent buffers of the exponent, and the Gauss sums'
+    terms the spent s² and s⁴.
     """
-    u, w = rule
+    u, w, gauss_w = rule
     s = length[:, None] * u
     s2 = s * s
     s4 = s2 * s2
@@ -219,15 +240,6 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
     re -= s4
     im = (_COS_PI8 * X)[:, None] * s
     im += quad
-    weighted = np.exp(re, out=re)
-    weighted *= w
-    cos = np.cos(im, out=quad)
-    cos *= weighted
-    sin = np.sin(im, out=im)
-    sin *= weighted
-    total = cos.sum(axis=-1) + 1j * sin.sum(axis=-1)
-    if not rounding:
-        return _ROT * length * total, None
     swing = np.abs(s, out=s)
     swing *= np.abs(X)[:, None]
     swing += 1.0
@@ -235,34 +247,57 @@ def _composite_gl(T: np.ndarray, X: np.ndarray, length: np.ndarray,
     swing += s2
     s4 *= 4.0
     swing += s4
+    growth = np.exp(re, out=re)
+    cos = np.cos(im, out=quad)
+    sin = np.sin(im, out=im)
+    # the Gauss sums' terms, contiguous (a strided out costs more) in the
+    # spent s² and s⁴
+    g = len(gauss_w)
+    weighted = np.multiply(growth[:, :g], gauss_w, out=_leading(s2, g))
+    term = _leading(s4, g)
+    coarse = (np.multiply(cos[:, :g], weighted, out=term).sum(axis=-1)
+              + 1j * np.multiply(sin[:, :g], weighted, out=term).sum(axis=-1))
+    weighted = np.multiply(growth, w, out=growth)
+    cos *= weighted
+    sin *= weighted
     swing *= weighted
-    return _ROT * length * total, EPS * length * swing.sum(axis=-1)
+    fine = cos.sum(axis=-1) + 1j * sin.sum(axis=-1)
+    scale = _ROT * length
+    return scale * fine, scale * coarse, EPS * length * swing.sum(axis=-1)
 
 
 def pearcey_panels(T, X) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's cut L and coarse panel count n (a float: inf or nan, never a
-    wrapped integer, at an extreme point); it costs 48n nodes, and L and n grow
-    with |T| and with |X|."""
+    """Each point's cut L and panel count n (a float: inf or nan, never a
+    wrapped integer, at an extreme point); L and n grow with |T| and with
+    |X|, and `pearcey_nodes` counts the point's cost."""
     length = _pearcey_truncation(T, X)
     l2 = length * length
     bound = np.abs(X) * length + np.abs(T) * l2 + l2 * l2
     return length, np.maximum(np.ceil(bound / _SWING_PER_PANEL), _MIN_PANELS)
 
 
+def pearcey_nodes(T, X) -> np.ndarray:
+    """The integrand nodes `pearcey_array` evaluates at each point, 33n of
+    n panels: a float, like `pearcey_panels`' n."""
+    return _PANEL_NODES * pearcey_panels(T, X)[1]
+
+
 def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     """I_P(T, X) for arrays of points, with a per-point error estimate.
 
     The rotated contour y = e^{iπ/8}s over [−L, L], cut by
-    `_pearcey_truncation` where the integrand has fallen below e^{−40}, by
-    composite 16-node Gauss–Legendre.  Each point gets n panels from its
-    own bound |X|L + |T|L² + L⁴ (`pearcey_panels`); the value is the
-    2n-panel rule Q(2n) and the estimate is |Q(2n) − Q(n)| plus the
-    rounding bound of Q(2n).  The difference alone under-reads where the
-    rotated integrand grows large before it decays: there both rules carry
-    rounding errors of the same size, and that of Q(2n) can exceed their
-    difference.  Because L, n and the sums depend on the point alone, a
-    point's value is bit-identical whichever other points it is evaluated
-    with.
+    `_pearcey_truncation` where the integrand has fallen below e^{−40}, on
+    n panels of equal width from the point's own bound |X|L + |T|L² + L⁴
+    (`pearcey_panels`).  Each panel carries the 16-node Gauss–Legendre rule
+    and its 33-node Gauss–Kronrod extension, which reuses the 16 nodes
+    (Laurie, Math. Comp. 66 (1997) 1133; Piessens et al., QUADPACK, 1983):
+    33n nodes a point.  The value is the Kronrod sum K(n) and the estimate
+    is |K(n) − Q(n)|, how far the Gauss sum Q(n) misses, plus the rounding
+    bound of K(n).  The difference alone under-reads where the rotated
+    integrand grows large before it decays: there both sums carry rounding
+    errors of the same size, and that of K(n) can exceed their difference.
+    Because L, n and the sums depend on the point alone, a point's value is
+    bit-identical whichever other points it is evaluated with.
     """
     T, X = np.broadcast_arrays(np.asarray(T, dtype=float), np.asarray(X, dtype=float))
     if not (np.all(np.isfinite(T)) and np.all(np.isfinite(X))):
@@ -276,12 +311,11 @@ def pearcey_array(T, X) -> tuple[np.ndarray, np.ndarray]:
     ordered = np.sort(panels)
     for n in ordered[np.diff(ordered, prepend=-1.0) > 0].astype(int):
         idx = np.flatnonzero(panels == n)
-        step = max(1, _BLOCK_NODES // (2 * n * 16))  # Q(2n): 2n panels of 16 nodes
-        coarse_rule, fine_rule = _panel_rule(n), _panel_rule(2 * n)
+        step = max(1, _BLOCK_NODES // (_PANEL_NODES * n))
+        rule = _panel_rule(n)
         for block in (idx[i:i + step] for i in range(0, len(idx), step)):
-            args = (t_flat[block], x_flat[block], length[block])
-            coarse, _ = _composite_gl(*args, coarse_rule)
-            fine, rounding = _composite_gl(*args, fine_rule, rounding=True)
+            fine, coarse, rounding = _composite_gl(t_flat[block], x_flat[block],
+                                                   length[block], rule)
             values[block] = fine
             errors[block] = np.abs(fine - coarse) + rounding
     return values.reshape(T.shape), errors.reshape(T.shape)

@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (ShockChart, check_pearcey_tol, discriminant, pearcey_array,
-                          pearcey_panels)
+                          pearcey_nodes)
 from .experiments import EXPERIMENTS, _window, walk_steps
 from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_profile, \
     check_wavenumber
+from .nonrel import check_velocity_norms
 from .schrodinger import check_free_factors, check_velocity_scale
 from .walk import EXACT_STEPS, WalkParams, steps_until
 
@@ -37,11 +38,11 @@ STATE_BYTES = 2 ** 27
 # The most (x, t) points, nx·nt, a map window may ask for: its arrays take
 # about 1 GB at 10⁷ points.
 MAP_POINTS = 10 ** 7
-# A map point takes at most the `pearcey_panels` nodes of the window's (max |T|,
-# max |X|), and its arrays peak at ≈ 48 B a node (tracemalloc, one point per
-# block): POINT_NODES bounds them to 96 MiB.  At 41–46 ns a node so counted
+# A map point takes at most the `pearcey_nodes` of the window's (max |T|,
+# max |X|), and its arrays peak at ≈ 68 B a node (tracemalloc, one point per
+# block): POINT_NODES bounds them to 136 MiB.  At 46–49 ns a node so counted
 # (401 × 251 windows at masses 20 and 100, one core of a 2-CPU Xeon, numpy
-# 2.4) nx·nt·nodes ≤ MAP_NODES runs in about 15 minutes.
+# 2.4) nx·nt·nodes ≤ MAP_NODES runs in about 16 minutes.
 POINT_NODES = 2 ** 21
 MAP_NODES = 2 * 10 ** 10
 
@@ -222,7 +223,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError("'q_max' must be positive")
         gradient = _owned(check_profile, profile, n_sites)
         if spec.walk:  # the walk's initial amplitudes peak at the steepest gradient
-            _owned(_plane_wave_amplitudes, gradient, cfg.mass, "'q_max', 'mode' and 'mass'")
+            root = _owned(_plane_wave_amplitudes, gradient, cfg.mass,
+                          "'q_max', 'mode' and 'mass'")[0]
         if t_final is None:
             # 1.5 × the characteristic caustic time 1/u_max
             u_max = cfg.q_max / cfg.mass
@@ -280,6 +282,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         _owned(check_velocity_scale, n_sites, cfg.mass, "'mass'")
         _owned(check_free_factors, n_sites, cfg.mass,
                max(snapshot_times[-1], last * params.dt), f"'mass' and '{key}'")
+        if spec.walk:  # the run measures the walk's velocity against the oracle's
+            # the walk's density |Ψ_L|² + |Ψ_R|², whose mean it keeps, is at most
+            # √(1 + q̃²) + 1/2 at the steepest q̃; the oracle's mean |ψ|² is 1
+            _owned(check_velocity_norms, n_sites, cfg.mass, float(root) + 0.5,
+                   "'mass', 'q_max' and 'mode'")
 
     for name, value in cfg.tolerances.items():
         if name not in spec.gates:
@@ -289,7 +296,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             raise ConfigError(f"tolerance {name!r} must be positive and finite")
     if "quadrature" in spec.needs:
         with np.errstate(all="ignore"):  # an extreme window costs inf or nan nodes
-            nodes = 48.0 * pearcey_panels(np.max(np.abs(T)), np.max(np.abs(X)))[1]
+            nodes = pearcey_nodes(np.max(np.abs(T)), np.max(np.abs(X)))
         if not (nodes <= POINT_NODES and cfg.nx * cfg.nt * nodes <= MAP_NODES):
             raise ConfigError(f"'x_min', 'x_max', 't_min', 't_max' and 'mass' give {nodes:.3g} "
                               f"nodes a point (budget {POINT_NODES}), on 'nx' · 'nt' = {cfg.nx} "

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from ._csvfmt import write_grid
 from ._spectral import fft_calls, ifft
-from .asymptotics import ShockChart, pearcey_array, pearcey_panels, shock_coords, zone_labels
+from .asymptotics import ShockChart, pearcey_array, pearcey_nodes, shock_coords, zone_labels
 from .hydro import current_identity_gap, phases, spinor_from_hydro, currents
 from .initial import ShockInitSpec, phase_modulated_state, plane_wave, schrodinger_initial
 from .nonrel import nonrel_compare
@@ -256,9 +256,9 @@ def _pearcey_map(cfg: SimConfig) -> Computed:
     intensity = chart.prefactor_intensity(ts[:, None]) * np.abs(values) ** 2
     worst = float(np.max(errors))
     over = int(np.sum(errors > cfg.pearcey_tol))
-    # the quadrature nodes the map evaluated, 48n a point of n coarse panels:
-    # over the telemetry's compute seconds, the cost of a node
-    nodes = 48 * int(np.sum(pearcey_panels(-T, X)[1]))
+    # the quadrature nodes the map evaluated: over the telemetry's compute
+    # seconds, the cost of a node
+    nodes = int(np.sum(pearcey_nodes(-T, X)))
     diagnostics = {"grid": [int(cfg.nt), int(cfg.nx)],
                    "max_intensity": float(np.max(intensity)),
                    "pearcey_error": _gate(worst, cfg.pearcey_tol),

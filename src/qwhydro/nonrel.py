@@ -19,6 +19,7 @@ walk, and every comparison against it, lives in c = 1 units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,6 +198,50 @@ def klein_gordon_residual(traj: Trajectory, params: WalkParams) -> tuple[float, 
             component_residual(prev.right, cur.right, nxt.right))
 
 
+# The least ‖v_ref‖ a relative velocity norm divides by.
+_VELOCITY_FLOOR = 1e-12
+
+
+def check_velocity_norms(n_sites: int, mass: float, density: float, names: str):
+    """Raise ValueError naming `names` unless `nonrel_compare`'s relative
+    velocity norms stay within the floats for every state it can meet, the
+    wavefunctions it compares having a mean |ψ|² of at most `density`.
+
+    Their Fourier coefficients then have Σ|c_k| ≤ √(n·density), so
+    |∂ψ| ≤ (n/2)·√(n·density) for n = n_sites.  `schrodinger_hydro` keeps
+    only sites with |ψ| > 1e-10, where |v| ≤ |∂ψ|/(m|ψ|).  The L² norm of a
+    velocity difference is then below 1e10·n²·√density/m, and over
+    `_VELOCITY_FLOOR` the relative norm below 1e22·n²·√density/m.
+    """
+    bound = 1e10 * n_sites * n_sites * math.sqrt(density) / mass / _VELOCITY_FLOOR
+    if not math.isfinite(bound):
+        raise ValueError(f"{names} give the walk's relative velocity error a bound "
+                         f"1e22·n_sites²·√(mean |ψ|²)/mass out of the floats (n_sites = "
+                         f"{n_sites}, mass = {mass:g}, mean |ψ|² ≤ {density:g})")
+
+
+def _scaled_norm(values: np.ndarray) -> tuple[float, int]:
+    """The L² norm of `values` as (f, k), norm = f·2^k: `np.linalg.norm`
+    itself with k = 0 where its squares stay in the floats, else the norm of
+    the values scaled down by 2^k, k the binary exponent of their largest
+    modulus, which is exact.  Call it with overflow ignored."""
+    norm = float(np.linalg.norm(values))
+    if math.isfinite(norm) or not np.all(np.isfinite(values)):
+        return norm, 0
+    k = math.frexp(float(np.max(np.abs(values))))[1]
+    return float(np.linalg.norm(np.ldexp(values, -k))), k
+
+
+def _relative_l2(diff: np.ndarray, ref: np.ndarray, floor: float = 0.0) -> float:
+    """‖diff‖ / max(‖ref‖, floor) from the `_scaled_norm`s, without
+    overflow in either norm."""
+    with np.errstate(over="ignore"):
+        (f_diff, k_diff), (f_ref, k_ref) = _scaled_norm(diff), _scaled_norm(ref)
+    if k_ref == 0:  # a scaled ‖ref‖ overflowed unscaled, above any floor in use
+        f_ref = max(f_ref, floor)
+    return float(np.ldexp(np.float64(f_diff) / f_ref, k_diff - k_ref))
+
+
 def nonrel_compare(traj: Trajectory, oracle, mass: float) -> list[dict]:
     """Error report of the walk against a Schrödinger oracle.
 
@@ -215,13 +260,12 @@ def nonrel_compare(traj: Trajectory, oracle, mass: float) -> list[dict]:
             raise ValueError("oracle grid does not match trajectory grid")
         n_ref, v_ref = schrodinger_hydro(reference, mass)
         n_walk, v_walk = schrodinger_hydro(Wavefunction(values=np.sqrt(2.0) * psi), mass)
-        v_scale = max(float(np.max(np.abs(v_ref))), 1e-12)
+        v_scale = max(float(np.max(np.abs(v_ref))), _VELOCITY_FLOOR)
         records.append({
             "time": float(t),
-            "density_l2": float(np.linalg.norm(n_walk - n_ref) / np.linalg.norm(n_ref)),
+            "density_l2": _relative_l2(n_walk - n_ref, n_ref),
             "density_max": float(np.max(np.abs(n_walk - n_ref)) / np.max(n_ref)),
-            "velocity_l2": float(np.linalg.norm(v_walk - v_ref)
-                                 / max(np.linalg.norm(v_ref), 1e-12)),
+            "velocity_l2": _relative_l2(v_walk - v_ref, v_ref, _VELOCITY_FLOOR),
             "velocity_max": float(np.max(np.abs(v_walk - v_ref)) / v_scale),
         })
     return records

@@ -271,6 +271,7 @@ def schrodinger_hydro(psi: Wavefunction, mass: float) -> tuple[np.ndarray, np.nd
     n = modulus ** 2
     dpsi = spectral_derivative(values)
     valid = modulus > 1e-10 * max(float(modulus.max()), 1.0)
-    safe = np.where(valid, n, 1.0)
-    v = np.where(valid, np.imag(np.conj(values) * dpsi) / (mass * safe), 0.0)
+    # divided at the kept sites only: a masked one may overflow the quotient
+    v = np.zeros_like(n)
+    np.divide(np.imag(np.conj(values) * dpsi), mass * n, out=v, where=valid)
     return n, v

@@ -339,33 +339,76 @@ def test_pearcey_array_estimate_bounds_the_actual_error_near_the_origin():
         assert abs(value - pearcey_mp(t, x)) <= error
 
 
-# The kernel before it worked in place, each operation on fresh temporaries
-# and the panel rule built at every call: the in-place `_composite_gl` keeps
-# its operations and their order (only commuted products), so `pearcey_array`
-# must give its value and estimate bits at every point.
-def _composite_gl_allocating(T, X, length, n_panels, rounding=False):
-    nodes, weights = asy.gauss_legendre(16)
-    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
-    w = np.tile(weights, n_panels) / n_panels
+def _exponent(T, X, length, u):
+    """s and the parts of the rotated exponent at nodes u, each operation on
+    fresh temporaries, in `_composite_gl`'s order."""
     s = length[:, None] * u
     s2 = s * s
     s4 = s2 * s2
     quad = (asy._SQRT_HALF * T)[:, None] * s2
     re = (-asy._SIN_PI8 * X)[:, None] * s - quad - s4
     im = (asy._COS_PI8 * X)[:, None] * s + quad
-    weighted = w * np.exp(re)
-    total = (weighted * np.cos(im)).sum(axis=-1) + 1j * (weighted * np.sin(im)).sum(axis=-1)
+    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
+    return np.exp(re), np.cos(im), np.sin(im), swing
+
+
+# The doubling rule `pearcey_array` used before the Gauss–Kronrod rule: n
+# panels of 16-node Gauss–Legendre for the coarse sum Q(n), 2n for the value
+# Q(2n), each a fresh evaluation of its own nodes.  It is the oracle of the
+# new rule, and its Q(n) is the one the Kronrod kernel must keep to the bit.
+def _composite_gl_doubling(T, X, length, n_panels, rounding=False):
+    nodes, weights = asy.gauss_legendre(16)
+    u = ((2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes) / n_panels - 1.0).ravel()
+    w = np.tile(weights, n_panels) / n_panels
+    growth, cos, sin, swing = _exponent(T, X, length, u)
+    weighted = w * growth
+    total = (weighted * cos).sum(axis=-1) + 1j * (weighted * sin).sum(axis=-1)
     if not rounding:
         return asy._ROT * length * total, None
-    swing = 1.0 + np.abs(X)[:, None] * np.abs(s) + 2.0 * np.abs(T)[:, None] * s2 + 4.0 * s4
     return asy._ROT * length * total, asy.EPS * length * (weighted * swing).sum(axis=-1)
+
+
+def _pearcey_doubling(T, X):
+    """Values Q(2n) and estimates |Q(2n) − Q(n)| + rounding of the doubling
+    rule, on the cut and panel counts `pearcey_array` uses."""
+    length, panels = asy.pearcey_panels(T, X)
+    values, errors = np.empty(T.shape, dtype=complex), np.empty(T.shape)
+    for n in np.unique(panels).astype(int):
+        at = panels == n
+        args = (T[at], X[at], length[at])
+        coarse, _ = _composite_gl_doubling(*args, n)
+        fine, rounding = _composite_gl_doubling(*args, 2 * n, rounding=True)
+        values[at], errors[at] = fine, np.abs(fine - coarse) + rounding
+    return values, errors
+
+
+# The Kronrod kernel on fresh temporaries and a rule built here from the
+# K33 table: the in-place `_composite_gl` keeps these operations and their
+# order (only commuted products), so `pearcey_array` must give its value
+# and estimate bits at every point.
+def _composite_gk_allocating(T, X, length, n_panels):
+    nodes, weights = asy.gauss_kronrod(16)
+    gauss_u = (2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes[1::2]) / n_panels - 1.0
+    kronrod_u = (2.0 * np.arange(n_panels)[:, None] + 1.0 + nodes[::2]) / n_panels - 1.0
+    u = np.concatenate([gauss_u.ravel(), kronrod_u.ravel()])
+    w = np.concatenate([np.tile(weights[1::2], n_panels), np.tile(weights[::2], n_panels)])
+    w = w / n_panels
+    gauss_w = np.tile(asy.gauss_legendre(16)[1], n_panels) / n_panels
+    growth, cos, sin, swing = _exponent(T, X, length, u)
+    g = 16 * n_panels
+    weighted = gauss_w * growth[:, :g]
+    coarse = (weighted * cos[:, :g]).sum(axis=-1) + 1j * (weighted * sin[:, :g]).sum(axis=-1)
+    weighted = w * growth
+    fine = (weighted * cos).sum(axis=-1) + 1j * (weighted * sin).sum(axis=-1)
+    return (asy._ROT * length * fine, asy._ROT * length * coarse,
+            asy.EPS * length * (weighted * swing).sum(axis=-1))
 
 
 def _assert_kernel_bits(monkeypatch, T, X):
     """pearcey_array's values and estimates at (T, X) equal, bit for bit,
     those of the allocating kernel; inf and nan included."""
-    def allocating(T, X, length, rule, rounding=False):
-        return _composite_gl_allocating(T, X, length, len(rule[0]) // 16, rounding)
+    def allocating(T, X, length, rule):
+        return _composite_gk_allocating(T, X, length, len(rule[2]) // 16)
 
     with np.errstate(all="ignore"):
         values, errors = asy.pearcey_array(T, X)
@@ -377,13 +420,26 @@ def _assert_kernel_bits(monkeypatch, T, X):
     return values, errors
 
 
-@pytest.mark.parametrize("mass", (20.0, 50.0, 100.0))
-def test_pearcey_array_keeps_the_allocating_kernels_bits_on_the_shipped_window(
-        monkeypatch, mass):
+def _shipped_window(mass):
     chart = asy.ShockChart.from_mass(mass)
     T, X = asy.shock_coords(np.linspace(-1.0, 1.0, 41)[None, :],
                             np.linspace(0.6, 1.8, 25)[:, None], chart)
-    _assert_kernel_bits(monkeypatch, *np.broadcast_arrays(-T, X))
+    return np.broadcast_arrays(-T, X)
+
+
+def _mixed_blocks():
+    # many points share the smallest panel counts and span several blocks,
+    # the last one partly filled; the rest spread over a range of counts
+    rng = np.random.default_rng(53)
+    T = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-15, 15, 200)])
+    X = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-40, 40, 200)])
+    return T, X
+
+
+@pytest.mark.parametrize("mass", (20.0, 50.0, 100.0))
+def test_pearcey_array_keeps_the_allocating_kernels_bits_on_the_shipped_window(
+        monkeypatch, mass):
+    _assert_kernel_bits(monkeypatch, *_shipped_window(mass))
 
 
 def test_pearcey_array_keeps_the_allocating_kernels_bits_near_the_newton_range(
@@ -394,22 +450,51 @@ def test_pearcey_array_keeps_the_allocating_kernels_bits_near_the_newton_range(
     # allocating kernel's working set under 100 MB.
     T = np.array([300.0, -300.0, 0.0, 0.0, 30.0, -30.0, 30.0, -30.0, 250.0, -3.0])
     X = np.array([0.0, 0.0, 3000.0, -3000.0, 100.0, -100.0, -100.0, 100.0, 900.0, 1000.0])
-    assert np.all(48.0 * asy.pearcey_panels(T, X)[1] <= 6e5)
+    assert np.all(asy.pearcey_nodes(T, X) <= 6e5)
     values, _ = _assert_kernel_bits(monkeypatch, T, X)
     assert np.isfinite(values[0]) and not np.all(np.isfinite(values))
 
 
 def test_pearcey_array_keeps_the_allocating_kernels_bits_over_mixed_blocks(monkeypatch):
-    # many points share the smallest panel counts and span several blocks,
-    # the last one partly filled; the rest spread over a range of counts
-    rng = np.random.default_rng(53)
-    T = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-15, 15, 200)])
-    X = np.concatenate([rng.uniform(-2, 2, 200), rng.uniform(-40, 40, 200)])
+    T, X = _mixed_blocks()
     panels = asy.pearcey_panels(T, X)[1]
     counts = np.unique(panels, return_counts=True)[1]
-    per_block = asy._BLOCK_NODES // (2 * int(panels.min()) * 16)
+    per_block = asy._BLOCK_NODES // int(asy.pearcey_nodes(0.0, 0.0))
+    assert asy.pearcey_panels(0.0, 0.0)[1] == panels.min()
     assert len(counts) >= 20 and counts[0] > per_block and counts[0] % per_block
     _assert_kernel_bits(monkeypatch, T, X)
+
+
+@pytest.mark.parametrize("points", [*(f"shipped_{m}" for m in (20, 50, 100)), "mixed"])
+def test_the_kronrod_rule_agrees_with_the_doubling_rule_within_both_estimates(points):
+    T, X = (_mixed_blocks() if points == "mixed"
+            else _shipped_window(float(points.split("_")[1])))
+    T, X = np.ravel(T), np.ravel(X)
+    values, errors = asy.pearcey_array(T, X)
+    old_values, old_errors = _pearcey_doubling(T, X)
+    assert np.all(np.abs(values - old_values) <= errors + old_errors)
+
+
+def test_the_kronrod_kernels_gauss_sum_is_the_doubling_rules_coarse_sum():
+    # Q(n) from the Gauss nodes the Kronrod rule shares, to the bit, on
+    # blocks of one point and of many, over a range of panel counts
+    rng = np.random.default_rng(59)
+    T, X = rng.uniform(-15, 15, 40), rng.uniform(-40, 40, 40)
+    length = asy.pearcey_panels(T, X)[0]
+    for n in (6, 7, 16, 41):
+        coarse = asy._composite_gl(T, X, length, asy._panel_rule(n))[1]
+        reference, _ = _composite_gl_doubling(T, X, length, n)
+        assert np.array_equal(coarse.view(np.uint64), reference.view(np.uint64))
+        one = asy._composite_gl(T[:1], X[:1], length[:1], asy._panel_rule(n))[1]
+        assert one.view(np.uint64)[0] == reference.view(np.uint64)[0]
+
+
+def test_pearcey_nodes_counts_the_kronrod_rule_on_each_panel():
+    T, X = _mixed_blocks()
+    panels = asy.pearcey_panels(T, X)[1]
+    assert np.array_equal(asy.pearcey_nodes(T, X), 33.0 * panels)
+    u, w, gauss_w = asy._panel_rule(7)
+    assert len(u) == len(w) == 33 * 7 and len(gauss_w) == 16 * 7
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.metadata
 import json
+import math
 import platform
 import re
 import tempfile
@@ -201,9 +202,10 @@ output_dir = {out}
 # sha256 of the zones CSV of configs/zones_map.cfg before the labels were
 # computed with array arithmetic
 ZONES_MAP_SHA256 = "27fdd849b7da55fac1528d426dc7927657ac38030fb720da40ff3006f40064cb"
-# sha256 of the intensity CSV of configs/pearcey_map.cfg before the Pearcey
-# kernel worked in place
-PEARCEY_MAP_SHA256 = "159483ff12a56d6821f3ca7a44cdd4edeb00c1d14104ec1802994feedf80af7c"
+# sha256 of the intensity CSV of configs/pearcey_map.cfg, each point's value
+# the 33-node Gauss–Kronrod sum K(n) on its n panels (the 16-node Gauss rule
+# on 2n panels wrote 159483ff…af7c)
+PEARCEY_MAP_SHA256 = "14d7ed0d20ab573491ebb44377ac0ed0faa1914e97528867b6f292568a9dfeb7"
 
 
 # sha256 of the walk data files of three shipped configs before the walk's
@@ -256,7 +258,7 @@ def test_zones_map_labels_match_scalar_classification(tmp_path):
 
 
 def test_pearcey_map_writes_its_pinned_bytes_and_counts_its_nodes(tmp_path):
-    # pearcey_nodes is Σ 48n over the window's points, the same on a rerun
+    # pearcey_nodes is Σ 33n over the window's points, the same on a rerun
     manifests = []
     for run in ("p1", "p2"):
         assert _run_cfg(tmp_path / run, _shipped("pearcey_map", tmp_path / run)).ok
@@ -266,10 +268,10 @@ def test_pearcey_map_writes_its_pinned_bytes_and_counts_its_nodes(tmp_path):
     chart = asy.ShockChart.from_mass(20.0)
     T, X = asy.shock_coords(np.linspace(-1.0, 1.0, 41)[None, :],
                             np.linspace(0.6, 1.8, 25)[:, None], chart)
-    panels = asy.pearcey_panels(*np.broadcast_arrays(-T, X))[1]
-    assert panels.shape == (25, 41)
+    point_nodes = asy.pearcey_nodes(*np.broadcast_arrays(-T, X))
+    assert point_nodes.shape == (25, 41)
     nodes = [manifest["diagnostics"]["pearcey_nodes"] for manifest in manifests]
-    assert nodes == [48 * int(panels.sum())] * 2 and type(nodes[0]) is int
+    assert nodes == [int(point_nodes.sum())] * 2 and type(nodes[0]) is int
 
 
 def test_pearcey_map_runs_and_is_deterministic(tmp_path):
@@ -912,6 +914,12 @@ RUN_OVERFLOWS = {
                                            "mass = 5e-324\nq_max = 5e-324\n"
                                            "mode = 0.0,1,0.0\nsnapshot_times = 0.0, 0.5\n",
                                            ("'mass'", "'snapshot_times'")),
+    # the bound 1e22·n_sites²·√1.5/mass on nonrel_compare's relative velocity
+    # norm overflows: the run wrote velocity_l2 = "inf" and exited 0 (exit 1
+    # with RuntimeWarning an error)
+    "nonrel_compare_velocity_norms": ("experiment = nonrel_compare\nn_sites = 64\n"
+                                      "mass = 1e-300\nq_max = 5e-324\nt_final = 1\n"
+                                      "mode = 1e-300,1,0\n", ("'mass'",)),
     # schrodinger_hydro's velocity denominator mass·|ψ|² overflows, for
     # |ψ|² ≤ n_sites: the run wrote all-zero velocities and exited 0
     **{f"{name}_velocity_scale": (f"experiment = {name}\nn_sites = 64\n"
@@ -940,10 +948,8 @@ def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text
 @pytest.mark.parametrize("experiment", ["dtqw_shock", "nonrel_compare", "schrodinger_shock"])
 def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, q_max,
                                                     amplitude, t_final):
-    # a config that validates must never fail inside the run, the CLI's exit 1;
-    # whether the run is ok is not asked here, nor whether nonrel_compare warns
-    # on its way (its velocity_l2 norm overflows at some masses); dtqw_shock and
-    # schrodinger_shock must not warn
+    # a config that validates must never fail inside the run, the CLI's exit 1,
+    # nor warn on its way; whether the run is ok is not asked here
     text = (f"experiment = {experiment}\nn_sites = 64\nmass = {mass!r}\n"
             f"q_max = {q_max!r}\nmode = {amplitude!r},1,0.0\n{t_final}"
             f"output_dir = {tmp_path}\n")
@@ -952,9 +958,30 @@ def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, 
     except ConfigError:
         return
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore" if experiment == "nonrel_compare" else "error",
-                              RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("mass, q_max, amplitude, least", [
+    # velocities near 1e170: np.linalg.norm overflowed in its dot product and
+    # the run wrote velocity_l2 = "inf"; ‖v_walk − v_ref‖ is over 1e154, over
+    # the 1e-12 floor
+    ("1e-200", "5e-324", "1e-155", 1e154 * 1e12),
+    # a walk of density 1e150: the velocity's quotient overflowed at the sites
+    # schrodinger_hydro masks out
+    ("1e-180", "1e-30", "1.0", 0.0)])
+def test_nonrel_compare_runs_without_warning_at_a_tiny_mass(tmp_path, mass, q_max,
+                                                           amplitude, least):
+    cfg = parse_config(f"experiment = nonrel_compare\nn_sites = 64\nmass = {mass}\n"
+                       f"q_max = {q_max}\nmode = {amplitude},1,0\nt_final = 1\n"
+                       f"output_dir = {tmp_path}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_experiment(cfg).ok
+    records = json.loads((tmp_path / "nonrel_compare.json").read_text())
+    l2 = [record["velocity_l2"] for record in records]
+    assert all(type(value) is float and math.isfinite(value) for value in l2)
+    assert max(l2) > least
 
 
 def test_cli_validate_accepts_a_rest_plane_wave_at_any_mass(tmp_path):

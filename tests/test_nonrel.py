@@ -222,3 +222,28 @@ def test_nonrel_compare_grid_mismatch():
     bad = sch.Wavefunction(np.ones(128, complex))
     with pytest.raises(ValueError):
         nr.nonrel_compare(traj, lambda t: bad, mass)
+
+
+def test_relative_l2_keeps_the_unscaled_bits_and_does_not_overflow():
+    rng = np.random.default_rng(61)
+    for scale in (1e-3, 1.0, 7.0, 1e100):
+        diff, ref = scale * rng.normal(size=64), scale * rng.normal(size=64)
+        with np.errstate(all="raise"):
+            plain = float(np.linalg.norm(diff) / max(np.linalg.norm(ref), 1e-12))
+        assert nr._relative_l2(diff, ref, 1e-12) == plain
+    # the squares of 1e200 overflow; the relative norms are 1, 4e212 over the
+    # floor, and 0
+    big = np.full(16, 1e200)
+    with np.errstate(all="raise"):
+        assert nr._relative_l2(big, big) == 1.0
+        assert nr._relative_l2(big, np.zeros(16), 1e-12) == pytest.approx(4e212, rel=1e-15)
+        assert nr._relative_l2(np.zeros(16), big) == 0.0
+
+
+def test_check_velocity_norms_refuses_only_an_unbounded_relative_error():
+    nr.check_velocity_norms(64, 1e-200, 1.5, "'mass'")
+    nr.check_velocity_norms(4096, 1e-270, 1.5, "'mass'")
+    with pytest.raises(ValueError, match="'mass'"):
+        nr.check_velocity_norms(64, 1e-300, 1.5, "'mass'")
+    with pytest.raises(ValueError, match="'mass'"):  # a steep walk's density counts too
+        nr.check_velocity_norms(64, 1e-250, 1e95, "'mass'")

@@ -5,6 +5,8 @@ The references are the inline formulas these functions used before their
 tables were cached; the cached forms must give the same bits.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,48 @@ def test_gauss_legendre_rules_are_numpys_and_read_only(n_nodes):
     assert sp.gauss_legendre(n_nodes)[0] is nodes
     with pytest.raises(ValueError, match="read-only"):
         nodes[0] = 0.0
+
+
+# QUADPACK's 15-node Kronrod rule (qk15: xgk, wgk), the nonnegative half
+K15_NODES = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+             0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+             0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+             0.207784955007898467600689403773245, 0.0)
+K15_WEIGHTS = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+
+
+def _moment_errors(nodes, weights, degrees):
+    """Σ w·x^k − ∫₋₁¹ x^k dx for each k, the sum taken exactly on the doubles."""
+    exact_nodes = [Fraction(float(x)) for x in nodes]
+    exact_weights = [Fraction(float(w)) for w in weights]
+    return [float(sum(w * x ** k for w, x in zip(exact_weights, exact_nodes))
+                  - (Fraction(2, k + 1) if k % 2 == 0 else 0)) for k in degrees]
+
+
+def test_the_k33_rule_is_exact_to_degree_49_and_extends_gauss_legendre_16():
+    nodes, weights = sp.gauss_kronrod(16)
+    assert len(nodes) == len(weights) == 33
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    assert np.array_equal(nodes[1::2], sp.gauss_legendre(16)[0])
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    # a few ulps of ∫1 = 2, as numpy's own 16-node Gauss rule on its degrees
+    assert max(map(abs, _moment_errors(nodes, weights, range(50)))) <= 8 * sp.EPS
+    assert sp.gauss_kronrod(16)[0] is nodes
+    with pytest.raises(ValueError, match="read-only"):
+        weights[0] = 0.0
+
+
+def test_the_k15_rule_is_quadpacks_and_exact_to_degree_23_only():
+    nodes, weights = sp.gauss_kronrod(7)
+    assert np.allclose(nodes[7:], K15_NODES[::-1], rtol=0.0, atol=4 * sp.EPS)
+    assert np.allclose(weights[7:], K15_WEIGHTS[::-1], rtol=1e-14, atol=0.0)
+    assert np.array_equal(nodes[1::2], sp.gauss_legendre(7)[0])
+    # each weight is good to 1e-14 relative, their sum to 9 ulps of 2
+    errors = _moment_errors(nodes, weights, range(26))
+    assert max(map(abs, errors[:24])) <= 16 * sp.EPS and abs(errors[24]) > 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
