@@ -469,9 +469,10 @@ class PearceyPoint:
     zone: Zone
 
 
-def discriminant(T: float, X: float) -> float:
-    """Δ = T³/2 − 27X²/16: positive ⇔ Φ′ has three distinct real roots."""
-    return T ** 3 / 2.0 - 27.0 * X ** 2 / 16.0
+def discriminant(T, X):
+    """Δ = T³/2 − 27X²/16: positive ⇔ Φ′ has three distinct real roots.  Its
+    powers are products, which round the same for floats and array elements."""
+    return T * T * T / 2.0 - 27.0 * (X * X) / 16.0
 
 
 def caustic_x(T: float) -> float:
@@ -491,20 +492,19 @@ _ZONES = {int(zone): zone for zone in Zone}  # Zone(n) would cost a µs per poin
 
 
 def classify_zone(T: float, X: float) -> PearceyPoint:
-    """Assign zone I/II/III from the discriminant and the band DELTA_BAND."""
+    """Assign zone I/II/III from the discriminant and the band DELTA_BAND.  A
+    point where the discriminant is not finite has no zone: ValueError."""
     delta = discriminant(T, X)
+    if not math.isfinite(delta):
+        raise ValueError("classify_zone requires a finite discriminant")
     return PearceyPoint(T=T, X=X, discriminant=delta, zone=_ZONES[_zone_number(delta)])
 
 
 def zone_labels(T, X) -> np.ndarray:
-    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X).
-
-    np.float_power, like Python's `**`, calls the C library's pow, where
-    numpy's `**` may take a vector kernel that rounds differently; the
-    discriminant therefore matches the scalar one to the bit.  A point where
-    it is not finite has no zone: ValueError."""
+    """Zone numbers 1/2/3 of `classify_zone` over arrays of (T, X).  A point
+    where the discriminant is not finite has no zone: ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = np.float_power(T, 3) / 2.0 - 27.0 * np.float_power(X, 2) / 16.0
+        delta = discriminant(np.asarray(T, dtype=float), np.asarray(X, dtype=float))
     if not np.all(np.isfinite(delta)):
         raise ValueError("zone_labels requires a finite discriminant")
     return _zone_number(delta)

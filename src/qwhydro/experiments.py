@@ -138,9 +138,9 @@ def _walk(cfg: SimConfig, state: SpinorField, params,
     """Walk from `state` to `walk_steps`, jumped to exactly, and return the
     diagnostics of every walking run: the initial norm, the largest relative
     norm drift over the snapshots, the last step the walk reaches (`last_step`)
-    and the check against the stepped kernel, max |propagate(j) −
-    step_walk(propagate(j − 1))| at that last j over the largest modulus of
-    propagate(j).
+    and the check against the stepped kernel, max |jumps(j) −
+    step_walk(jumps(j − 1))| at that last j over the largest modulus of
+    jumps(j).
 
     Each snapshot is reduced as it arrives: `keep(i, snapshot, density)` is
     called with the i-th snapshot of `walk_steps` and its density

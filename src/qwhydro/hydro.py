@@ -193,14 +193,6 @@ def spinor_from_hydro(cur: CurrentField, ph: PhaseField) -> SpinorField:
     return SpinorField(left=left, right=right)
 
 
-def _bilinear_im(state: SpinorField, d_left: np.ndarray, d_right: np.ndarray,
-                 pauli3: bool) -> np.ndarray:
-    # Im(ψ† M ∂ψ) with M = 1 or σ₃.
-    if pauli3:
-        return np.imag(np.conj(state.left) * d_left - np.conj(state.right) * d_right)
-    return np.imag(np.conj(state.left) * d_left + np.conj(state.right) * d_right)
-
-
 def stress_energy_spinor(state: SpinorField, params: WalkParams,
                          prev: SpinorField | None = None,
                          nxt: SpinorField | None = None,
@@ -229,11 +221,12 @@ def stress_energy_spinor(state: SpinorField, params: WalkParams,
     dx_l, dx_r = d_psi.left, d_psi.right
 
     # ψ̄γ⁰∂ψ = ψ†∂ψ, ψ̄γ¹∂ψ = −ψ†σ₃∂ψ; raise the derivative index: ∂⁰=∂_t, ∂¹=−∂_x.
-    t00 = -_bilinear_im(state, dt_l, dt_r, pauli3=False)
-    t01 = +_bilinear_im(state, dx_l, dx_r, pauli3=False)
-    t10 = +_bilinear_im(state, dt_l, dt_r, pauli3=True)
-    t11 = -_bilinear_im(state, dx_l, dx_r, pauli3=True)
-    return TensorField(t00=t00, t01=t01, t10=t10, t11=t11)
+    # ψ†∂ψ is the sum of the components' conj(Ψ)·∂Ψ, ψ†σ₃∂ψ their difference.
+    conj_l, conj_r = np.conj(state.left), np.conj(state.right)
+    time_l, time_r = conj_l * dt_l, conj_r * dt_r
+    space_l, space_r = conj_l * dx_l, conj_r * dx_r
+    return TensorField(t00=-np.imag(time_l + time_r), t01=+np.imag(space_l + space_r),
+                       t10=+np.imag(time_l - time_r), t11=-np.imag(space_l - space_r))
 
 
 def stress_energy_hydro(h: HydroField, ph: PhaseField, params: WalkParams) -> TensorField:

@@ -8,8 +8,8 @@ are provided and cross-checked in the tests:
     many times it is propagated to);
   * greens_propagate:   real-space convolution against the free kernel
     √(m/2iπt)·e^{im(x−y)²/2t}, one tapered integral per Fourier mode of ψ₀
-    by composite Gauss–Legendre, each point checked against its error
-    estimate: the doubling difference Q(2n) − Q(n) plus a rounding bound;
+    by composite Gauss–Kronrod, each point checked against its error
+    estimate: the Kronrod gap |K(n) − Q(n)| plus a rounding bound;
   * single_shock_psi:   for ψ₀ = e^{im cos x}, the exact Bessel series
     ψ(x,t) = Σ_k i^k J_k(m) e^{ikx − ik²t/2m}  (Jacobi–Anger).
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._spectral import EPS, TWO_PI, _read_only, even_table, fft, gauss_legendre, grid, \
-    ifft, schrodinger_exponent, spectral_derivative, wavenumbers
+from ._spectral import EPS, TWO_PI, _read_only, even_table, fft, gauss_kronrod, \
+    gauss_legendre, grid, ifft, schrodinger_exponent, spectral_derivative, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -125,37 +125,45 @@ class GreensConvergenceError(RuntimeError):
 
 
 def _kernel_integrals(kv: np.ndarray, mass: float, t: float, flat: float,
-                      taper: float, panels) -> tuple[np.ndarray, np.ndarray]:
+                      taper: float, panels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """G_k = ∫ e^{imu²/2t}·w(u)·e^{iku} du over [−W, W], W = flat + taper.
 
     w is 1 on |u| ≤ flat and falls as a cos² ramp to 0 at |u| = W.  The
     segments [−W, −flat], [−flat, flat] and [flat, W], where w″ jumps, get
-    panels[0], panels[1] and panels[2] 16-node Gauss–Legendre panels.  On a
-    panel with midpoint c and half-width h, e^{iku} = e^{ikc}·e^{ikhξ}, so
-    the segment costs len(k)·(panels + 16) complex exponentials.  Returns
-    the rule's values and a bound on their rounding: the phases m u²/2t and
-    k·u are rounded to an ulp of their size, and so is every e^{iφ}.
+    panels[0], panels[1] and panels[2] panels, each carrying the 33 nodes
+    of `gauss_kronrod(16)`.  On a panel with midpoint c and half-width h,
+    e^{iku} = e^{ikc}·e^{ikhξ}, so the segment costs len(k)·(panels + 33)
+    complex exponentials.  Returns the Kronrod sum K(n), the 16-node
+    Gauss–Legendre sum Q(n) on the Gauss nodes it shares, and a bound on
+    K(n)'s rounding: the phases m u²/2t and k·u are rounded to an ulp of
+    their size, and so is every e^{iφ}.
     """
-    nodes, weights = gauss_legendre(16)
+    nodes, weights = gauss_kronrod(16)
+    # (2, 33): the Kronrod weights, and the Gauss weights at the odd positions
+    rules = np.zeros((2, nodes.shape[0]))
+    rules[0], rules[1, 1::2] = weights, gauss_legendre(16)[1]
     window = flat + taper
     edges = (-window, -flat, flat, window)
-    total = np.zeros(kv.shape, dtype=complex)
+    total = np.zeros((2,) + kv.shape, dtype=complex)
     rounding = np.zeros(kv.shape)
     for lo, hi, n in zip(edges[:-1], edges[1:], panels):
         half = (hi - lo) / (2 * n)
         mids = lo + half * (2.0 * np.arange(n) + 1.0)
-        u = mids[:, None] + half * nodes
+        u = half * nodes[:, None] + mids  # one row per node, one column per panel
         ramp = np.clip((np.abs(u) - flat) / taper, 0.0, 1.0)
-        weight = (half * weights) * np.cos(0.5 * np.pi * ramp) ** 2
+        profile = half * np.cos(0.5 * np.pi * ramp) ** 2
         phase = mass * u * u / (2.0 * t)
-        offsets = np.exp(1j * np.outer(kv, half * nodes))
+        # summed over the panels first, then over the nodes by both rules;
         # einsum, not a threaded BLAS product: with another core busy, `@`
         # made a solve 3-10 times slower
-        inner = np.einsum("kj,pj->kp", offsets, weight * np.exp(1j * phase))
-        total += (np.exp(1j * np.outer(kv, mids)) * inner).sum(axis=1)
+        per_node = np.einsum("kp,jp->kj", np.exp(1j * np.outer(kv, mids)),
+                             profile * np.exp(1j * phase))
+        total += np.einsum("kj,rj->rk", np.exp(1j * np.outer(kv, half * nodes)) * per_node,
+                           rules)
+        weight = weights[:, None] * profile
         rounding += EPS * ((weight * (1.0 + phase)).sum()
                            + np.abs(kv) * (weight * np.abs(u)).sum())
-    return total, rounding
+    return total[0], total[1], rounding
 
 
 def _panel_counts(rate: float, lengths) -> list[int]:
@@ -187,10 +195,9 @@ def _greens_quadrature(psi0_samples, mass, t, x_eval):
     flat, taper = _greens_window(mass, t, k_max)
     rate = mass * (flat + taper) / t + k_max
     panels = _panel_counts(rate, (taper, 2.0 * flat, taper))
-    coarse, _ = _kernel_integrals(kv, mass, t, flat, taper, panels)
-    fine, rounding = _kernel_integrals(kv, mass, t, flat, taper, [2 * p for p in panels])
-    amplitude = coeff * fine
-    quad_error = float((np.abs(coeff) * (np.abs(fine - coarse) + rounding)).sum())
+    kronrod, gauss, rounding = _kernel_integrals(kv, mass, t, flat, taper, panels)
+    amplitude = coeff * kronrod
+    quad_error = float((np.abs(coeff) * (np.abs(kronrod - gauss) + rounding)).sum())
 
     kx = np.outer(x_eval, kv)
     # each point is summed along its own row, whatever x_eval holds besides
@@ -208,14 +215,17 @@ def greens_propagate(psi0_samples: np.ndarray, mass: float, t: float,
     interpolant Σ c_k e^{iky} of the periodic samples, so with u = y − x
     the integral is √(m/2iπt)·Σ c_k e^{ikx}·G_k, with one x-independent
     G_k = ∫ e^{imu²/2t}·w(u)·e^{iku} du per kept wavenumber.  The G_k come
-    from composite 16-node Gauss–Legendre with n panels per segment of the
-    window, one per _RADIANS_PER_PANEL of phase at the bound m·W/t + k_max
-    on its rate.  The value is the 2n-panel rule Q(2n); each point's
-    estimate is |Q(2n) − Q(n)| plus rounding bounds, and the call raises
-    GreensConvergenceError where it exceeds 1e-10 absolute and relative to
-    the integral before the prefactor √(m/2iπt).  It covers the quadrature, not
-    the window's truncation: on the m = 20, t = 0.5 datum it reads 1.1e-12 where
-    spectral_propagate, independent of it (no e^{−ik²t/2m}), differs by 9.7e-6.
+    from the 33-node Gauss–Kronrod extension of the 16-node Gauss–Legendre
+    rule on n panels per segment of the window, one per _RADIANS_PER_PANEL
+    of phase at the bound m·W/t + k_max on its rate.  The value is the
+    Kronrod sum K(n), each point's estimate the Kronrod gap |K(n) − Q(n)|
+    plus rounding bounds, and the call raises GreensConvergenceError where
+    it exceeds 1e-10 absolute and relative to the integral before the
+    prefactor √(m/2iπt).  It covers the quadrature, not the window's
+    truncation, which sets the error of this test and benchmark oracle: on
+    the m = 20, t = 0.5 datum the estimate reads 1.1e-12 where
+    spectral_propagate, independent of it (no e^{−ik²t/2m}), differs by
+    9.7e-6, so cross-checks gate it at 1e-4 relative.
     """
     values, errors = _greens_quadrature(psi0_samples, mass, t, x_eval)
     worst = float(np.max(errors / np.maximum(1.0, np.abs(values)), initial=0.0))

@@ -20,10 +20,9 @@ per (N, m) by `_spectrum`, on first use, and kept read-only.  `jumps`
 streams its snapshots: it makes each one as it is read, in buffers
 allocated once per call and overwritten by the next, so a reader that
 reduces each snapshot as it arrives holds a few states however many it
-reads; `propagate` reads them all into a list.  `evolve` takes its
-snapshots from `propagate` when they are `_JUMP_STEPS` or more steps
-apart, so a snapshot's cost does not grow with its stride, and steps them
-with `step_walk` when they are closer.
+reads.  `evolve` takes its snapshots from `jumps` when they are
+`_JUMP_STEPS` or more steps apart, so a snapshot's cost does not grow
+with its stride, and steps them with `step_walk` when they are closer.
 
 A snapshot's spectral x-derivatives ∂ₓΨ are taken by `x_derivative`, once
 for every caller while one holds them.
@@ -76,20 +75,23 @@ def build_walk(n_sites: int, mass: float) -> WalkParams:
     return WalkParams(n_sites=n_sites, mass=float(mass))
 
 
-# `propagate` is exact (its one-step gap stays at roundoff) below this step.
+# `jumps` is exact (its one-step gap stays at roundoff) below this step.
 EXACT_STEPS = 2 ** 27
 
 # `evolve` jumps strides of at least this many steps.  Timed against one
 # `step_walk` on the same lattice (2-CPU Xeon, numpy 2.4, one thread, best
-# of 9, the multimode shock at θ = π/4), a `propagate` call's first snapshot
+# of 9, the multimode shock at θ = π/4), a `jumps` call's first snapshot
 # costs 3 steps at 64 sites, 5 at 512, 18-19 at 4096, 27 at 8192, 39-45 at
 # 16384 and 32-34 at 32768; each further snapshot of the call, streamed
 # through the call's buffers, 1.8, 2.8, 9.5-10, 14, 22-23 and 16-17 (270-310
 # µs at 4096 sites and 600-625 µs at 8192, where a new array per product
-# took 310-320 and 770-810).  32 is the crossover at 8192 sites: on every
-# lattice timed a jumped stride of 32 or more costs at most 1.4 times its
-# stepping, where a larger value would step strides that small lattices
-# jump ten times cheaper.
+# took 310-320 and 770-810).  32 is the crossover at 8192 sites; through
+# `evolve` a lone stride crosses over at about 5 steps at 512 sites, which
+# steps strides of 5-31 at up to 10 times a jump's cost, and at 47-51 at
+# 16384, which jumps strides of 32-50 at up to 1.6 times their stepping.
+# One value serves today's callers, whose hops each sit well on their side
+# of it: perfbench's `fluid_oracles` hops 1 step, stepped, and 77-79 steps
+# at 8192 sites, jumped.
 _JUMP_STEPS = 32
 
 
@@ -197,7 +199,7 @@ def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
 
 
 class _Spectrum(NamedTuple):
-    """One lattice's step operator in Fourier space (see `propagate`)."""
+    """One lattice's step operator in Fourier space (see `jumps`)."""
 
     p_ll: np.ndarray        # ½ + c sin κ/(2 sin ω), in FFT order
     p_lr: np.ndarray        # −s e^{iκ}/(2 sin ω)
@@ -305,19 +307,13 @@ def _jumped(state: SpinorField, params: WalkParams, steps: list[int]) -> Iterato
         yield SpinorField(*components, step_index=state.step_index + j)
 
 
-def propagate(state: SpinorField, params: WalkParams, steps) -> list[SpinorField]:
-    """The exact states `steps` steps after `state`, one per entry of `steps`:
-    the snapshots of `jumps`, read into a list."""
-    return list(jumps(state, params, steps))
-
-
 def evolve(state: SpinorField, params: WalkParams, n_steps: int,
            cadence: int = 1) -> Trajectory:
     """The walk n_steps on from `state`, keeping a copy of the input, every
     `cadence`-th step and the last.  The input is not modified.
 
     When the kept snapshots are at least `_JUMP_STEPS` steps apart (cadence
-    and n_steps both that large) they are jumped to by one `propagate` call,
+    and n_steps both that large) they are jumped to by one `jumps` call,
     so their cost does not grow with the stride; a jumped snapshot is exact
     only below `EXACT_STEPS` steps after the input.  Closer snapshots are
     stepped with `step_walk`.
@@ -327,7 +323,7 @@ def evolve(state: SpinorField, params: WalkParams, n_steps: int,
     if cadence < 1:
         raise ValueError("cadence must be ≥ 1")
     if min(cadence, n_steps) >= _JUMP_STEPS:
-        snaps = propagate(state, params, [*range(0, n_steps, cadence), n_steps])
+        snaps = list(jumps(state, params, [*range(0, n_steps, cadence), n_steps]))
     else:
         snaps = [state.copy()]
         cur = snaps[0]

@@ -577,10 +577,13 @@ def test_zone_labels_match_classify_zone_on_the_zones_map_window():
 
 
 def test_zone_labels_reject_a_non_finite_discriminant():
-    # a NaN chart point, and one whose T³ overflows, have no zone
-    for T, X in ((np.nan, 0.0), (1e200, 0.0), (0.0, np.inf)):
+    # a NaN chart point, and one whose T³ or X² overflows, have no zone,
+    # in an array or alone
+    for T, X in ((np.nan, 0.0), (1e200, 0.0), (0.0, np.inf), (1e200, 1e200)):
         with pytest.raises(ValueError, match="finite discriminant"):
             asy.zone_labels(np.array([1.0, T]), np.array([0.0, X]))
+        with pytest.raises(ValueError, match="finite discriminant"):
+            asy.classify_zone(T, X)
 
 
 def _ulps_around(value, n=8):
@@ -605,6 +608,30 @@ def test_zone_labels_match_classify_zone_at_the_band_edges():
         assert min(deltas) < edge < max(deltas)
         T, X = np.array(points).T
         assert set(_assert_labels_match_classify_zone(T, X)) == zones
+
+
+@st.composite
+def _near_a_band_edge(draw):
+    """A (T, X) at most 8 ulps of T from Δ = ±DELTA_BAND, on either side."""
+    edge = draw(st.sampled_from([-asy.DELTA_BAND, asy.DELTA_BAND]))
+    X = draw(st.floats(-100.0, 100.0))
+    T = float(np.cbrt(2.0 * (edge + 27.0 * X * X / 16.0)))
+    ulps = draw(st.integers(-8, 8))
+    for _ in range(abs(ulps)):
+        T = float(np.nextafter(T, math.copysign(np.inf, ulps)))
+    return T, X
+
+
+_ANYWHERE = st.tuples(st.floats(-1e100, 1e100), st.floats(-1e100, 1e100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_ANYWHERE, _near_a_band_edge()), min_size=1, max_size=16))
+def test_discriminant_of_an_array_is_the_scalar_one_on_every_element(points):
+    T, X = np.array(points).T
+    want = np.array([asy.discriminant(t, x) for t, x in points])
+    assert asy.discriminant(T, X).tobytes() == want.tobytes()
+    _assert_labels_match_classify_zone(T, X)
 
 
 DEEP_ZONE_I = [(-14.0, x) for x in (-10.0, -5.0, 0.0, 5.0, 10.0)] + \

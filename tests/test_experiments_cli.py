@@ -730,7 +730,7 @@ PLANEWAVE_CASES = {
 
 def _stepped(state, params, n_steps):
     """`n_steps` applications of step_walk: the stepped route, independent of
-    propagate (evolve jumps long strides with propagate)."""
+    `walk.jumps` (evolve jumps long strides with it)."""
     for _ in range(n_steps):
         state = wk.step_walk(state, params)
     return state
@@ -738,7 +738,7 @@ def _stepped(state, params, n_steps):
 
 @pytest.mark.parametrize("text", PLANEWAVE_CASES.values(), ids=PLANEWAVE_CASES.keys())
 def test_jumped_planewave_csv_agrees_with_stepped_walk(tmp_path, text):
-    # the run jumps with propagate; step_walk steps the same walk independently
+    # the run jumps with walk.jumps; step_walk steps the same walk independently
     cfg = parse_config(text.format(out=tmp_path))
     assert run_experiment(cfg).ok
     data = np.loadtxt(tmp_path / "dtqw_planewave_density.csv", delimiter=",", skiprows=1)
@@ -944,7 +944,8 @@ def test_cli_rejects_a_walk_whose_initial_state_overflows(tmp_path, capsys, text
 @pytest.mark.parametrize("t_final", ["", "t_final = 1.0\n"], ids=["default_t", "t1"])
 @pytest.mark.parametrize("amplitude", [0.0, 1e-300, 1.0, 1e300])
 @pytest.mark.parametrize("q_max", [5e-324, 1e-300, 1.0, 1e300])
-@pytest.mark.parametrize("mass", [5e-324, 1e-20, 1.0, 1.7976931348623157e308])
+@pytest.mark.parametrize("mass", [5e-324, 1e-300, 1e-200, 1e-155, 1e-100, 1e-20, 1.0,
+                                  1.7976931348623157e308])
 @pytest.mark.parametrize("experiment", ["dtqw_shock", "nonrel_compare", "schrodinger_shock"])
 def test_an_extreme_shock_config_is_refused_or_runs(tmp_path, experiment, mass, q_max,
                                                     amplitude, t_final):

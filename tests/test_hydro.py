@@ -8,7 +8,7 @@ import pytest
 from qwhydro import hydro as hy
 from qwhydro import initial as ini
 from qwhydro import walk as wk
-from qwhydro._spectral import fft_calls, spectral_derivative
+from qwhydro._spectral import centered_time_diff, fft_calls, spectral_derivative
 from qwhydro.config import parse_config
 
 from conftest import make_smooth_spinor
@@ -258,7 +258,7 @@ def test_stress_energy_cross_oracle_after_the_shock(t):
     cfg = parse_config((CONFIGS / "shock_multimode.cfg").read_text())
     p = wk.build_walk(cfg.n_sites, cfg.mass)
     st0 = ini.phase_modulated_state(p, ini.ShockInitSpec(cfg.modes, cfg.q_max, cfg.mass))
-    (st,) = wk.propagate(st0, p, [wk.steps_until(t, p)])
+    (st,) = wk.jumps(st0, p, [wk.steps_until(t, p)])
     T_sp = hy.stress_energy_spinor(st, p, dpsi_dt=wk.dirac_rhs(st, p))
     ph = hy.phases(st)
     h = hy.hydro_vars(hy.currents(st), ph, p.mass)
@@ -298,6 +298,34 @@ def _walk_window(rng):
     p = wk.build_walk(256, 16.0)
     traj = wk.evolve(make_smooth_spinor(rng, 256, offset=8.0, amp=0.4), p, 2)
     return p, traj, traj.snapshots[1]
+
+
+def _bilinear_im(state, d_left, d_right, pauli3):
+    """Reference: Im(ψ† M ∂ψ) with M = 1 or σ₃, the per-component formula
+    `stress_energy_spinor` took before it formed each product once."""
+    if pauli3:
+        return np.imag(np.conj(state.left) * d_left - np.conj(state.right) * d_right)
+    return np.imag(np.conj(state.left) * d_left + np.conj(state.right) * d_right)
+
+
+@pytest.mark.parametrize("path", ["snapshots", "analytic"])
+def test_stress_energy_spinor_is_bit_identical_to_the_per_component_formula(rng, path):
+    p, traj, mid = _walk_window(rng)
+    prev, _, nxt = traj.snapshots
+    if path == "snapshots":
+        got = hy.stress_energy_spinor(mid, p, prev=prev, nxt=nxt)
+        dt_l = centered_time_diff(prev.left, nxt.left, p.dt)
+        dt_r = centered_time_diff(prev.right, nxt.right, p.dt)
+    else:
+        dt_l, dt_r = wk.dirac_rhs(mid, p)
+        got = hy.stress_energy_spinor(mid, p, dpsi_dt=(dt_l, dt_r))
+    d_psi = wk.x_derivative(mid)
+    want = {"t00": -_bilinear_im(mid, dt_l, dt_r, pauli3=False),
+            "t01": +_bilinear_im(mid, d_psi.left, d_psi.right, pauli3=False),
+            "t10": +_bilinear_im(mid, dt_l, dt_r, pauli3=True),
+            "t11": -_bilinear_im(mid, d_psi.left, d_psi.right, pauli3=True)}
+    for name, component in want.items():
+        assert getattr(got, name).tobytes() == component.tobytes(), name
 
 
 def test_a_held_chart_is_shared(rng):

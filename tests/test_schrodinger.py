@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qwhydro import initial as ini
 from qwhydro import schrodinger as sch
 from qwhydro import walk as wk
+from qwhydro._spectral import EPS
 
 from conftest import scipy_modules_loaded_by
 
@@ -120,6 +121,58 @@ def test_greens_estimate_bounds_the_error_against_a_4n_panel_rule(monkeypatch, m
     finer, _ = sch._greens_quadrature(psi0.values, m, t, x)
     assert np.all(np.abs(values - finer) <= errors)
     assert np.max(errors / np.maximum(1.0, np.abs(values))) <= 1e-10
+
+
+def _kernel_integrals_gl(kv, mass, t, flat, taper, panels):
+    """Reference: the composite 16-node Gauss–Legendre rule Q(n) with its
+    rounding bound, as the Green's route took it before its Kronrod rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    window = flat + taper
+    edges = (-window, -flat, flat, window)
+    total = np.zeros(kv.shape, dtype=complex)
+    rounding = np.zeros(kv.shape)
+    for lo, hi, n in zip(edges[:-1], edges[1:], panels):
+        half = (hi - lo) / (2 * n)
+        mids = lo + half * (2.0 * np.arange(n) + 1.0)
+        u = mids[:, None] + half * nodes
+        ramp = np.clip((np.abs(u) - flat) / taper, 0.0, 1.0)
+        weight = (half * weights) * np.cos(0.5 * np.pi * ramp) ** 2
+        phase = mass * u * u / (2.0 * t)
+        offsets = np.exp(1j * np.outer(kv, half * nodes))
+        inner = np.einsum("kj,pj->kp", offsets, weight * np.exp(1j * phase))
+        total += (np.exp(1j * np.outer(kv, mids)) * inner).sum(axis=1)
+        rounding += EPS * ((weight * (1.0 + phase)).sum()
+                           + np.abs(kv) * (weight * np.abs(u)).sum())
+    return total, rounding
+
+
+@pytest.mark.parametrize("m, t, n", [(20.0, 0.5, 256), (50.0, 0.8, 256), (100.0, 1.0, 512)])
+def test_greens_kernel_agrees_with_the_doubling_rule_within_both_estimates(m, t, n):
+    # the doubling rule's value is Q(2n), its estimate |Q(2n) − Q(n)| plus
+    # Q(2n)'s rounding bound; the Kronrod rule's value K(n), its estimate
+    # |K(n) − Q(n)| plus K(n)'s
+    psi0, _ = _cos_state(n, m)
+    _, kv = sch._fourier_coefficients(psi0.values)
+    flat, taper = sch._greens_window(m, t, float(np.abs(kv).max()))
+    panels = sch._panel_counts(m * (flat + taper) / t + np.abs(kv).max(),
+                               (taper, 2.0 * flat, taper))
+    kronrod, gauss, rounding = sch._kernel_integrals(kv, m, t, flat, taper, panels)
+    coarse, _ = _kernel_integrals_gl(kv, m, t, flat, taper, panels)
+    fine, fine_rounding = _kernel_integrals_gl(kv, m, t, flat, taper, [2 * p for p in panels])
+    kronrod_estimate = np.abs(kronrod - gauss) + rounding
+    doubling_estimate = np.abs(fine - coarse) + fine_rounding
+    assert np.all(np.abs(kronrod - fine) <= kronrod_estimate + doubling_estimate)
+    # the Gauss sum is the doubling rule's coarse one, up to its rounding
+    assert np.all(np.abs(gauss - coarse) <= rounding)
+
+
+def test_greens_quadrature_takes_its_kernel_integrals_in_one_pass(monkeypatch):
+    psi0, x = _cos_state(256, 20.0)
+    kernel, calls = sch._kernel_integrals, []
+    monkeypatch.setattr(sch, "_kernel_integrals",
+                        lambda *a: calls.append(a) or kernel(*a))
+    sch._greens_quadrature(psi0.values, 20.0, 0.5, x[::32])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n, m, t", [(256, 20.0, 0.8), (512, 100.0, 1.0)])

@@ -327,7 +327,7 @@ def test_propagate_matches_repeated_step_walk(case, rng):
         state = _smooth_unit(rng, n)
         steps = [1, 2, 3, 101, 500]
     n0 = wk.total_norm(state, p)
-    for jumped, stepped in zip(wk.propagate(state, p, steps), _stepped(state, p, steps)):
+    for jumped, stepped in zip(wk.jumps(state, p, steps), _stepped(state, p, steps)):
         assert jumped.step_index == stepped.step_index
         gap = max(np.max(np.abs(jumped.left - stepped.left)),
                   np.max(np.abs(jumped.right - stepped.right)))
@@ -341,7 +341,7 @@ def test_propagate_one_step_gap_does_not_grow_with_the_step_count():
     p = wk.build_walk(4096, 512.0)
     state = ini.phase_modulated_state(p, ini.multimode_benchmark(51.2, 512.0))
     for j in (10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7):
-        before, after = wk.propagate(state, p, [j - 1, j])
+        before, after = wk.jumps(state, p, [j - 1, j])
         stepped = wk.step_walk(before, p)
         gap = max(np.max(np.abs(after.left - stepped.left)),
                   np.max(np.abs(after.right - stepped.right)))
@@ -351,20 +351,20 @@ def test_propagate_one_step_gap_does_not_grow_with_the_step_count():
 def test_propagate_step_indices_and_step_zero(rng):
     p = wk.build_walk(64, 4.0)
     state = dataclasses.replace(_smooth_unit(rng, 64), step_index=5)
-    zero, later, again = wk.propagate(state, p, [0, 9, 0])
+    zero, later, again = wk.jumps(state, p, [0, 9, 0])
     assert (zero.step_index, later.step_index, again.step_index) == (5, 14, 5)
     assert np.array_equal(zero.left, state.left) and np.array_equal(zero.right, state.right)
     assert zero.left is not state.left
-    assert wk.propagate(state, p, []) == []
+    assert list(wk.jumps(state, p, [])) == []
     with pytest.raises(ValueError):
-        wk.propagate(state, p, [3, -1])
+        wk.jumps(state, p, [3, -1])
     with pytest.raises(ValueError):
-        wk.propagate(wk.SpinorField(np.zeros(32, complex), np.zeros(32, complex)), p, [1])
+        wk.jumps(wk.SpinorField(np.zeros(32, complex), np.zeros(32, complex)), p, [1])
 
 
 def _reference_omega(n, mass):
     """Reference: ω on every mode in FFT order, and its hi/lo split, inline
-    as `propagate` formed them before the walk's spectrum was cached."""
+    as the jump kernel formed them before the walk's spectrum was cached."""
     p = wk.build_walk(n, mass)
     c, s = np.cos(p.coin_angle), np.sin(p.coin_angle)
     kappa = np.fft.fftfreq(n, d=1.0 / n) * p.spacing
@@ -376,8 +376,8 @@ def _reference_omega(n, mass):
     return kappa, c_sin, sin_w, omega_hi, omega - omega_hi
 
 
-def _reference_propagate(state, p, steps):
-    """Reference: `propagate` as it was before the walk's spectrum was
+def _reference_jumps(state, p, steps):
+    """Reference: the jump kernel as it was before the walk's spectrum was
     cached, every table rebuilt and both exponentials taken on all modes."""
     kappa, c_sin, sin_w, omega_hi, omega_lo = _reference_omega(p.n_sites, p.mass)
     s = np.sin(p.coin_angle)
@@ -423,8 +423,8 @@ def test_propagate_is_bit_identical_to_the_uncached_formula(n, theta):
     rng = np.random.default_rng(n)
     state = wk.SpinorField(rng.normal(size=n) + 1j * rng.normal(size=n),
                            rng.normal(size=n) + 1j * rng.normal(size=n))
-    got = wk.propagate(state, p, STEPS)
-    for j, snap, (left, right) in zip(STEPS, got, _reference_propagate(state, p, STEPS)):
+    got = wk.jumps(state, p, STEPS)
+    for j, snap, (left, right) in zip(STEPS, got, _reference_jumps(state, p, STEPS)):
         assert snap.step_index == j
         assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
 
@@ -443,9 +443,9 @@ def test_walk_frequency_is_even_in_kappa_to_the_bit(n, theta):
 def test_walk_spectrum_is_read_only_and_built_once_per_lattice(rng):
     p = wk.build_walk(256, 32.0)
     state = _smooth_unit(rng, 256)
-    wk.propagate(state, p, [1])
+    list(wk.jumps(state, p, [1]))
     before = wk._spectrum.cache_info()
-    wk.propagate(state, p, [3, 5])
+    list(wk.jumps(state, p, [3, 5]))
     after = wk._spectrum.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     spec = wk._spectrum(p.n_sites, p.mass)
@@ -455,8 +455,8 @@ def test_walk_spectrum_is_read_only_and_built_once_per_lattice(rng):
     assert len(spec.p_ll) == 256 and len(spec.omega_hi) == 129
 
 
-def _per_snapshot_propagate(state, p, steps):
-    """Reference: the per-snapshot expressions of `propagate` before its
+def _per_snapshot_jumps(state, p, steps):
+    """Reference: the per-snapshot expressions of the jump kernel before its
     snapshots were streamed through reused buffers, every array a new one:
     the two half-size exponentials, `even_table`, `np.conj` and the products."""
     spec = wk._spectrum(p.n_sites, p.mass)
@@ -487,7 +487,7 @@ def test_streamed_snapshots_are_bit_identical_to_the_per_snapshot_expressions(n,
     steps = [0, 1, 2, 625, 9999, 10000, 10000, 2 ** 26 + 3]
     got = list(wk.jumps(state, p, steps))
     assert len(got) == len(steps)
-    for j, snap, (left, right) in zip(steps, got, _per_snapshot_propagate(state, p, steps)):
+    for j, snap, (left, right) in zip(steps, got, _per_snapshot_jumps(state, p, steps)):
         assert snap.step_index == j
         assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
 
@@ -526,13 +526,13 @@ def test_a_negative_step_raises_at_the_call_before_any_snapshot(rng):
     with pytest.raises(ValueError, match="nonnegative"):
         wk.jumps(state, p, [0, 3, -1])
     with pytest.raises(ValueError, match="nonnegative"):
-        wk.propagate(state, p, [-2])
+        wk.jumps(state, p, [-2])
     assert fft_calls() == before
 
 
 def test_probability_gives_the_bits_of_the_current_and_the_norm(rng):
     p = wk.build_walk(256, 32.0)
-    state = wk.propagate(_smooth_unit(rng, 256), p, [77])[0]
+    (state,) = wk.jumps(_smooth_unit(rng, 256), p, [77])
     density, norm = wk.probability(state, p)
     assert np.array_equal(density, currents(state).j0)
     assert norm == wk.total_norm(state, p)
