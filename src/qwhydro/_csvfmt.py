@@ -225,9 +225,10 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     The grid goes by blocks: as many whole rows as fit in `BLOCK` values, or
     `BLOCK` sites of one row.  A block's lines are rows of the t text, the
     ",x," text and the value's candidate bytes, compressed by one mask.  The
-    t and ",x," texts are laid out by `_column`, once each; where blocks
-    span whole rows, the ",x," columns are laid into the block buffer once
-    for the grid, and only the t columns are copied per block.
+    t and ",x," texts are laid out by `_column`, once each.  Every block
+    copies its t columns into the block buffer, and its ",x," columns only
+    when its sites are not those the buffer holds: once for the grid where
+    blocks span whole rows, once a block where they cut rows.
     """
     nt, nx = values.shape
     if nt == 0 or nx == 0:
@@ -237,11 +238,7 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
     wt, lead = t_text.shape[1], t_text.shape[1] + site.shape[1]
     block_rows, block_sites = min(nt, max(1, BLOCK // nx)), min(nx, BLOCK)
     lines, chosen = _rows(block_rows * block_sites, lead)
-    whole_rows = block_sites == nx
-    if whole_rows:  # every block holds the same ",x," columns: write them once
-        shape = (block_rows, nx, lead + _WIDTH)
-        lines.reshape(shape)[:, :, wt:lead] = site
-        chosen.reshape(shape)[:, :, wt:lead] = site_mask
+    held = None  # the (first, stop) sites whose ",x," columns the buffer holds
     for r0 in range(0, nt, block_rows):
         r1 = min(r0 + block_rows, nt)
         for s0 in range(0, nx, block_sites):
@@ -251,8 +248,9 @@ def write_grid(fh, t: np.ndarray, x: np.ndarray, values: np.ndarray) -> None:
             shape = (r1 - r0, s1 - s0, lead + _WIDTH)
             text.reshape(shape)[:, :, :wt] = t_text[r0:r1, None]
             mask.reshape(shape)[:, :, :wt] = t_mask[r0:r1, None]
-            if not whole_rows:
+            if held != (s0, s1):  # the first block is the buffer's full size
                 text.reshape(shape)[:, :, wt:lead] = site[s0:s1]
                 mask.reshape(shape)[:, :, wt:lead] = site_mask[s0:s1]
+                held = (s0, s1)
             _layout(values[r0:r1, s0:s1].ravel(), text[:, lead:], mask[:, lead:])
             fh.write(text[mask.view(bool)])

@@ -32,6 +32,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +42,17 @@ from ._spectral import EPS, TWO_PI, gauss_kronrod, gauss_legendre
 # Airy function (scipy.special.airy).
 # ---------------------------------------------------------------------------
 
-def _airy_pair(z, name: str = "airy"):
-    """(Ai(z), Ai′(z)) for real z, floats or arrays."""
+def airy_pair(z: float | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """(Ai(z), Ai′(z)) for real z, floats or arrays of any shape; a z that
+    is not finite raises ValueError."""
     # math.isfinite takes a float in a tenth of np.isfinite's time
     if not (math.isfinite(z) if isinstance(z, float) else np.all(np.isfinite(z))):
-        raise ValueError(f"{name} requires finite argument")
+        raise ValueError("airy_pair requires finite argument")
     # scipy loads here, on first use, not with the package
     from scipy.special import airy as airy_ai_bi
 
     ai, aip, _, _ = airy_ai_bi(z)
     return ai, aip
-
-
-def airy(z: float | np.ndarray) -> float | np.ndarray:
-    """Airy function Ai(z) for real z."""
-    return _airy_pair(z, "airy")[0]
-
-
-def airy_prime(z: float | np.ndarray) -> float | np.ndarray:
-    """Derivative Ai′(z) for real z."""
-    return _airy_pair(z, "airy_prime")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +451,7 @@ class Zone(enum.IntEnum):
 DELTA_BAND = 20.0
 
 
-@dataclass(frozen=True)
-class PearceyPoint:
+class PearceyPoint(NamedTuple):
     """A (T, X) point with its discriminant and zone label."""
 
     T: float
@@ -497,7 +488,7 @@ def classify_zone(T: float, X: float) -> PearceyPoint:
     delta = discriminant(T, X)
     if not math.isfinite(delta):
         raise ValueError("classify_zone requires a finite discriminant")
-    return PearceyPoint(T=T, X=X, discriminant=delta, zone=_ZONES[_zone_number(delta)])
+    return PearceyPoint(T, X, delta, _ZONES[_zone_number(delta)])
 
 
 def zone_labels(T, X) -> np.ndarray:
@@ -597,7 +588,7 @@ def _uniform_pair_value(ua: complex, ub: complex, T: float, X: float) -> complex
         g_minus = -g_minus
     p_amp = 0.5 * (g_plus + g_minus)
     q_amp = (g_plus - g_minus) / (2.0 * sqrt_zeta)
-    ai, aip = _airy_pair(-zeta)
+    ai, aip = airy_pair(-zeta)
     return TWO_PI * cmath.exp(1j * phibar) * (p_amp * ai - 1j * q_amp * aip)
 
 
@@ -614,7 +605,7 @@ def _degenerate_pair_value(u_d: float, phibar: float) -> complex:
         # degenerates into the full quartic integral; return its apex value.
         return cmath.exp(1j * phibar) * _CUSP_CORE
     alpha = (2.0 / third) ** (1.0 / 3.0)
-    ai0, aip0 = map(float, _airy_pair(0.0))
+    ai0, aip0 = map(float, airy_pair(0.0))
     return TWO_PI * cmath.exp(1j * phibar) * (alpha * ai0 + 2j * alpha ** 5 * aip0)
 
 

@@ -10,7 +10,7 @@ Parsing checks a config against its `EXPERIMENTS` entry (the one table, kept
 with the compute functions in `experiments`) and returns a resolved, frozen
 `SimConfig`; a rule with an owner elsewhere is checked by calling the owner:
 the initial state's rules in `initial`, the range of the Schrödinger
-propagator in `schrodinger`, the walk's lattice in `walk`.
+propagator in `schrodinger`, the walk's lattice and coin in `walk`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .initial import ModeSpec, ShockInitSpec, _plane_wave_amplitudes, check_prof
     check_wavenumber
 from .nonrel import check_velocity_norms
 from .schrodinger import check_free_factors, check_velocity_scale
-from .walk import EXACT_STEPS, WalkParams, steps_until
+from .walk import EXACT_STEPS, WalkParams, check_coin, steps_until
 
 
 # The most memory one walk state, two complex128 arrays of 32 B a site, may
@@ -205,14 +205,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         if 32 * n_sites > STATE_BYTES:
             raise ConfigError(f"'n_sites' = {n_sites} needs {32 * n_sites} B per walk "
                               f"state (32 B a site), over the budget of {STATE_BYTES} B")
-        # the walk's coin needs a finite θ and a sin θ that is 0 or normal: a
-        # subnormal one overflows 1/(2 sin ω) at κ = 0 and every state turns nan
-        # (θ = 0, where a still smaller mass rounds, walks freely)
-        theta, tiny = params.coin_angle, np.finfo(float).tiny
-        if spec.walk and (not math.isfinite(theta) or 0.0 < abs(math.sin(theta)) < tiny):
-            raise ConfigError(f"'mass' = {cfg.mass:g} and 'n_sites' = {n_sites} give the "
-                              f"coin angle θ = 2π·mass/n_sites = {theta:g}, whose sine "
-                              f"is not finite or is subnormal (below {tiny:g})")
+        if spec.walk:  # the jumped walk's spectrum needs a finite, normal coin
+            _owned(check_coin, params)
     if "wave" in spec.needs:  # the plane wave's amplitudes peak at |q|
         _owned(check_wavenumber, "'q'", cfg.q, n_sites)
         _owned(_plane_wave_amplitudes, abs(cfg.q), cfg.mass, "'q' and 'mass'")

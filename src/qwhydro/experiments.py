@@ -26,7 +26,7 @@ import platform
 import resource
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -96,14 +96,14 @@ class Computed:
     """What an experiment's compute function hands `run_experiment`.
 
     `files` maps output file names to a grid (written as CSV) or to records
-    (written as JSON); `measured` holds the value each `tol.<name>` gate of
-    the experiment checks; `held` says whether its checks that are no {value,
-    limit, margin} record held; `times` pairs requested and realized times.
+    (written as JSON); `diagnostics` holds, among the rest, the value that
+    each `tol.<name>` gate of the experiment checks, under the name `GATED`
+    gives it; `held` says whether its checks that are no {value, limit,
+    margin} record held; `times` pairs requested and realized times.
     """
 
     files: dict[str, SpacetimeGrid | list]
     diagnostics: dict
-    measured: dict[str, float] = field(default_factory=dict)
     held: bool = True
     times: tuple[list, list] | None = None
 
@@ -195,7 +195,7 @@ def _dtqw_shock(cfg: SimConfig) -> Computed:
     return Computed(
         files={"dtqw_shock_density.csv":
                SpacetimeGrid(x=params.x, t=np.array(times[1]), values=density)},
-        diagnostics=walked, measured={"norm_drift": walked["norm_drift"]}, times=times)
+        diagnostics=walked, times=times)
 
 
 def _dtqw_planewave(cfg: SimConfig) -> Computed:
@@ -209,8 +209,7 @@ def _dtqw_planewave(cfg: SimConfig) -> Computed:
     grid = SpacetimeGrid(x=params.x, t=np.array([0.0, cfg.n_steps * params.dt]),
                          values=density)
     return Computed(files={"dtqw_planewave_density.csv": grid},
-                    diagnostics={**walked, "n_steps": cfg.n_steps},
-                    measured={"norm_drift": walked["norm_drift"]})
+                    diagnostics={**walked, "n_steps": cfg.n_steps})
 
 
 def _schrodinger_shock(cfg: SimConfig) -> Computed:
@@ -234,7 +233,6 @@ def _schrodinger_shock(cfg: SimConfig) -> Computed:
                "schrodinger_shock_velocity.csv":
                SpacetimeGrid(params.x, t_arr, np.array(velocities))},
         diagnostics={"norm_drift": drift},
-        measured={"norm_drift": drift},
         times=(times, times))
 
 
@@ -288,7 +286,7 @@ def _nonrel_compare(cfg: SimConfig) -> Computed:
     return Computed(
         files={"nonrel_compare.json": records},
         diagnostics={"final_density_l2": final_err, "records": len(records), **walked},
-        measured={"density_l2": final_err}, times=_times(cfg, params))
+        times=_times(cfg, params))
 
 
 def _validation(cfg: SimConfig) -> Computed:
@@ -337,10 +335,7 @@ def _validation(cfg: SimConfig) -> Computed:
         "dirac_fitted_order": float(np.polyfit(np.log(refine_eps),
                                                np.log(refine_res), 1)[0]),
     }
-    return Computed(files={}, diagnostics=diagnostics,
-                    measured={"norm_drift": soak["norm_drift"], "roundtrip": worst_rt,
-                              "current_identity": worst_id},
-                    held=dirac_monotone)
+    return Computed(files={}, diagnostics=diagnostics, held=dirac_monotone)
 
 
 # The keys each key group owns.  Every experiment reads `experiment`,
@@ -366,7 +361,8 @@ class Experiment:
 
     `needs` names the key groups of `GROUP_KEYS` it reads.  `gates` maps
     each `tol.<name>` the run enforces to its default limit, None for a
-    gate enforced only when the config sets it.  `schedule` lists the
+    gate enforced only when the config sets it; a gate checks the diagnostic
+    `GATED` names for it, else the one of its own name.  `schedule` lists the
     default snapshot times as fractions of `t_final`.  `walk` says whether
     the run jumps a walk to `walk_steps` with `walk.jumps`, and
     `schrodinger` whether it propagates a wavefunction to its snapshot
@@ -388,6 +384,9 @@ class Experiment:
 
 
 _NORM_DRIFT = {"norm_drift": 1e-10}
+# The diagnostic each `tol.<name>` gate checks, where the two names differ.
+GATED = {"roundtrip": "roundtrip_max_error", "current_identity": "current_identity_gap",
+         "density_l2": "final_density_l2"}
 _EIGHTHS = tuple(i / 8.0 for i in range(9))
 
 EXPERIMENTS = {
@@ -453,14 +452,15 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     """Execute the configured experiment; outputs land in cfg.output_dir.
 
     The experiment computes its data files and diagnostics; the runner
-    writes the files, gates every `tol.<name>` its `EXPERIMENTS` entry
-    declares as {value, limit, margin}, and writes the manifest.  The run
-    is ok when every such record, in the verdicts or the diagnostics, has a
-    nonnegative margin, every diagnostic is finite and `held` is true.  The
-    manifest's `telemetry` times the compute, emit and manifest stages (the
-    last ends where the manifest is written, as a file cannot hold the time
-    of its own write), counts the run's FFTs as `fft_calls` and the rows of
-    its CSVs as `csv_rows`, so that emit seconds per row can be read off.
+    writes the files, gates the diagnostic that each `tol.<name>` of its
+    `EXPERIMENTS` entry checks (`GATED`) as {value, limit, margin}, and
+    writes the manifest.  The run is ok when every such record, in the
+    verdicts or the diagnostics, has a nonnegative margin, every diagnostic
+    is finite and `held` is true.  The manifest's `telemetry` times the
+    compute, emit and manifest stages (the last ends where the manifest is
+    written, as a file cannot hold the time of its own write), counts the
+    run's FFTs as `fft_calls` and the rows of its CSVs as `csv_rows`, so
+    that emit seconds per row can be read off.
     """
     try:
         spec = EXPERIMENTS[cfg.experiment]
@@ -481,7 +481,7 @@ def run_experiment(cfg: SimConfig) -> RunResult:
     for name, default in spec.gates.items():
         limit = cfg.tolerances.get(name, default)
         if limit is not None:
-            verdicts[name] = _gate(done.measured[name], limit)
+            verdicts[name] = _gate(done.diagnostics[GATED.get(name, name)], limit)
     records = [*verdicts.values(), *(value for value in done.diagnostics.values()
                                      if isinstance(value, dict) and "margin" in value)]
     # a diagnostic that came out nan or inf fails the run, gated or not

@@ -172,7 +172,7 @@ def build_second_order_spinor(fields: NRFields) -> SpinorField:
     """Exact spinor whose right component is the second-order expansion.
 
     Ψ̄_L = r·e^{iφ} and Ψ̄_R built term-by-term from the component relation;
-    the measured mismatches of this pair then differ from the closed-form
+    the mismatches this pair shows then differ from the closed-form
     deltas only at O(ν³), which the order sweeps exploit.
     """
     left = fields.r * np.exp(1j * fields.phi)

@@ -31,6 +31,7 @@ for every caller while one holds them.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -73,6 +74,17 @@ class WalkParams:
 def build_walk(n_sites: int, mass: float) -> WalkParams:
     """Validated walk parameters with ε = 2π/N, θ = εm and dt = ε."""
     return WalkParams(n_sites=n_sites, mass=float(mass))
+
+
+def check_coin(params: WalkParams) -> None:
+    """Raise ValueError unless θ is finite and sin θ is 0 or normal, as
+    `jumps` needs: a subnormal sin θ overflows 1/(2 sin ω) at κ = 0 and every
+    jumped state turns nan (θ = 0, where a smaller mass rounds, walks freely)."""
+    theta, tiny = params.coin_angle, np.finfo(float).tiny
+    if not math.isfinite(theta) or 0.0 < abs(math.sin(theta)) < tiny:
+        raise ValueError(f"'mass' = {params.mass:g} and 'n_sites' = {params.n_sites} give "
+                         f"the coin angle θ = 2π·mass/n_sites = {theta:g}, whose sine is "
+                         f"not finite or is subnormal (below {tiny:g})")
 
 
 # `jumps` is exact (its one-step gap stays at roundoff) below this step.
@@ -212,13 +224,15 @@ class _Spectrum(NamedTuple):
 @functools.lru_cache(maxsize=TABLE_CACHE)
 def _spectrum(n_sites: int, mass: float) -> _Spectrum:
     """The projector P's entries and the split frequency ω of the walk on
-    `build_walk(n_sites, mass)`, built on first use and kept read-only.
+    `build_walk(n_sites, mass)`, built on first use and kept read-only; a
+    coin that `check_coin` refuses raises its ValueError.
 
     ω is even in κ, so only its values on the first N/2 + 1 modes in FFT
     order are kept (0 ≤ κ < π and the Nyquist mode, `_spectral.even_table`
     restores the rest); P's entries are not even and are kept on all N.
     """
     params = build_walk(n_sites, mass)
+    check_coin(params)
     c = np.cos(params.coin_angle)
     s = np.sin(params.coin_angle)
     kappa = wavenumbers(n_sites) * params.spacing
@@ -242,8 +256,9 @@ def _spectrum(n_sites: int, mass: float) -> _Spectrum:
 
 def jumps(state: SpinorField, params: WalkParams, steps) -> Iterator[SpinorField]:
     """The exact states `steps` steps after `state`, one per entry of `steps`,
-    each made as the iterator is read.  The steps are checked at the call:
-    a negative one raises ValueError before any snapshot is made.
+    each made as the iterator is read.  The steps and the coin are checked
+    at the call: a negative step, or a coin that `check_coin` refuses, raises
+    ValueError before any snapshot is made.
 
     For the wavenumber κ = kε one step is the 2×2 matrix
     U(κ) = diag(e^{iκ}, e^{−iκ})·C with det U = 1, eigenvalues e^{±iω},
@@ -270,11 +285,10 @@ def jumps(state: SpinorField, params: WalkParams, steps) -> Iterator[SpinorField
     steps = [int(j) for j in steps]
     if any(j < 0 for j in steps):
         raise ValueError("steps must be nonnegative")
-    return _jumped(state, params, steps)
+    return _jumped(state, _spectrum(params.n_sites, params.mass), steps)
 
 
-def _jumped(state: SpinorField, params: WalkParams, steps: list[int]) -> Iterator[SpinorField]:
-    spec = _spectrum(params.n_sites, params.mass)
+def _jumped(state: SpinorField, spec: _Spectrum, steps: list[int]) -> Iterator[SpinorField]:
     left_k = fft(state.left)
     right_k = fft(state.right)
     up_left = spec.p_ll * left_k + spec.p_lr * right_k
@@ -285,7 +299,7 @@ def _jumped(state: SpinorField, params: WalkParams, steps: list[int]) -> Iterato
     angle = np.empty(half)
     phase = np.empty(half, complex)
     rise_lo = np.empty(half, complex)
-    rise, fall, rising, falling = (np.empty(params.n_sites, complex) for _ in range(4))
+    rise, fall, rising, falling = (np.empty(state.n_sites, complex) for _ in range(4))
     rise_hi = rise[:half]
     for j in steps:
         if j == 0:
@@ -297,7 +311,7 @@ def _jumped(state: SpinorField, params: WalkParams, steps: list[int]) -> Iterato
             np.exp(phase, out=rise_half)
         np.multiply(rise_hi, rise_lo, out=rise_hi)
         # the modes −k take the values of k, as `_spectral.even_table` lays them
-        rise[half:] = rise[(params.n_sites - 1) // 2:0:-1]
+        rise[half:] = rise[(state.n_sites - 1) // 2:0:-1]
         np.conj(rise, out=fall)
         components = []
         for up, down in projected:

@@ -30,21 +30,20 @@ def rel(a, b):
 # ---------------------------------------------------------------------------
 
 def test_airy_at_zero_closed_forms():
-    assert asy.airy(0.0) == pytest.approx(3 ** (-2 / 3) / gamma(2 / 3), abs=1e-14)
+    ai, aip = asy.airy_pair(0.0)
+    assert ai == pytest.approx(3 ** (-2 / 3) / gamma(2 / 3), abs=1e-14)
     h = 1e-5
-    numeric = (asy.airy(h) - asy.airy(-h)) / (2 * h)
+    numeric = (asy.airy_pair(h)[0] - asy.airy_pair(-h)[0]) / (2 * h)
     assert numeric == pytest.approx(-(3 ** (-1 / 3)) / gamma(1 / 3), abs=1e-6)
-    assert asy.airy_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / gamma(1 / 3),
-                                                abs=1e-14)
+    assert aip == pytest.approx(-(3 ** (-1 / 3)) / gamma(1 / 3), abs=1e-14)
 
 
 def test_airy_against_mpmath_dense_grid():
-    # asy.airy is scipy's, so the reference comes from a different library
+    # asy.airy_pair is scipy's, so the reference comes from a different library
     z = np.linspace(-14.0, 14.0, 561)
-    mine = asy.airy(z)
+    mine, mine_p = asy.airy_pair(z)
     ref = np.array([float(mpmath.airyai(v)) for v in z])
     assert np.max(np.abs(mine - ref)) < 1e-10
-    mine_p = asy.airy_prime(z)
     ref_p = np.array([float(mpmath.airyai(v, derivative=1)) for v in z])
     assert np.max(np.abs(mine_p - ref_p)) < 1e-9
 
@@ -54,36 +53,35 @@ def test_airy_decaying_asymptotic_form():
     xi = (2 / 3) * z ** 1.5
     leading = math.exp(-xi) / (2 * math.sqrt(math.pi) * z ** 0.25)
     # leading-order form is good to its own first correction u1/xi
-    assert abs(asy.airy(z) - leading) < (5 / 72) / xi * leading * 1.1
+    assert abs(asy.airy_pair(z)[0] - leading) < (5 / 72) / xi * leading * 1.1
 
 
 def test_airy_rejects_nonfinite():
     with pytest.raises(ValueError):
-        asy.airy(float("nan"))
+        asy.airy_pair(float("nan"))
 
 
 def test_airy_solves_its_ode_without_scipy():
     # Ai is the solution of Ai″ = z·Ai with the closed-form values at 0;
-    # checked from centered differences of asy.airy alone (no scipy oracle).
-    assert asy.airy(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-15)
-    assert asy.airy_prime(0.0) == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3),
-                                                abs=1e-15)
+    # checked from centered differences of asy.airy_pair alone (no scipy oracle).
+    ai0, aip0 = asy.airy_pair(0.0)
+    assert ai0 == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), abs=1e-15)
+    assert aip0 == pytest.approx(-(3 ** (-1 / 3)) / math.gamma(1 / 3), abs=1e-15)
     h = 1e-3
     z = np.linspace(-10.0, 5.0, 1501)
-    ai, ai_up, ai_down = asy.airy(z), asy.airy(z + h), asy.airy(z - h)
+    ai, ai_up, ai_down = (asy.airy_pair(w)[0] for w in (z, z + h, z - h))
     # truncation h²/12·|Ai⁗| ≤ 2.5e-6 here (Ai⁗ = 2Ai′ + z²Ai), rounding ~1e-9
     second = (ai_up - 2.0 * ai + ai_down) / h ** 2
     assert np.max(np.abs(second - z * ai)) < 5e-6
     first = (ai_up - ai_down) / (2.0 * h)
-    assert np.max(np.abs(first - asy.airy_prime(z))) < 5e-6
+    assert np.max(np.abs(first - asy.airy_pair(z)[1])) < 5e-6
 
 
 def test_airy_arrays_keep_their_shape_and_reject_nonfinite():
     z = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-    assert asy.airy(z).shape == (3, 4)
-    assert asy.airy_prime(z).shape == (3, 4)
+    assert [part.shape for part in asy.airy_pair(z)] == [(3, 4), (3, 4)]
     with pytest.raises(ValueError):
-        asy.airy_prime(np.array([0.0, np.inf]))
+        asy.airy_pair(np.array([0.0, np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -853,9 +851,9 @@ def _coalescing_pair_numpy(roots):
     return complex(r1), complex(r2), complex(r0)
 
 
-def _airy_pair_numpy(z, name="airy"):
+def _airy_pair_numpy(z):
     if not np.all(np.isfinite(z)):
-        raise ValueError(f"{name} requires finite argument")
+        raise ValueError("airy_pair requires finite argument")
     from scipy.special import airy as airy_ai_bi
 
     ai, aip, _, _ = airy_ai_bi(z)
@@ -884,7 +882,7 @@ def _assert_zone_path_matches_numpy(monkeypatch, points, mass):
         for name, numpy_form in (("saddle_points", _saddle_points_numpy),
                                  ("_sd_sum", _sd_sum_numpy),
                                  ("_coalescing_pair", _coalescing_pair_numpy),
-                                 ("_airy_pair", _airy_pair_numpy)):
+                                 ("airy_pair", _airy_pair_numpy)):
             patch.setattr(asy, name, numpy_form)
         reference = _zone_outcomes(points, mass)
     assert outcomes == reference

@@ -478,6 +478,25 @@ def test_nonrel_density_l2_gates_only_when_set(tmp_path):
     assert verdict["margin"] < 0 and manifest["ok"] is False
 
 
+SMALL = {"dtqw_shock": SHOCK, "dtqw_planewave": PLANEWAVE, "schrodinger_shock": SCHRO,
+         "pearcey_map": PEARCEY, "asymptotic_zones": ZONES, "nonrel_compare": NONREL,
+         "validation": VALIDATION}
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_gate_reads_the_diagnostic_it_names(tmp_path, name):
+    # every gate set, so that those enforced only when set are read too: a
+    # renamed diagnostic fails here, not with a KeyError in someone's run
+    gates = EXPERIMENTS[name].gates
+    result = _run_cfg(tmp_path, SMALL[name] + "".join(f"tol.{gate} = 1\n" for gate in gates))
+    verdicts = json.loads((tmp_path / f"{name}_manifest.json").read_text())["tolerance_verdicts"]
+    assert set(verdicts) == set(gates)
+    for gate in gates:
+        diagnostic = experiments.GATED.get(gate, gate)
+        assert diagnostic in result.diagnostics
+        assert verdicts[gate]["value"] == result.diagnostics[diagnostic]
+
+
 def test_cli_validate_good_and_bad(tmp_path, capsys):
     good = tmp_path / "good.cfg"
     good.write_text("experiment = validation\nmass = 16\nn_sites = 64\n")
@@ -997,8 +1016,10 @@ SUBNORMAL_EDGE = float(np.finfo(float).tiny * 64 / (2 * np.pi))
 REST_WAVE = "experiment = dtqw_planewave\nn_sites = {n}\nq = 0\nn_steps = 10\nmass = {mass!r}\n"
 
 
-@pytest.mark.parametrize("n, mass", [(64, 1e-321), (64, 0.99 * SUBNORMAL_EDGE),
-                                     (4, 1.7976931348623157e308)])
+REFUSED_COINS = [(64, 1e-321), (64, 0.99 * SUBNORMAL_EDGE), (4, 1.7976931348623157e308)]
+
+
+@pytest.mark.parametrize("n, mass", REFUSED_COINS)
 def test_cli_rejects_a_walk_whose_coin_sine_is_subnormal_or_not_finite(tmp_path, capsys,
                                                                         n, mass):
     # a subnormal sin θ overflows 1/(2 sin ω) at κ = 0, and θ = 2π·mass/4 overflows
@@ -1010,6 +1031,25 @@ def test_cli_rejects_a_walk_whose_coin_sine_is_subnormal_or_not_finite(tmp_path,
         main(["run", str(cfg)])
     assert err.value.code == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_jumps_and_evolve_refuse_the_coins_the_cli_refuses():
+    # the library itself refuses them: jumps used to return all-nan states
+    # with only an overflow warning
+    for n, mass in REFUSED_COINS:
+        params = wk.build_walk(n, mass)
+        state = plane_wave(wk.build_walk(n, 1.0), 0.0)
+        for call in (lambda: wk.jumps(state, params, [1, 5]),
+                     lambda: wk.evolve(state, params, wk._JUMP_STEPS, wk._JUMP_STEPS)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert "'mass'" in str(err.value) and "'n_sites'" in str(err.value)
+    # the stepped kernel never forms 1/(2 sin ω): it still steps a subnormal coin
+    params = wk.build_walk(64, 1e-321)
+    state = plane_wave(wk.build_walk(64, 1.0), 0.0)
+    for _ in range(5):
+        state = wk.step_walk(state, params)
+    assert np.isfinite(state.left).all() and np.isfinite(state.right).all()
 
 
 def test_cli_runs_a_walk_whose_coin_sine_is_just_normal(tmp_path):
@@ -1024,16 +1064,22 @@ def test_cli_runs_a_walk_whose_coin_sine_is_just_normal(tmp_path):
     assert np.isfinite(diagnostics["step_consistency"]["value"])
 
 
-def test_walk_norm_drift_keeps_a_nan(tmp_path):
-    # past validation, a subnormal sin θ turns every jumped state nan, and the
-    # drift must say so: Python's max let the finite step-0 drift win
+def test_walk_norm_drift_keeps_a_nan(monkeypatch):
+    # a jumped state that comes out nan after a finite step 0 must reach the
+    # drift: Python's max let the finite step-0 drift win
     cfg = parse_config(REST_WAVE.format(n=64, mass=1.0))
-    cfg = dataclasses.replace(cfg, mass=1e-321)
     params = wk.build_walk(cfg.n_sites, cfg.mass)
+    jumps = experiments.jumps
+
+    def nan_after_step_0(state, params, steps):
+        for snap in jumps(state, params, steps):
+            yield snap if snap.step_index == 0 else \
+                wk.SpinorField(snap.left * np.nan, snap.right * np.nan, snap.step_index)
+
+    monkeypatch.setattr(experiments, "jumps", nan_after_step_0)
     snaps = []
-    with np.errstate(all="ignore"):
-        walked = experiments._walk(cfg, plane_wave(params, 0.0), params,
-                                   lambda i, snap, row: snaps.append(snap))
+    walked = experiments._walk(cfg, plane_wave(params, 0.0), params,
+                               lambda i, snap, row: snaps.append(snap))
     assert np.all(np.isnan(snaps[-1].left)) and np.isfinite(snaps[0].left).all()
     assert np.isnan(walked["norm_drift"])
 
