@@ -7,12 +7,12 @@ from the field itself, as Im(ψ*∂ψ)/|ψ|², which needs no unwrapping.  The
 panel rule and the rounding unit of the array quadratures in `schrodinger`
 and `asymptotics` live here too.
 
-A grid's tables (its sites, its wavenumbers, the derivative multipliers
-(ik)^order and the free Schrödinger exponent −ik²) are built once, on first
-use, and kept in bounded caches of `TABLE_CACHE` entries each; they are
-returned read-only, so no caller can change what the next one gets.  The
-Gauss–Legendre rules and their Gauss–Kronrod extensions are built on first
-use too.  Every FFT in the package goes through `fft` and `ifft`, which
+A grid's tables (its sites, its wavenumbers and the derivative multipliers
+(ik)^order) are built once, on first use, and kept in bounded caches of
+`TABLE_CACHE` entries each; they are returned read-only, so no caller can
+change what the next one gets.  `even_table` lays a function even in k out
+on all modes from its values on the first N/2 + 1.  The Gauss–Legendre
+rules and their Gauss–Kronrod extensions are built on first use too.  Every FFT in the package goes through `fft` and `ifft`, which
 count their calls for the run manifests.
 """
 
@@ -60,13 +60,6 @@ def _derivative_multiplier(n_sites: int, order: int) -> np.ndarray:
     if order % 2 == 1 and n_sites % 2 == 0:
         mult[n_sites // 2] = 0.0
     return _read_only(mult)
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE)
-def schrodinger_exponent(n_sites: int) -> np.ndarray:
-    """−ik² per mode: the free propagator's e^{−ik²t/(2m)} is the exponential
-    of this table times t/(2m).  Read-only."""
-    return _read_only(-1j * wavenumbers(n_sites) ** 2)
 
 
 def even_table(half: np.ndarray, n_sites: int) -> np.ndarray:

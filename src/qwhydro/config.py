@@ -35,6 +35,10 @@ from .walk import EXACT_STEPS, WalkParams, check_coin, steps_until
 # take: 128 MiB, so at most 2²² sites.  A run holds one state per snapshot
 # (nine by default) and a few more while it jumps.
 STATE_BYTES = 2 ** 27
+# The most memory the snapshots of one run may take, at one walk state (32 B
+# a site, the most any run keeps a snapshot) per snapshot time: 2 GiB, so 16
+# snapshots at 2²² sites.  It caps a run's CSV grid at 2²⁶ rows.
+RUN_BYTES = 2 ** 31
 # The most (x, t) points, nx·nt, a map window may ask for: its arrays take
 # about 1 GB at 10⁷ points.
 MAP_POINTS = 10 ** 7
@@ -256,6 +260,10 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     for t in snapshot_times:
         if t_final is not None and not (0.0 <= t <= t_final * (1 + 1e-12)):
             raise ConfigError(f"snapshot time {t} outside [0, t_final={t_final}]")
+    if n_sites is not None and 32 * n_sites * len(snapshot_times) > RUN_BYTES:
+        raise ConfigError(f"'snapshot_times' ({len(snapshot_times)} of them) on 'n_sites' = "
+                          f"{n_sites} need {32 * n_sites * len(snapshot_times)} B (32 B a site "
+                          f"a snapshot), over the budget of {RUN_BYTES} B")
 
     key = "n_steps" if cfg.n_steps is not None else \
         "snapshot_times" if cfg.snapshot_times else "t_final"  # the key setting the steps

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._spectral import EPS, TWO_PI, _read_only, even_table, fft, gauss_kronrod, \
-    gauss_legendre, grid, ifft, schrodinger_exponent, spectral_derivative, wavenumbers
+    gauss_legendre, grid, ifft, spectral_derivative, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -60,28 +60,29 @@ def spectral_propagate(psi: Wavefunction, mass: float, t: float) -> Wavefunction
     """
     n = psi.n_sites
     check_free_factors(n, mass, t, "mass and t")
-    half = _free_factors(schrodinger_exponent(n)[:n // 2 + 1], mass, t)
+    half = _free_factors(wavenumbers(n)[:n // 2 + 1], mass, t)
     return Wavefunction(values=ifft(psi.modes * even_table(half, n)))
 
 
-def _free_factors(exponent: np.ndarray, mass: float, t: float) -> np.ndarray:
-    """e^{exponent·t/(2m)} for entries −ik² of `schrodinger_exponent`."""
-    return np.exp(exponent * t / (2.0 * mass))
+def _free_factors(k: np.ndarray, mass: float, t: float) -> np.ndarray:
+    """e^{−ik²t/(2m)} at the wavenumbers k: the one place the free factor is
+    written, for `spectral_propagate` and `check_free_factors` alike."""
+    return np.exp(-1j * k ** 2 * t / (2.0 * mass))
 
 
 def check_free_factors(n_sites: int, mass: float, t: float, names: str):
     """Raise ValueError naming `names` unless `spectral_propagate` keeps its
     factors e^{−ik²t/(2m)} within the floats up to time t.
 
-    The factors are taken as `spectral_propagate` takes them, at the fastest
-    mode k = n_sites/2 only, where the phase k²t/(2m) peaks; builds no table.
-    numpy divides the complex exponent by 2m through 1/(2m), which overflows
-    for m below about 2.8e-309 however small k²t/(2m) is.
+    The factors are taken by `spectral_propagate`'s own `_free_factors`, at
+    the fastest mode k = n_sites/2 only, where the phase k²t/(2m) peaks;
+    builds no table.  numpy divides the complex exponent by 2m through
+    1/(2m), which overflows for m below about 2.8e-309 however small
+    k²t/(2m) is.
     """
-    fastest = -1j * np.array([float(n_sites // 2)]) ** 2
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _free_factors(fastest, mass, t)
+            _free_factors(np.array([float(n_sites // 2)]), mass, t)
     except FloatingPointError as exc:
         raise ValueError(f"{names} give the Schrödinger factor e^(−ik²t/(2·mass)) at "
                          f"k = n_sites/2 = {n_sites // 2}, t = {t:g} out of the floats "

@@ -17,12 +17,12 @@ space through the walk's dispersion relation cos ω = cos θ·cos κ (Strauch,
 PRA 73, 054302 (2006)).  The tables that relation gives a lattice, the
 projector onto the e^{iω} eigenvector and the frequency ω, are built once
 per (N, m) by `_spectrum`, on first use, and kept read-only.  `jumps`
-streams its snapshots: it makes each one as it is read, in buffers
-allocated once per call and overwritten by the next, so a reader that
-reduces each snapshot as it arrives holds a few states however many it
-reads.  `evolve` takes its snapshots from `jumps` when they are
-`_JUMP_STEPS` or more steps apart, so a snapshot's cost does not grow
-with its stride, and steps them with `step_walk` when they are closer.
+streams its snapshots: it makes each one only when it is read, so a
+reader that reduces each snapshot as it arrives holds a few states
+however many it reads.  `evolve` takes its snapshots from `jumps` when
+they are `_JUMP_STEPS` or more steps apart, so a snapshot's cost does not
+grow with its stride, and steps them with `step_walk` when they are
+closer; either way it refuses a coin that `check_coin` refuses.
 
 A snapshot's spectral x-derivatives ∂ₓΨ are taken by `x_derivative`, once
 for every caller while one holds them.
@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ._spectral import TABLE_CACHE, TWO_PI, _read_only, centered_time_diff, \
-    fft, grid, ifft, l2_norm, spectral_derivative, wavenumbers
+    even_table, fft, grid, ifft, l2_norm, spectral_derivative, wavenumbers
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,19 @@ def check_coin(params: WalkParams) -> None:
 EXACT_STEPS = 2 ** 27
 
 # `evolve` jumps strides of at least this many steps.  Timed against one
-# `step_walk` on the same lattice (2-CPU Xeon, numpy 2.4, one thread, best
-# of 9, the multimode shock at θ = π/4), a `jumps` call's first snapshot
-# costs 3 steps at 64 sites, 5 at 512, 18-19 at 4096, 27 at 8192, 39-45 at
-# 16384 and 32-34 at 32768; each further snapshot of the call, streamed
-# through the call's buffers, 1.8, 2.8, 9.5-10, 14, 22-23 and 16-17 (270-310
-# µs at 4096 sites and 600-625 µs at 8192, where a new array per product
-# took 310-320 and 770-810).  32 is the crossover at 8192 sites; through
-# `evolve` a lone stride crosses over at about 5 steps at 512 sites, which
-# steps strides of 5-31 at up to 10 times a jump's cost, and at 47-51 at
-# 16384, which jumps strides of 32-50 at up to 1.6 times their stepping.
-# One value serves today's callers, whose hops each sit well on their side
-# of it: perfbench's `fluid_oracles` hops 1 step, stepped, and 77-79 steps
-# at 8192 sites, jumped.
+# `step_walk` on the same lattice (2-CPU Xeon, numpy 2.4, one thread, the
+# multimode shock at θ = π/4; the machine is shared, so each figure is the
+# range of the bests of five interleaved sets of rounds), a `jumps` call's
+# first snapshot costs 2-3 steps at 64 sites, 3-3.5 at 512, 7.5-11 at 4096,
+# 11-17 at 8192, 14-21 at 16384 and 14-25 at 32768; each further snapshot of
+# the call 0.8-1.4, 1.2-2.3, 4.5-7, 7-10, 11-16 and 10-15 (80-125 µs a step at
+# 8192 sites, 600-950 µs a further snapshot).  Through `evolve` a lone
+# stride crosses over at about 3 steps at 512 sites, which steps strides of
+# 4-31 at up to 10 times a jump's cost, and at 11-17 at 8192, which steps
+# strides of 17-31 at up to 3 times.  One value serves today's callers,
+# whose hops each sit well on their side of it: perfbench's `fluid_oracles`
+# hops 1 step, stepped, and 77-79 steps at 8192 sites, jumped, and
+# `validation` steps its 3-step refinement walks.
 _JUMP_STEPS = 32
 
 
@@ -183,23 +183,13 @@ def _check_state(state: SpinorField, params: WalkParams):
 
 def coin_shift(left: np.ndarray, right: np.ndarray,
                theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """One update of the raw arrays: coin exp(−iθσ₁), then the shifts, each product
-    written straight into its shifted slot (the bits `np.roll` would give)."""
+    """One update of the raw arrays: the coin exp(−iθσ₁) at every site, then
+    the coined left component rolled one site left and the right one right."""
     c = np.cos(theta)
     s = np.sin(theta)
-    new_left, new_right = np.empty_like(left, complex), np.empty_like(right, complex)
-    # new left[n] = c·left[n+1] − is·right[n+1], new right[n] = −is·left[n−1] + c·right[n−1]
-    np.multiply(c, left[1:], out=new_left[:-1])
-    np.multiply(c, left[:1], out=new_left[-1:])
-    np.multiply(-1j * s, left[:-1], out=new_right[1:])
-    np.multiply(-1j * s, left[-1:], out=new_right[:1])
-    product = 1j * s * right
-    np.subtract(new_left[:-1], product[1:], out=new_left[:-1])
-    np.subtract(new_left[-1:], product[:1], out=new_left[-1:])
-    np.multiply(c, right, out=product)
-    np.add(new_right[1:], product[:-1], out=new_right[1:])
-    np.add(new_right[:1], product[-1:], out=new_right[:1])
-    return new_left, new_right
+    coined_left = c * left - 1j * s * right
+    coined_right = -1j * s * left + c * right
+    return np.roll(coined_left, -1), np.roll(coined_right, +1)
 
 
 def step_walk(state: SpinorField, params: WalkParams) -> SpinorField:
@@ -273,13 +263,12 @@ def jumps(state: SpinorField, params: WalkParams, steps) -> Iterator[SpinorField
 
     P's entries and ω_hi, ω_lo come from `_spectrum`, built once per
     lattice.  ω is even in κ, so each snapshot exponentiates only the
-    first N/2 + 1 modes and mirrors them onto the rest: a snapshot costs
-    two complex exponentials of N/2 + 1 values and two inverse FFTs, the
-    input two FFTs.  Every snapshot is formed in buffers allocated once per
-    call and overwritten by the next; only the inverse FFTs' outputs, new
-    arrays, become its components, so no two snapshots share memory and a
-    reader that keeps none holds a few states, however many it reads.
-    Step 0 yields a copy of the input.
+    first N/2 + 1 modes and `_spectral.even_table` mirrors them onto the
+    rest: a snapshot costs two complex exponentials of N/2 + 1 values and
+    two inverse FFTs, the input two FFTs.  Every snapshot's components are
+    new arrays, so no two snapshots share memory, and a reader that keeps
+    none holds a few states, however many it reads.  Step 0 yields a copy
+    of the input.
     """
     _check_state(state, params)
     steps = [int(j) for j in steps]
@@ -294,31 +283,15 @@ def _jumped(state: SpinorField, spec: _Spectrum, steps: list[int]) -> Iterator[S
     up_left = spec.p_ll * left_k + spec.p_lr * right_k
     up_right = spec.p_rl * left_k + spec.p_rr * right_k
     projected = ((up_left, left_k - up_left), (up_right, right_k - up_right))
-
-    half = spec.omega_hi.shape[0]
-    angle = np.empty(half)
-    phase = np.empty(half, complex)
-    rise_lo = np.empty(half, complex)
-    rise, fall, rising, falling = (np.empty(state.n_sites, complex) for _ in range(4))
-    rise_hi = rise[:half]
     for j in steps:
         if j == 0:
             yield state.copy()
             continue
-        for omega, rise_half in ((spec.omega_hi, rise_hi), (spec.omega_lo, rise_lo)):
-            np.multiply(j, omega, out=angle)
-            np.multiply(1j, angle, out=phase)
-            np.exp(phase, out=rise_half)
-        np.multiply(rise_hi, rise_lo, out=rise_hi)
-        # the modes −k take the values of k, as `_spectral.even_table` lays them
-        rise[half:] = rise[(state.n_sites - 1) // 2:0:-1]
-        np.conj(rise, out=fall)
-        components = []
-        for up, down in projected:
-            np.multiply(rise, up, out=rising)
-            np.multiply(fall, down, out=falling)
-            components.append(ifft(np.add(rising, falling, out=rising)))
-        yield SpinorField(*components, step_index=state.step_index + j)
+        rise = even_table(np.exp(1j * (j * spec.omega_hi)) * np.exp(1j * (j * spec.omega_lo)),
+                          state.n_sites)
+        fall = np.conj(rise)
+        yield SpinorField(*(ifft(rise * up + fall * down) for up, down in projected),
+                          step_index=state.step_index + j)
 
 
 def evolve(state: SpinorField, params: WalkParams, n_steps: int,
@@ -330,12 +303,15 @@ def evolve(state: SpinorField, params: WalkParams, n_steps: int,
     and n_steps both that large) they are jumped to by one `jumps` call,
     so their cost does not grow with the stride; a jumped snapshot is exact
     only below `EXACT_STEPS` steps after the input.  Closer snapshots are
-    stepped with `step_walk`.
+    stepped with `step_walk`.  A coin that `check_coin` refuses raises its
+    ValueError at any stride, so the lattices `evolve` accepts do not
+    depend on the route it takes.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     if cadence < 1:
         raise ValueError("cadence must be ≥ 1")
+    check_coin(params)
     if min(cadence, n_steps) >= _JUMP_STEPS:
         snaps = list(jumps(state, params, [*range(0, n_steps, cadence), n_steps]))
     else:

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from qwhydro import experiments
 from qwhydro.asymptotics import zone_labels
-from qwhydro.config import (EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, SimConfig,
-                            parse_config, validate_config)
+from qwhydro.config import (EXPERIMENTS, MAP_POINTS, RUN_BYTES, STATE_BYTES, ConfigError,
+                            SimConfig, parse_config, validate_config)
 from qwhydro.experiments import walk_steps
 from qwhydro.initial import (ShockInitSpec, phase_modulated_state, plane_wave,
                               schrodinger_initial)
@@ -287,6 +287,7 @@ def _check_parse(text):
     # and so is every lattice and map window
     if cfg.n_sites is not None:
         assert 32 * cfg.n_sites <= STATE_BYTES
+        assert 32 * cfg.n_sites * len(cfg.snapshot_times) <= RUN_BYTES
     if "window" in spec.needs:
         assert cfg.nx * cfg.nt <= MAP_POINTS
         # and charts without overflow, as the run does (a warning fails the test)

@@ -19,7 +19,8 @@ from qwhydro import asymptotics as asy
 from qwhydro import experiments
 from qwhydro import walk as wk
 from qwhydro.cli import main
-from qwhydro.config import EXPERIMENTS, MAP_POINTS, STATE_BYTES, ConfigError, parse_config
+from qwhydro.config import EXPERIMENTS, MAP_POINTS, RUN_BYTES, STATE_BYTES, ConfigError, \
+    parse_config
 from qwhydro.experiments import SpacetimeGrid, emit_spacetime_csv, run_experiment
 from qwhydro.hydro import currents
 from qwhydro.initial import ShockInitSpec, phase_modulated_state, plane_wave
@@ -405,6 +406,18 @@ def test_every_experiment_has_a_shipped_config_that_validates(capsys):
     assert set(shipped) == set(EXPERIMENTS)
     for path in shipped.values():
         assert main(["validate", str(path)]) == 0
+
+
+def test_every_perfbench_config_validates(tmp_path, monkeypatch):
+    # the benchmark generates its configs; they must pass the same rules,
+    # the run budget among them
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    texts = [text for cls in WORKLOADS.values() for text in cls(0, tmp_path).configs]
+    assert len(texts) == 5
+    for text in texts:
+        parse_config(text)
 
 
 INVALID_AT_RUN_TIME = {
@@ -1035,12 +1048,15 @@ def test_cli_rejects_a_walk_whose_coin_sine_is_subnormal_or_not_finite(tmp_path,
 
 def test_jumps_and_evolve_refuse_the_coins_the_cli_refuses():
     # the library itself refuses them: jumps used to return all-nan states
-    # with only an overflow warning
+    # with only an overflow warning, and evolve refuses them at every stride,
+    # stepped (below _JUMP_STEPS) or jumped
     for n, mass in REFUSED_COINS:
         params = wk.build_walk(n, mass)
         state = plane_wave(wk.build_walk(n, 1.0), 0.0)
-        for call in (lambda: wk.jumps(state, params, [1, 5]),
-                     lambda: wk.evolve(state, params, wk._JUMP_STEPS, wk._JUMP_STEPS)):
+        calls = [lambda: wk.jumps(state, params, [1, 5])]
+        calls += [lambda stride=stride: wk.evolve(state, params, stride, stride)
+                  for stride in (1, wk._JUMP_STEPS - 1, wk._JUMP_STEPS)]
+        for call in calls:
             with pytest.raises(ValueError) as err:
                 call()
             assert "'mass'" in str(err.value) and "'n_sites'" in str(err.value)
@@ -1187,6 +1203,25 @@ def test_cli_validate_rejects_a_lattice_over_its_memory_budget(tmp_path, capsys,
     assert main(["validate", str(cfg)]) == 0
     cfg.write_text(_with(name, n_sites=str(largest + 2)))
     _exits_2_naming(cfg, capsys, "'n_sites'")
+
+
+def _times(count):
+    """`count` evenly spaced snapshot times on [0, 1], each on a step of its own."""
+    return ", ".join(repr(i / (count - 1)) for i in range(count))
+
+
+@pytest.mark.parametrize("name", ["shock_multimode", "schrodinger_shock", "nonrel_compare"])
+def test_cli_validate_rejects_snapshots_over_the_run_budget(tmp_path, capsys, name):
+    cfg = tmp_path / "run.cfg"
+    sites = STATE_BYTES // 32
+    most = RUN_BYTES // (32 * sites)  # 16 snapshots of the largest lattice
+    # a dtqw_shock of 513 snapshots there would hold 16 GiB of density rows
+    for count in (most + 1, 513):
+        cfg.write_text(_with(name, n_sites=str(sites), snapshot_times=_times(count)))
+        _exits_2_naming(cfg, capsys, "'snapshot_times'", "'n_sites'")
+    for count, n_sites in ((most, sites), (9, sites), (65, 2 ** 16)):
+        cfg.write_text(_with(name, n_sites=str(n_sites), snapshot_times=_times(count)))
+        assert main(["validate", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("name", ["shock_multimode", "shock_single_mode"])

@@ -115,7 +115,6 @@ def test_schrodinger_hydro_is_bit_identical_to_the_inline_formula(n):
 
 def _tables(n):
     return {"grid": sp.grid(n), "wavenumbers": sp.wavenumbers(n),
-            "schrodinger_exponent": sp.schrodinger_exponent(n),
             **{f"multiplier_{order}": sp._derivative_multiplier(n, order)
                for order in (1, 2, 3)}}
 

@@ -5,7 +5,7 @@ import pytest
 
 from qwhydro import initial as ini
 from qwhydro import walk as wk
-from qwhydro._spectral import even_table, fft_calls
+from qwhydro._spectral import fft_calls
 from qwhydro.hydro import currents
 
 from conftest import make_smooth_spinor
@@ -213,23 +213,27 @@ def _stepped(state, p, steps):
     return [kept[j] for j in steps]
 
 
-def _rolled_coin_shift(left, right, theta):
-    """Reference: the coined components, then np.roll for the shifts."""
+def _per_site_coin_shift(left, right, theta):
+    """Reference: the module docstring's per-site equations, each site reading
+    its periodic neighbours through index arrays:
+    new left[n] = c·left[n+1] − is·right[n+1] and
+    new right[n] = −is·left[n−1] + c·right[n−1]."""
     c = np.cos(theta)
     s = np.sin(theta)
-    coined_left = c * left - 1j * s * right
-    coined_right = -1j * s * left + c * right
-    return np.roll(coined_left, -1), np.roll(coined_right, +1)
+    sites = np.arange(left.shape[0])
+    ahead, behind = (sites + 1) % sites.size, (sites - 1) % sites.size
+    return (c * left[ahead] - 1j * s * right[ahead],
+            -1j * s * left[behind] + c * right[behind])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 64, 4096])
 @pytest.mark.parametrize("theta", [0.0, 1e-3, np.pi / 2, np.pi, 2.5])
-def test_sliced_coin_shift_is_bit_identical_to_the_rolled_one(rng, n, theta):
+def test_coin_shift_is_bit_identical_to_the_per_site_equations(rng, n, theta):
     left = rng.normal(size=n) + 1j * rng.normal(size=n)
     right = rng.normal(size=n) + 1j * rng.normal(size=n)
     before = left.copy(), right.copy()
     out = wk.coin_shift(left, right, theta)
-    for got, want in zip(out, _rolled_coin_shift(left, right, theta)):
+    for got, want in zip(out, _per_site_coin_shift(left, right, theta)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(left, before[0]) and np.array_equal(right, before[1])
 
@@ -411,19 +415,27 @@ def _masses(n):
             "tiny": 5e-324 if n >= 16 else 1e-150}
 
 
-STEPS = [0, 1, 2, 10 ** 4, 2 ** 26 + 3]
+# step 10⁴ twice: a step read again gives the same bits
+STEPS = [0, 1, 2, 10 ** 4, 10 ** 4, 2 ** 26 + 3]
 
 
 @pytest.mark.parametrize("theta", ["half_pi", "near_pi", "generic", "tiny"])
-@pytest.mark.parametrize("n", [4, 6, 512, 4096])
-def test_propagate_is_bit_identical_to_the_uncached_formula(n, theta):
+@pytest.mark.parametrize("n, kind", [(4, "random"), (6, "random"), (512, "random"),
+                                     (4096, "random"), (8192, "random"), (512, "shock"),
+                                     (4096, "shock"), (8192, "shock")])
+def test_propagate_is_bit_identical_to_the_uncached_formula(n, kind, theta):
     p = wk.build_walk(n, _masses(n)[theta])
     if theta == "tiny" and n >= 16:
         assert p.coin_angle == 0.0 and _reference_omega(n, p.mass)[2][0] == 0.0
-    rng = np.random.default_rng(n)
-    state = wk.SpinorField(rng.normal(size=n) + 1j * rng.normal(size=n),
-                           rng.normal(size=n) + 1j * rng.normal(size=n))
-    got = wk.jumps(state, p, STEPS)
+    if kind == "shock":  # the shipped multimode shock's profile, made at θ = π/4
+        state = ini.phase_modulated_state(wk.build_walk(n, n / 8),
+                                          ini.multimode_benchmark(n / 80, n / 8))
+    else:
+        rng = np.random.default_rng(n)
+        state = wk.SpinorField(rng.normal(size=n) + 1j * rng.normal(size=n),
+                               rng.normal(size=n) + 1j * rng.normal(size=n))
+    got = list(wk.jumps(state, p, STEPS))
+    assert len(got) == len(STEPS)
     for j, snap, (left, right) in zip(STEPS, got, _reference_jumps(state, p, STEPS)):
         assert snap.step_index == j
         assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
@@ -453,43 +465,6 @@ def test_walk_spectrum_is_read_only_and_built_once_per_lattice(rng):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
     assert len(spec.p_ll) == 256 and len(spec.omega_hi) == 129
-
-
-def _per_snapshot_jumps(state, p, steps):
-    """Reference: the per-snapshot expressions of the jump kernel before its
-    snapshots were streamed through reused buffers, every array a new one:
-    the two half-size exponentials, `even_table`, `np.conj` and the products."""
-    spec = wk._spectrum(p.n_sites, p.mass)
-    left_k, right_k = np.fft.fft(state.left), np.fft.fft(state.right)
-    up_left = spec.p_ll * left_k + spec.p_lr * right_k
-    up_right = spec.p_rl * left_k + spec.p_rr * right_k
-    down_left, down_right = left_k - up_left, right_k - up_right
-    for j in steps:
-        if j == 0:
-            yield state.left, state.right
-            continue
-        rise_half = np.exp(1j * (j * spec.omega_hi)) * np.exp(1j * (j * spec.omega_lo))
-        rise = even_table(rise_half, p.n_sites)
-        fall = np.conj(rise)
-        yield (np.fft.ifft(rise * up_left + fall * down_left),
-               np.fft.ifft(rise * up_right + fall * down_right))
-
-
-@pytest.mark.parametrize("kind", ["shock", "plane_wave"])
-@pytest.mark.parametrize("n", [512, 4096, 8192])
-def test_streamed_snapshots_are_bit_identical_to_the_per_snapshot_expressions(n, kind):
-    # at the shipped multimode shock's mass over sites, θ = π/4
-    p = wk.build_walk(n, n / 8)
-    if kind == "shock":
-        state = ini.phase_modulated_state(p, ini.multimode_benchmark(p.mass / 10, p.mass))
-    else:
-        state = ini.plane_wave(p, 3.0)
-    steps = [0, 1, 2, 625, 9999, 10000, 10000, 2 ** 26 + 3]
-    got = list(wk.jumps(state, p, steps))
-    assert len(got) == len(steps)
-    for j, snap, (left, right) in zip(steps, got, _per_snapshot_jumps(state, p, steps)):
-        assert snap.step_index == j
-        assert np.array_equal(snap.left, left) and np.array_equal(snap.right, right)
 
 
 def _arrays(values):
